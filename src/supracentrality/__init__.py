@@ -42,6 +42,7 @@ from .limits import (
     DegenerateInterlayerEigenvalueError,
     DegenerateLayerEigenvalueError,
     LayerEigendata,
+    LimitPreconditionError,
     NotApplicableError,
     ReducibleDominatingSetError,
     StrongLimitResult,

@@ -30,6 +30,7 @@ __all__ = [
     "build_eigenvector_matrix",
     "build_hub_matrix",
     "build_authority_matrix",
+    "apply_dangling_policy",
     "build_pagerank_matrix",
     "build_centrality_matrix",
     "DENSE_PRODUCT_WARN_NNZ",
@@ -119,6 +120,25 @@ def build_authority_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
     return LayerCentralityMatrix(n=graph.n_nodes, kind=Authority(), sparse=product)
 
 
+def apply_dangling_policy(
+    a: sparse.csr_matrix, dangling: DanglingPolicy
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Add the policy's unit self-edges to the square matrix ``a``; returns
+    the repaired matrix and its (nonzero) row sums."""
+    row_sums = np.asarray(a.sum(axis=1)).ravel()
+    if dangling is DanglingPolicy.ALL_NODES:
+        a = (a + sparse.identity(a.shape[0], format="csr")).tocsr()
+        row_sums = row_sums + 1.0
+    else:
+        mask = (row_sums == 0).astype(float)
+        if mask.any():
+            a = (a + sparse.diags(mask)).tocsr()
+            row_sums = row_sums + mask
+    if np.any(row_sums == 0):  # impossible by construction
+        raise AssertionError("zero row sum survived the dangling policy")
+    return a, row_sums
+
+
 def build_pagerank_matrix(
     graph: LayerGraph,
     sigma: float = 0.85,
@@ -136,16 +156,7 @@ def build_pagerank_matrix(
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
     n = graph.n_nodes
-    row_sums = np.asarray(graph.csr.sum(axis=1)).ravel()
-    if dangling is DanglingPolicy.ALL_NODES:
-        a = (graph.csr + sparse.identity(n, format="csr")).tocsr()
-        row_sums = row_sums + 1.0
-    else:
-        mask = (row_sums == 0).astype(float)
-        a = (graph.csr + sparse.diags(mask)).tocsr() if mask.any() else graph.csr
-        row_sums = row_sums + mask
-    if np.any(row_sums == 0):  # impossible by construction
-        raise AssertionError("zero row sum survived the dangling policy")
+    a, row_sums = apply_dangling_policy(graph.csr, dangling)
 
     if teleport is None:
         u = np.full(n, 1.0 / n)

@@ -1,8 +1,10 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 usage error, 2 validation or precondition failure,
-3 eigensolver non-convergence.  All subcommands are deterministic: repeat
-runs with the same inputs produce byte-identical output files.
+Exit codes: 0 success, 1 usage error, 2 validation or precondition failure
+(unparsable or non-finite input, or a coupling limit whose uniqueness
+precondition fails), 3 eigensolver non-convergence.  All subcommands are
+deterministic: repeat runs with the same inputs produce byte-identical
+output files.
 """
 from __future__ import annotations
 
@@ -11,11 +13,16 @@ import json
 import sys
 
 from . import fileio
-from .centrality import build_centrality_matrix
 from .engine import NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector
 from .graph import check_preconditions
 from .interlayer import all_to_all, block_communities, chain_teleport, chain_undirected
-from .limits import NotApplicableError, corollary_crosscheck, strong_limit, weak_limit
+from .limits import (
+    LimitPreconditionError,
+    NotApplicableError,
+    corollary_crosscheck,
+    strong_limit,
+    weak_limit,
+)
 from .sweeps import correlate_with_degrees, detect_regimes, log_grid, rank_trajectory, sweep
 from .types import (
     Authority,
@@ -23,7 +30,6 @@ from .types import (
     Eigenvector,
     Hub,
     InterlayerMatrix,
-    MultiplexNetwork,
     PageRank,
     SupraProblem,
 )
@@ -37,38 +43,23 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-class UsageError(ValueError):
-    pass
+def _build_kind(args):
+    if args.kind == "pagerank":
+        return PageRank(sigma=args.sigma, dangling=DanglingPolicy(args.dangling))
+    return {"eigenvector": Eigenvector, "hub": Hub, "authority": Authority}[args.kind]()
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _load_network(args) -> MultiplexNetwork:
-    return fileio.load_multiplex(
+def _load_inputs(args):
+    """Network, centrality kind (None without --kind) and interlayer matrix,
+    built in that order so the first bad input is the one reported."""
+    net = fileio.load_multiplex(
         args.network,
         node_labels_path=args.node_labels,
         layer_labels_path=args.layer_labels,
         n_nodes=args.nodes,
     )
-
-
-def _build_kind(args):
-    name = args.kind
-    if name == "eigenvector":
-        return Eigenvector()
-    if name == "hub":
-        return Hub()
-    if name == "authority":
-        return Authority()
-    if name == "pagerank":
-        policy = DanglingPolicy.DANGLING_ONLY if args.dangling == "only" else DanglingPolicy.ALL_NODES
-        try:
-            return PageRank(sigma=args.sigma, dangling=policy)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-    raise UsageError(f"unknown centrality kind {name!r}")
+    kind = _build_kind(args) if "kind" in args else None
+    return net, kind, _build_interlayer(args.interlayer, net.n_layers)
 
 
 def _build_interlayer(spec: str, n_layers: int) -> InterlayerMatrix:
@@ -88,8 +79,8 @@ def _build_interlayer(spec: str, n_layers: int) -> InterlayerMatrix:
     except fileio.ParseError:
         raise
     except ValueError as err:
-        raise UsageError(f"bad interlayer spec {spec!r}: {err}") from err
-    raise UsageError(f"unknown interlayer spec {spec!r}")
+        raise ValueError(f"bad interlayer spec {spec!r}: {err}") from err
+    raise ValueError(f"unknown interlayer spec {spec!r}")
 
 
 def _parse_blocks(body: str, n_layers: int) -> InterlayerMatrix:
@@ -98,11 +89,11 @@ def _parse_blocks(body: str, n_layers: int) -> InterlayerMatrix:
     for item in body.split(";"):
         key, sep, value = item.partition("=")
         if not sep:
-            raise UsageError(f"bad blocks field {item!r}")
+            raise ValueError(f"bad blocks field {item!r}")
         fields[key.strip()] = value.strip()
     missing = {"sizes", "intra", "inter"} - fields.keys()
     if missing:
-        raise UsageError(f"blocks spec missing {sorted(missing)}")
+        raise ValueError(f"blocks spec missing {sorted(missing)}")
     sizes = tuple(int(s) for s in fields["sizes"].split(","))
     return block_communities(n_layers, sizes, float(fields["intra"]), float(fields["inter"]))
 
@@ -110,19 +101,17 @@ def _parse_blocks(body: str, n_layers: int) -> InterlayerMatrix:
 def _parse_grid(spec: str):
     parts = spec.split(",")
     if len(parts) != 3:
-        raise UsageError(f"--grid expects 'lo,hi,step', got {spec!r}")
+        raise ValueError(f"--grid expects 'lo,hi,step', got {spec!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
         return log_grid(lo, hi, step)
     except ValueError as err:
-        raise UsageError(f"bad grid {spec!r}: {err}") from err
+        raise ValueError(f"bad grid {spec!r}: {err}") from err
 
 
 def _solve(problem: SupraProblem, tol: float, max_iter: int):
-    matrices = tuple(
-        build_centrality_matrix(layer, problem.kind) for layer in problem.network.layers
-    )
-    report = check_preconditions(problem, matrices)
+    op = SupraOperator(problem)
+    report = check_preconditions(problem, op.layers)
     if not report.both_ok:
         print(
             "warning: uniqueness preconditions not satisfied "
@@ -130,7 +119,6 @@ def _solve(problem: SupraProblem, tol: float, max_iter: int):
             "computing anyway",
             file=sys.stderr,
         )
-    op = SupraOperator(problem, layer_matrices=matrices)
     pair = dominant_eigenpair(op, tol=tol, max_iter=max_iter)
     net = problem.network
     tableau = tableau_from_vector(
@@ -140,9 +128,7 @@ def _solve(problem: SupraProblem, tol: float, max_iter: int):
 
 
 def _cmd_check(args) -> int:
-    net = _load_network(args)
-    kind = _build_kind(args)
-    interlayer = _build_interlayer(args.interlayer, net.n_layers)
+    net, kind, interlayer = _load_inputs(args)
     problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=1.0)
     report = check_preconditions(problem)
     print(
@@ -154,9 +140,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
-    net = _load_network(args)
-    kind = _build_kind(args)
-    interlayer = _build_interlayer(args.interlayer, net.n_layers)
+    net, kind, interlayer = _load_inputs(args)
     problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=args.omega)
     tableau, pair, report = _solve(problem, args.tol, args.max_iter)
     fileio.write_tableau_csv(tableau, net, args.out)
@@ -165,9 +149,10 @@ def _cmd_centrality(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args, net, kind, interlayer):
+def _run_sweep(args):
+    net, kind, interlayer = _load_inputs(args)
     grid = _parse_grid(args.grid)
-    return sweep(
+    result = sweep(
         net,
         kind,
         interlayer,
@@ -176,13 +161,11 @@ def _run_sweep(args, net, kind, interlayer):
         max_iter=args.max_iter,
         warm_start=not getattr(args, "no_warm_start", False),
     )
+    return net, result
 
 
 def _cmd_sweep(args) -> int:
-    net = _load_network(args)
-    kind = _build_kind(args)
-    interlayer = _build_interlayer(args.interlayer, net.n_layers)
-    result = _run_sweep(args, net, kind, interlayer)
+    net, result = _run_sweep(args)
     fileio.write_sweep_csv(result, net, args.out)
     for index, message in result.failures:
         print(f"warning: grid point {index + 1} failed: {message}", file=sys.stderr)
@@ -191,16 +174,16 @@ def _cmd_sweep(args) -> int:
         print(f"z-sensitivity peaks: {len(report.peaks)}, regimes: {len(report.intervals)}")
         for k, interval in enumerate(report.intervals, start=1):
             print(
-                f"regime {k}: omega in [{_fmt(interval.omega_lo)}, {_fmt(interval.omega_hi)}]"
+                f"regime {k}: omega in "
+                f"[{fileio.fmt(interval.omega_lo)}, {fileio.fmt(interval.omega_hi)}]"
             )
     return EXIT_OK
 
 
 def _cmd_limit(args) -> int:
-    net = _load_network(args)
-    kind = _build_kind(args)
-    interlayer = _build_interlayer(args.interlayer, net.n_layers)
+    net, kind, interlayer = _load_inputs(args)
     problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=1.0)
+    strong = None
     if args.which == "weak":
         res = weak_limit(problem, args.rel_tol_dominating)
         payload = {
@@ -210,11 +193,9 @@ def _cmd_limit(args) -> int:
             "lambda1": res.lambda1,
             "alpha": [float(v) for v in res.alpha],
             "beta": [float(v) for v in res.beta],
-            "mnc": [float(v) for v in res.tableau.mnc],
-            "mlc": [float(v) for v in res.tableau.mlc],
         }
     else:
-        res = strong_limit(problem)
+        res = strong = strong_limit(problem)
         payload = {
             "which": "strong",
             "mu1": res.mu1,
@@ -223,11 +204,11 @@ def _cmd_limit(args) -> int:
             "u_tilde": [float(v) for v in res.u_tilde],
             "alpha": [float(v) for v in res.alpha_tilde],
             "beta": [float(v) for v in res.beta_tilde],
-            "mnc": [float(v) for v in res.tableau.mnc],
-            "mlc": [float(v) for v in res.tableau.mlc],
         }
+    payload["mnc"] = [float(v) for v in res.tableau.mnc]
+    payload["mlc"] = [float(v) for v in res.tableau.mlc]
     try:
-        check = corollary_crosscheck(problem)
+        check = corollary_crosscheck(problem, strong)
         payload["corollary_check"] = {
             "shape": check.shape,
             "mu1_computed": check.mu1_computed,
@@ -237,60 +218,43 @@ def _cmd_limit(args) -> int:
         }
     except NotApplicableError:
         payload["corollary_check"] = None
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    fileio.write_json(args.out, payload)
     return EXIT_OK
 
 
 def _cmd_correlate(args) -> int:
-    net = _load_network(args)
-    kind = _build_kind(args)
-    interlayer = _build_interlayer(args.interlayer, net.n_layers)
-    result = _run_sweep(args, net, kind, interlayer)
+    net, result = _run_sweep(args)
     rows = correlate_with_degrees(result, net, reference_layer=args.reference_layer)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("omega,r_intralayer,r_total,r_reference\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        row.omega,
-                        row.intralayer_vs_conditional,
-                        row.total_vs_conditional_sum,
-                        row.reference_vs_conditional_sum,
-                    )
-                )
-                + "\n"
-            )
+    columns = ("omega", "intralayer_vs_conditional", "total_vs_conditional_sum",
+               "reference_vs_conditional_sum")
+    fileio.write_csv(
+        args.out,
+        ["omega", "r_intralayer", "r_total", "r_reference"],
+        ([fileio.fmt(getattr(row, c)) for c in columns] for row in rows),
+    )
     return EXIT_OK
 
 
 def _cmd_trajectory(args) -> int:
-    net = _load_network(args)
-    kind = _build_kind(args)
-    interlayer = _build_interlayer(args.interlayer, net.n_layers)
-    result = _run_sweep(args, net, kind, interlayer)
+    net, result = _run_sweep(args)
     ranks = rank_trajectory(result, args.node)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        labels = ",".join(f"rank_{net.layer_label(t)}" for t in range(1, net.n_layers + 1))
-        fh.write(f"omega,{labels}\n")
-        for s, omega in enumerate(result.grid.values):
-            fh.write(_fmt(omega) + "," + ",".join(str(r) for r in ranks[s]) + "\n")
+    fileio.write_csv(
+        args.out,
+        ["omega"] + [f"rank_{net.layer_label(t)}" for t in range(1, net.n_layers + 1)],
+        ([fileio.fmt(omega)] + [str(r) for r in ranks[s]]
+         for s, omega in enumerate(result.grid.values)),
+    )
     return EXIT_OK
 
 
 def _cmd_versatility(args) -> int:
-    net = _load_network(args)
-    interlayer = _build_interlayer(args.interlayer, net.n_layers)
-    if not 0.0 <= args.sigma < 1.0:
-        raise UsageError(f"sigma must lie in [0, 1), got {args.sigma}")
+    net, _, interlayer = _load_inputs(args)
     values = pagerank_versatility(net, interlayer, args.omega, args.sigma)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,versatility\n")
-        for i in range(1, net.n_nodes + 1):
-            fh.write(f"{net.node_label(i)},{_fmt(values[i - 1])}\n")
+    fileio.write_csv(
+        args.out,
+        ["node", "versatility"],
+        ([net.node_label(i), fileio.fmt(v)] for i, v in enumerate(values, start=1)),
+    )
     return EXIT_OK
 
 
@@ -321,6 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--node-labels", help="node label file (index<TAB>label)")
     common.add_argument("--layer-labels", help="layer label file (index<TAB>label)")
     common.add_argument("--nodes", type=int, help="override the inferred node count")
+    common.add_argument(
+        "--interlayer",
+        required=True,
+        help="alltoall | chain | teleport:<gamma> | blocks:<spec> | file:<path>",
+    )
 
     parser = argparse.ArgumentParser(
         prog="supracentrality",
@@ -331,12 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run the uniqueness precondition report")
     _add_kind_flags(p)
-    p.add_argument("--interlayer", required=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("centrality", parents=[common], help="solve at one coupling strength")
     _add_kind_flags(p)
-    p.add_argument("--interlayer", required=True)
     p.add_argument("--omega", type=float, required=True, help="interlayer coupling strength")
     _add_solver_flags(p)
     p.add_argument("--out", required=True, help="joint-centrality CSV")
@@ -345,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="sweep a log-grid of coupling strengths")
     _add_kind_flags(p)
-    p.add_argument("--interlayer", required=True)
     p.add_argument("--grid", required=True, help="lo,hi,step (base-10 exponents)")
     p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--prominence", type=float, default=0.01, help="peak prominence floor")
@@ -356,14 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", parents=[common], help="closed-form coupling limits")
     p.add_argument("--which", choices=["weak", "strong"], required=True)
     _add_kind_flags(p)
-    p.add_argument("--interlayer", required=True)
     p.add_argument("--rel-tol-dominating", type=float, default=1e-9)
     p.add_argument("--out", required=True, help="limit JSON")
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("correlate", parents=[common], help="degree correlations along a sweep")
     _add_kind_flags(p)
-    p.add_argument("--interlayer", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--reference-layer", type=int)
     _add_solver_flags(p)
@@ -373,14 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", parents=[common], help="per-layer rank trajectory of one node")
     p.add_argument("--node", type=int, required=True, help="1-based node index")
     _add_kind_flags(p)
-    p.add_argument("--interlayer", required=True)
     p.add_argument("--grid", required=True)
     _add_solver_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_trajectory)
 
     p = sub.add_parser("versatility", parents=[common], help="PageRank versatility baseline")
-    p.add_argument("--interlayer", required=True)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--sigma", type=float, default=0.85)
     _add_solver_flags(p)
@@ -416,21 +378,14 @@ def dispatch(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (fileio.ParseError, fileio.ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except (fileio.ParseError, fileio.ValidationError, LimitPreconditionError, OSError) as err:
+        code, error = EXIT_VALIDATION, err
     except NonConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_NO_CONVERGENCE, err
+    except ValueError as err:  # bad flag values and specs are usage errors
+        code, error = EXIT_USAGE, err
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

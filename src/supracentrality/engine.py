@@ -15,18 +15,22 @@ changing eigenvectors; the reported eigenvalue has the shift removed.
 """
 from __future__ import annotations
 
+import copy
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 from scipy import sparse
 
-from .centrality import LayerCentralityMatrix, build_centrality_matrix
+from .centrality import build_centrality_matrix
 from .types import CentralityTableau, SupraProblem
 
 __all__ = [
     "NonConvergenceError",
     "EigenpairResult",
+    "default_shift",
     "SupraOperator",
     "shifted_power_iteration",
     "dominant_eigenpair",
@@ -63,6 +67,16 @@ class EigenpairResult:
     residual: float
 
 
+def default_shift(max_row_sum: float) -> float:
+    """The power-iteration shift 0.1 * (1 + max row sum) of a nonnegative operator.
+
+    Large enough to make the shifted spectrum aperiodic, small enough not to
+    slow convergence.  Callers sum the rows themselves: the summation order
+    sets the last bit, and with it every digit the solver writes.
+    """
+    return 0.1 * (1.0 + max_row_sum)
+
+
 def _fix_sign(x: np.ndarray, tol: float) -> np.ndarray:
     out = np.array(x)
     peak = int(np.argmax(np.abs(out)))
@@ -93,10 +107,11 @@ def shifted_power_iteration(
     vector's sign is fixed so its largest-magnitude entry is positive and
     entries in (-tol, 0) are clamped to 0.
 
-    Raises NonConvergenceError after ``max_iter`` iterations.
+    Raises NonConvergenceError after ``max_iter`` iterations, or as soon as
+    an iterate is not finite.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if start is None:
@@ -132,6 +147,8 @@ def shifted_power_iteration(
                 residual=residual,
             )
         norm_y = float(np.linalg.norm(y))
+        if not math.isfinite(norm_y):
+            raise NonConvergenceError(iteration, residual, "iterate is not finite")
         if norm_y == 0:
             raise NonConvergenceError(iteration, residual, "iterate collapsed to zero")
         x = y / norm_y
@@ -142,32 +159,26 @@ def shifted_power_iteration(
 class SupraOperator:
     """The coupled operator for one problem, applied blockwise.
 
-    ``shift`` defaults to 0.1 * (1 + max row sum over the diagonal layer
-    blocks), which keeps the shifted spectrum comfortably aperiodic without
-    hurting the convergence rate; pass shift=0.0 to work with the raw
-    operator.  ``apply``/``apply_transpose`` include the shift term, matching
-    what the eigensolver iterates.
+    ``shift`` defaults to :func:`default_shift` of the largest row sum over
+    the diagonal layer blocks; pass shift=0.0 to iterate the raw operator.
+    ``apply``/``apply_transpose``/``to_dense`` are the unshifted operator;
+    only the eigensolver adds the shift.
     """
 
     def __init__(
         self,
         problem: SupraProblem,
-        layer_matrices: tuple[LayerCentralityMatrix, ...] | None = None,
         shift: float | None = None,
     ):
         self.problem = problem
-        if layer_matrices is None:
-            layer_matrices = tuple(
-                build_centrality_matrix(layer, problem.kind)
-                for layer in problem.network.layers
-            )
-        if len(layer_matrices) != problem.network.n_layers:
-            raise ValueError("one layer matrix per layer is required")
-        self.layers = tuple(layer_matrices)
+        self.layers = tuple(
+            build_centrality_matrix(layer, problem.kind)
+            for layer in problem.network.layers
+        )
         self.interlayer = problem.interlayer.values
         self.omega = problem.omega
         if shift is None:
-            shift = 0.1 * (1.0 + max(m.max_row_sum() for m in self.layers))
+            shift = default_shift(max(m.max_row_sum() for m in self.layers))
         if shift < 0:
             raise ValueError(f"shift must be nonnegative, got {shift}")
         self.shift = float(shift)
@@ -191,6 +202,14 @@ class SupraOperator:
         else:
             self._tele_vectors = None
 
+    def with_omega(self, omega: float) -> SupraOperator:
+        """The same operator at coupling strength ``omega``, sharing the
+        layer blocks and the shift, so a sweep builds them once."""
+        out = copy.copy(self)
+        out.problem = dataclasses.replace(self.problem, omega=omega)
+        out.omega = out.problem.omega
+        return out
+
     @property
     def n_nodes(self) -> int:
         return self.problem.network.n_nodes
@@ -208,7 +227,8 @@ class SupraOperator:
             raise ValueError(f"expected a vector of length {self.dim}, got {x.shape}")
         return x.reshape(self.n_layers, self.n_nodes)
 
-    def _apply_base(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Blockwise product: C_t x_t + omega * sum_t' A~[t,t'] x_t'."""
         x = np.asarray(x, dtype=float)
         blocks = self._blocks(x)
         out = (self._block_diag @ x).reshape(blocks.shape)
@@ -218,7 +238,8 @@ class SupraOperator:
             out += self.omega * (self.interlayer @ blocks)
         return out.ravel()
 
-    def _apply_base_transpose(self, x: np.ndarray) -> np.ndarray:
+    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
+        """Product with the transposed operator."""
         x = np.asarray(x, dtype=float)
         blocks = self._blocks(x)
         out = (self._block_diag_t @ x).reshape(blocks.shape)
@@ -229,20 +250,7 @@ class SupraOperator:
             out += self.omega * (self.interlayer.T @ blocks)
         return out.ravel()
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Blockwise product: C_t x_t + omega * sum_t' A~[t,t'] x_t' + shift * x_t."""
-        y = self._apply_base(x)
-        if self.shift:
-            y = y + self.shift * np.asarray(x, dtype=float)
-        return y
-
-    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
-        y = self._apply_base_transpose(x)
-        if self.shift:
-            y = y + self.shift * np.asarray(x, dtype=float)
-        return y
-
-    def to_dense(self, include_shift: bool = True) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Materialize the operator (tests and small problems only)."""
         n, t = self.n_nodes, self.n_layers
         dense = np.zeros((n * t, n * t))
@@ -250,8 +258,6 @@ class SupraOperator:
             dense[tt * n : (tt + 1) * n, tt * n : (tt + 1) * n] = mat.to_dense()
         if self.omega:
             dense += self.omega * np.kron(self.interlayer, np.eye(n))
-        if include_shift and self.shift:
-            dense += self.shift * np.eye(n * t)
         return dense
 
 
@@ -265,14 +271,14 @@ def dominant_eigenpair(
 ) -> EigenpairResult:
     """Dominant right or left eigenpair of the coupled operator.
 
-    Runs the shifted power iteration on ``op`` (or its transpose for the
-    left pair); the reported eigenvalue has the operator's shift removed.
+    Runs the power iteration on ``op`` (or its transpose for the left pair)
+    shifted by ``op.shift``; the reported eigenvalue has the shift removed.
     Warm starts: pass the previous solution as ``start`` when sweeping over
     coupling strengths.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    matvec = op._apply_base if side == "right" else op._apply_base_transpose
+    matvec = op.apply if side == "right" else op.apply_transpose
     return shifted_power_iteration(
         matvec,
         op.dim,

@@ -7,14 +7,16 @@ Edge lists are whitespace-separated text with 1-based indices:
 Full-line comments start with '#'.  Layer indices need not be contiguous;
 they are densely re-indexed in sorted order and the mapping is logged.
 Interlayer triplet files use columns ``t t_prime weight`` with the same
-conventions.  Label files are ``index<TAB>label`` lines.  Numeric output is
-written with 17 significant digits so every value re-parses exactly.
+conventions; weights must be finite.  Label files are ``index<TAB>label``
+lines.  Every output goes through :func:`fmt` (17 significant digits, so
+every value re-parses exactly), :func:`write_csv` and :func:`write_json`.
 """
 from __future__ import annotations
 
 import csv
 import json
 import logging
+import math
 
 import numpy as np
 
@@ -34,6 +36,9 @@ __all__ = [
     "read_tableau_csv",
     "write_summary_json",
     "write_sweep_csv",
+    "write_csv",
+    "write_json",
+    "fmt",
 ]
 
 log = logging.getLogger(__name__)
@@ -56,8 +61,24 @@ class ValidationError(ValueError):
         super().__init__("invalid network:\n  " + "\n  ".join(self.violations))
 
 
-def _fmt(value: float) -> str:
+def fmt(value: float) -> str:
+    """A number as text with 17 significant digits, which re-parses exactly."""
     return format(float(value), ".17g")
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """CSV through ``csv.writer``: fields holding commas or quotes are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload: dict) -> None:
+    """JSON with two-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _data_lines(path):
@@ -119,6 +140,8 @@ def load_multiplex(
                 weight = float(parts[3])
             except ValueError:
                 raise ParseError(path, lineno, f"bad weight {parts[3]!r}") from None
+            if not math.isfinite(weight):
+                raise ParseError(path, lineno, f"non-finite weight {parts[3]!r}")
         if layer < 1 or i < 1 or j < 1:
             raise ParseError(path, lineno, "indices must be 1-based positive integers")
         key = (layer, i, j)
@@ -162,9 +185,12 @@ def load_interlayer(path, n_layers: int) -> InterlayerMatrix:
         if len(parts) != 3:
             raise ParseError(path, lineno, f"expected 3 columns, got {len(parts)}")
         try:
-            triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            t, t_prime, weight = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(path, lineno, f"bad field in {line!r}") from None
+        if not math.isfinite(weight):
+            raise ParseError(path, lineno, f"non-finite weight {parts[2]!r}")
+        triplets.append((t, t_prime, weight))
     try:
         return from_triplets(n_layers, triplets)
     except ValueError as err:
@@ -173,13 +199,12 @@ def load_interlayer(path, n_layers: int) -> InterlayerMatrix:
 
 def write_tableau_csv(tableau: CentralityTableau, net: MultiplexNetwork, path) -> None:
     """Joint-centrality CSV: header ``node,<layer labels>``, one row per node."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node"] + [net.layer_label(t) for t in range(1, net.n_layers + 1)])
-        for i in range(1, net.n_nodes + 1):
-            writer.writerow(
-                [net.node_label(i)] + [_fmt(v) for v in tableau.W[i - 1, :]]
-            )
+    write_csv(
+        path,
+        ["node"] + [net.layer_label(t) for t in range(1, net.n_layers + 1)],
+        ([net.node_label(i)] + [fmt(v) for v in tableau.W[i - 1, :]]
+         for i in range(1, net.n_nodes + 1)),
+    )
 
 
 def read_tableau_csv(path) -> tuple[list[str], list[str], np.ndarray]:
@@ -215,9 +240,7 @@ def write_summary_json(
             "layer_sum_ok": preconditions.layer_sum_ok,
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_sweep_csv(result: SweepResult, net: MultiplexNetwork, path) -> None:
@@ -230,20 +253,19 @@ def write_sweep_csv(result: SweepResult, net: MultiplexNetwork, path) -> None:
     header = ["omega", "lambda_max", "w_sensitivity", "z_sensitivity"]
     header += [f"mlc_{net.layer_label(t)}" for t in range(1, net.n_layers + 1)]
     header += [f"mnc_{net.node_label(i)}" for i in range(1, net.n_nodes + 1)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for s, omega in enumerate(result.grid.values):
-            tab = result.tableaus[s]
-            w_s = result.w_sensitivity[s - 1] if s >= 1 else float("nan")
-            z_s = result.z_sensitivity[s - 1] if s >= 1 else float("nan")
-            row = [_fmt(omega)]
-            if tab is None:
-                nan = float("nan")
-                row += [_fmt(nan), _fmt(w_s), _fmt(z_s)]
-                row += [_fmt(nan)] * (net.n_layers + net.n_nodes)
-            else:
-                row += [_fmt(tab.lambda_max), _fmt(w_s), _fmt(z_s)]
-                row += [_fmt(v) for v in tab.mlc]
-                row += [_fmt(v) for v in tab.mnc]
-            writer.writerow(row)
+    rows = []
+    for s, omega in enumerate(result.grid.values):
+        tab = result.tableaus[s]
+        w_s = result.w_sensitivity[s - 1] if s >= 1 else float("nan")
+        z_s = result.z_sensitivity[s - 1] if s >= 1 else float("nan")
+        row = [fmt(omega)]
+        if tab is None:
+            nan = float("nan")
+            row += [fmt(nan), fmt(w_s), fmt(z_s)]
+            row += [fmt(nan)] * (net.n_layers + net.n_nodes)
+        else:
+            row += [fmt(tab.lambda_max), fmt(w_s), fmt(z_s)]
+            row += [fmt(v) for v in tab.mlc]
+            row += [fmt(v) for v in tab.mnc]
+        rows.append(row)
+    write_csv(path, header, rows)

@@ -20,6 +20,7 @@ __all__ = [
     "ConstantInputError",
     "PreconditionReport",
     "strongly_connected",
+    "layer_sum_irreducible",
     "check_preconditions",
     "intralayer_degrees",
     "total_degrees",
@@ -71,6 +72,22 @@ def strongly_connected(matrix) -> bool:
     return _reaches_all(adj) and _reaches_all(adj.T)
 
 
+def layer_sum_irreducible(layer_matrices: tuple[LayerCentralityMatrix, ...]) -> bool:
+    """True iff the entrywise sum of the layer matrices, PageRank teleport
+    terms included, is irreducible."""
+    teleported = [m for m in layer_matrices if m.teleport_coeff > 0]
+    if teleported and all(m.teleport.min() > 0 for m in teleported):
+        # some layer contributes a strictly positive rank-one term
+        return True
+    total = sum(m.sparse for m in layer_matrices)
+    if teleported:
+        dense = total.toarray()
+        for m in teleported:
+            dense += m.teleport_coeff * np.outer(m.teleport, np.ones(m.n))
+        return strongly_connected(dense)
+    return strongly_connected(total)
+
+
 @dataclass(frozen=True)
 class PreconditionReport:
     """Outcome of the uniqueness precondition checks for a coupled problem."""
@@ -98,22 +115,10 @@ def check_preconditions(
         layer_matrices = tuple(
             build_centrality_matrix(layer, problem.kind) for layer in problem.network.layers
         )
-    interlayer_ok = strongly_connected(problem.interlayer.values)
-
-    teleported = [m for m in layer_matrices if m.teleport_coeff > 0]
-    if teleported and all(m.teleport.min() > 0 for m in teleported):
-        # some layer contributes a strictly positive rank-one term
-        layer_sum_ok = True
-    else:
-        total = sum(m.sparse for m in layer_matrices)
-        if teleported:
-            dense = total.toarray()
-            for m in teleported:
-                dense = dense + m.teleport_coeff * np.outer(m.teleport, np.ones(m.n))
-            layer_sum_ok = strongly_connected(dense)
-        else:
-            layer_sum_ok = strongly_connected(total)
-    return PreconditionReport(interlayer_ok=interlayer_ok, layer_sum_ok=layer_sum_ok)
+    return PreconditionReport(
+        interlayer_ok=strongly_connected(problem.interlayer.values),
+        layer_sum_ok=layer_sum_irreducible(layer_matrices),
+    )
 
 
 def intralayer_degrees(net: MultiplexNetwork) -> np.ndarray:

@@ -19,12 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import LayerCentralityMatrix, build_centrality_matrix
-from .engine import NonConvergenceError, shifted_power_iteration, tableau_from_vector
-from .graph import strongly_connected
+from .centrality import build_centrality_matrix
+from .engine import (
+    NonConvergenceError,
+    default_shift,
+    shifted_power_iteration,
+    tableau_from_vector,
+)
+from .graph import layer_sum_irreducible, strongly_connected
 from .types import CentralityKind, CentralityTableau, MultiplexNetwork, SupraProblem
 
 __all__ = [
+    "LimitPreconditionError",
     "DegenerateLayerEigenvalueError",
     "DegenerateInterlayerEigenvalueError",
     "ReducibleDominatingSetError",
@@ -44,7 +50,11 @@ LAYER_GAP_FLOOR = 1e-6
 INTERLAYER_GAP_FLOOR = 1e-8
 
 
-class DegenerateLayerEigenvalueError(RuntimeError):
+class LimitPreconditionError(RuntimeError):
+    """A uniqueness precondition of a coupling limit fails: the limit is not defined."""
+
+
+class DegenerateLayerEigenvalueError(LimitPreconditionError):
     """A layer's dominant eigenvalue is (numerically) not simple."""
 
     def __init__(self, layer: int, radius: float, second: float):
@@ -55,11 +65,11 @@ class DegenerateLayerEigenvalueError(RuntimeError):
         )
 
 
-class DegenerateInterlayerEigenvalueError(RuntimeError):
+class DegenerateInterlayerEigenvalueError(LimitPreconditionError):
     """The interlayer matrix's dominant eigenvalue is not simple."""
 
 
-class ReducibleDominatingSetError(RuntimeError):
+class ReducibleDominatingSetError(LimitPreconditionError):
     """The interlayer matrix restricted to the dominating layers is not
     strongly connected, so the limit mixing weights are not unique."""
 
@@ -132,14 +142,6 @@ class StrongLimitResult:
     tableau: CentralityTableau
 
 
-def _layer_matrix_irreducible(mat: LayerCentralityMatrix) -> bool:
-    if mat.teleport_coeff > 0 and mat.teleport is not None and mat.teleport.min() > 0:
-        return True
-    if mat.teleport_coeff > 0:
-        return strongly_connected(mat.to_dense())
-    return strongly_connected(mat.sparse)
-
-
 def _second_magnitude_estimate(
     matvec,
     dim: int,
@@ -177,6 +179,14 @@ def _second_magnitude_estimate(
     return float(np.exp(np.mean(np.log(tail))))
 
 
+def _left_right_pairs(apply, apply_transpose, dim: int, max_row_sum: float, tol, max_iter):
+    """Shift, right and left dominant eigenpairs, both iterated with the default shift."""
+    shift = default_shift(max_row_sum)
+    res_r = shifted_power_iteration(apply, dim, shift=shift, tol=tol, max_iter=max_iter)
+    res_l = shifted_power_iteration(apply_transpose, dim, shift=shift, tol=tol, max_iter=max_iter)
+    return shift, res_r, res_l
+
+
 def layer_eigendata(
     net: MultiplexNetwork,
     kind: CentralityKind,
@@ -184,7 +194,6 @@ def layer_eigendata(
     tol: float = 1e-12,
     max_iter: int = 100_000,
     check_gap: bool = True,
-    layer_matrices: tuple[LayerCentralityMatrix, ...] | None = None,
 ) -> LayerEigendata:
     """Dominant right/left eigenpair of every layer's centrality matrix.
 
@@ -193,8 +202,7 @@ def layer_eigendata(
     ``check_gap`` a deflated second iteration guards against (near-)multiple
     dominant eigenvalues, raising DegenerateLayerEigenvalueError.
     """
-    if layer_matrices is None:
-        layer_matrices = tuple(build_centrality_matrix(g, kind) for g in net.layers)
+    layer_matrices = tuple(build_centrality_matrix(g, kind) for g in net.layers)
     n = net.n_nodes
     t_count = len(layer_matrices)
     radii = np.zeros(t_count)
@@ -202,13 +210,9 @@ def layer_eigendata(
     left = np.zeros((t_count, n))
     flags = []
     for t, mat in enumerate(layer_matrices):
-        shift = 0.1 * (1.0 + mat.max_row_sum())
         try:
-            res_r = shifted_power_iteration(
-                mat.apply, n, shift=shift, tol=tol, max_iter=max_iter
-            )
-            res_l = shifted_power_iteration(
-                mat.apply_transpose, n, shift=shift, tol=tol, max_iter=max_iter
+            shift, res_r, res_l = _left_right_pairs(
+                mat.apply, mat.apply_transpose, n, mat.max_row_sum(), tol, max_iter
             )
         except NonConvergenceError as err:
             raise NonConvergenceError(
@@ -217,7 +221,7 @@ def layer_eigendata(
         radii[t] = res_r.eigenvalue
         right[t] = res_r.vector
         left[t] = res_l.vector
-        flags.append(_layer_matrix_irreducible(mat))
+        flags.append(layer_sum_irreducible((mat,)))
         if check_gap and n > 1:
             mu_shifted = res_r.eigenvalue + shift
             second = _second_magnitude_estimate(
@@ -228,11 +232,6 @@ def layer_eigendata(
     return LayerEigendata(
         spectral_radii=radii, right=right, left=left, irreducible=tuple(flags)
     )
-
-
-def _auto_shift(matvec, dim: int) -> float:
-    row_sums = matvec(np.ones(dim))
-    return 0.1 * (1.0 + float(np.max(row_sums)))
 
 
 def weak_limit(
@@ -275,9 +274,9 @@ def weak_limit(
             "is not strongly connected; the limit mixing weights are not unique"
         )
 
-    shift = _auto_shift(lambda z: X @ z, m)
-    res_r = shifted_power_iteration(lambda z: X @ z, m, shift=shift, tol=tol, max_iter=max_iter)
-    res_l = shifted_power_iteration(lambda z: X.T @ z, m, shift=shift, tol=tol, max_iter=max_iter)
+    _, res_r, res_l = _left_right_pairs(
+        lambda z: X @ z, lambda z: X.T @ z, m, float(np.max(X @ np.ones(m))), tol, max_iter
+    )
     alpha = res_r.vector
     beta = res_l.vector
 
@@ -309,12 +308,9 @@ def _interlayer_eigendata(
             f"top interlayer eigenvalue {mu1_dense:.6g} has multiplicity "
             f"{int(near.sum())} within relative tolerance {INTERLAYER_GAP_FLOOR}"
         )
-    shift = 0.1 * (1.0 + float(np.abs(atil).sum(axis=1).max()))
-    res_r = shifted_power_iteration(
-        lambda z: atil @ z, dim, shift=shift, tol=tol, max_iter=max_iter
-    )
-    res_l = shifted_power_iteration(
-        lambda z: atil.T @ z, dim, shift=shift, tol=tol, max_iter=max_iter
+    row_max = float(np.abs(atil).sum(axis=1).max())
+    _, res_r, res_l = _left_right_pairs(
+        lambda z: atil @ z, lambda z: atil.T @ z, dim, row_max, tol, max_iter
     )
     return res_r.eigenvalue, res_r.vector, res_l.vector
 
@@ -368,9 +364,8 @@ def strong_limit(
             y = y + coeff * float(u @ z)
         return y
 
-    shift = _auto_shift(xt_apply, n)
-    res_r = shifted_power_iteration(xt_apply, n, shift=shift, tol=tol, max_iter=max_iter)
-    res_l = shifted_power_iteration(xt_apply_t, n, shift=shift, tol=tol, max_iter=max_iter)
+    row_max = float(np.max(xt_apply(np.ones(n))))
+    _, res_r, res_l = _left_right_pairs(xt_apply, xt_apply_t, n, row_max, tol, max_iter)
     alpha_tilde = res_r.vector
     beta_tilde = res_l.vector
 
@@ -440,9 +435,7 @@ def _detect_shape(atil: np.ndarray) -> tuple[str, np.ndarray | None]:
 
 def corollary_crosscheck(
     problem: SupraProblem,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
+    result: StrongLimitResult | None = None,
 ) -> CorollaryCheck:
     """Evaluate the applicable closed form and compare with the general path.
 
@@ -450,12 +443,15 @@ def corollary_crosscheck(
     weights proportional to sin^2(pi t / (T + 1)).  All-ones coupling: the
     aggregate matrix is the plain layer mean.  Unit-norm rank-one coupling
     w w^T: eigenvalue 1 and weights w_t^2.  Raises NotApplicableError for
-    any other interlayer matrix.
+    any other interlayer matrix, before anything is solved.  ``result`` is
+    the strong limit of ``problem`` when the caller already has it; it is
+    computed otherwise.
     """
     atil = problem.interlayer.values
     dim = atil.shape[0]
     shape, w = _detect_shape(atil)
-    result = strong_limit(problem, tol=tol, max_iter=max_iter)
+    if result is None:
+        result = strong_limit(problem)
 
     t_idx = np.arange(1, dim + 1)
     if shape == "chain":

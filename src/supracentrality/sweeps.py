@@ -8,12 +8,12 @@ strength; peaks in those curves separate qualitatively stable regimes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks
 
-from .centrality import build_centrality_matrix
 from .engine import NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector
 from .graph import ConstantInputError, intralayer_degrees, pearson, total_degrees
 from .limits import layer_eigendata
@@ -49,6 +49,8 @@ class OmegaGrid:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("grid must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("grid values must be finite")
         if arr.min() <= 0:
             raise ValueError("grid values must be positive")
         if arr.size > 1 and np.any(np.diff(arr) <= 0):
@@ -63,6 +65,8 @@ class OmegaGrid:
 def log_grid(exp_lo: float, exp_hi: float, step: float) -> OmegaGrid:
     """Grid 10**(exp_lo + k*step) for k = 0, 1, ... while the exponent stays
     at or below exp_hi (a tiny slack absorbs float accumulation)."""
+    if not all(math.isfinite(v) for v in (exp_lo, exp_hi, step)):
+        raise ValueError(f"grid bounds and step must be finite, got {exp_lo}, {exp_hi}, {step}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if exp_lo > exp_hi:
@@ -117,13 +121,14 @@ def sweep(
     recorded and the sweep continues; the next solve falls back to the
     default start.
     """
-    layer_matrices = tuple(build_centrality_matrix(g, kind) for g in network.layers)
+    base = SupraOperator(
+        SupraProblem(network=network, kind=kind, interlayer=interlayer, omega=grid.values[0])
+    )
     tableaus: list[CentralityTableau | None] = []
     failures: list[tuple[int, str]] = []
     start = None
     for s, omega in enumerate(grid.values):
-        problem = SupraProblem(network=network, kind=kind, interlayer=interlayer, omega=float(omega))
-        op = SupraOperator(problem, layer_matrices=layer_matrices)
+        op = base.with_omega(float(omega))
         try:
             pair = dominant_eigenpair(op, tol=tol, max_iter=max_iter, start=start)
         except NonConvergenceError as err:

@@ -7,6 +7,7 @@ across concurrent computations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -105,8 +106,9 @@ class MultiplexNetwork:
 def validate_network(net: MultiplexNetwork) -> list[str]:
     """Return a list of invariant violations; an empty list means valid.
 
-    Reported violations: layer size mismatch, index out of range, negative
-    or zero stored weights, duplicate (i, j) pairs, label-count mismatch.
+    Reported violations: layer size mismatch, index out of range, negative,
+    zero or non-finite stored weights, duplicate (i, j) pairs, label-count
+    mismatch.
     """
     problems: list[str] = []
     if net.n_nodes < 1:
@@ -130,7 +132,9 @@ def validate_network(net: MultiplexNetwork) -> list[str]:
         for i, j, w in layer.entries:
             if not (1 <= i <= net.n_nodes and 1 <= j <= net.n_nodes):
                 problems.append(f"layer {t}: edge ({i}, {j}) index out of range")
-            if w < 0:
+            if not math.isfinite(w):
+                problems.append(f"layer {t}: edge ({i}, {j}) has non-finite weight {w}")
+            elif w < 0:
                 problems.append(f"layer {t}: edge ({i}, {j}) has negative weight {w}")
             elif w == 0:
                 problems.append(f"layer {t}: edge ({i}, {j}) stores zero weight")
@@ -154,6 +158,8 @@ class InterlayerMatrix:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"interlayer matrix must be square, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("interlayer weights must be finite")
         if arr.size and arr.min() < 0:
             raise ValueError("interlayer weights must be nonnegative")
         arr.setflags(write=False)
@@ -221,6 +227,8 @@ class SupraProblem:
                 f"interlayer matrix is {self.interlayer.dim}x{self.interlayer.dim} "
                 f"but the network has {self.network.n_layers} layers"
             )
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         if self.omega < 0:
             raise ValueError(f"omega must be nonnegative, got {self.omega}")
 

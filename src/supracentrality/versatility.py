@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from .centrality import apply_dangling_policy
 from .engine import shifted_power_iteration
-from .types import DanglingPolicy, InterlayerMatrix, MultiplexNetwork
+from .types import DanglingPolicy, InterlayerMatrix, MultiplexNetwork, PageRank, SupraProblem
 
 __all__ = ["pagerank_versatility"]
 
@@ -36,29 +37,14 @@ def pagerank_versatility(
     across each node's layer copies.  Rankings are invariant to the
     normalization choice; magnitudes are on the 1-norm scale.
     """
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if omega < 0:
-        raise ValueError(f"omega must be nonnegative, got {omega}")
-    if interlayer.dim != net.n_layers:
-        raise ValueError(
-            f"interlayer matrix is {interlayer.dim}x{interlayer.dim} "
-            f"but the network has {net.n_layers} layers"
-        )
+    # the coupled problem owns the checks on sigma, omega and the layer count
+    SupraProblem(network=net, kind=PageRank(sigma, dangling), interlayer=interlayer, omega=omega)
     n, t = net.n_nodes, net.n_layers
     dim = n * t
     supra = sparse.block_diag([g.csr for g in net.layers], format="csr")
     if omega:
         supra = (supra + omega * sparse.kron(interlayer.values, sparse.identity(n))).tocsr()
-    row_sums = np.asarray(supra.sum(axis=1)).ravel()
-    if dangling is DanglingPolicy.ALL_NODES:
-        supra = (supra + sparse.identity(dim, format="csr")).tocsr()
-        row_sums = row_sums + 1.0
-    else:
-        mask = (row_sums == 0).astype(float)
-        if mask.any():
-            supra = (supra + sparse.diags(mask)).tocsr()
-            row_sums = row_sums + mask
+    supra, row_sums = apply_dangling_policy(supra, dangling)
 
     supra_t = supra.T.tocsr()
     inv_d = 1.0 / row_sums

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -200,3 +201,97 @@ def test_sweep_output_is_byte_identical(six_layer_net, tmp_path):
     assert dispatch(argv + ["--out", str(out1)]) == 0
     assert dispatch(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _write_two_layer_net(tmp_path):
+    # layer 2 has the larger spectral radius, so it alone dominates at weak coupling
+    path = tmp_path / "net2.edges"
+    path.write_text("1 1 2 1.0\n1 2 1 1.0\n2 1 2 2.0\n2 2 1 2.0\n", encoding="utf-8")
+    return path
+
+
+def test_non_finite_inputs_are_rejected(tmp_path, capsys):
+    # the solver used to spend its whole budget on these and exit 3
+    bad = tmp_path / "nan.edges"
+    bad.write_text("1 1 2 1.0\n1 2 1 1.0\n2 1 2 1.0\n2 2 1 nan\n", encoding="utf-8")
+    out = tmp_path / "joint.csv"
+    argv = ["centrality", "--kind", "eigenvector", "--interlayer", "alltoall",
+            "--out", str(out)]
+    assert dispatch(argv + ["--network", str(bad), "--omega", "1"]) == 2
+    assert f"{bad}:4: non-finite weight 'nan'" in capsys.readouterr().err
+    good = _write_two_layer_net(tmp_path)
+    for omega in ("nan", "inf"):
+        assert dispatch(argv + ["--network", str(good), "--omega", omega]) == 1
+        assert "omega must be finite" in capsys.readouterr().err
+    assert dispatch(argv + ["--network", str(good), "--omega", "1", "--tol", "nan"]) == 1
+    inter = tmp_path / "inter.tsv"
+    inter.write_text("1 2 1.0\n2 1 nan\n", encoding="utf-8")
+    argv = ["centrality", "--kind", "eigenvector", "--network", str(good),
+            "--interlayer", f"file:{inter}", "--omega", "1", "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert f"{inter}:2: non-finite weight 'nan'" in capsys.readouterr().err
+
+
+def test_limit_preconditions_exit_2(tmp_path, capsys):
+    identity = tmp_path / "identity.tsv"
+    identity.write_text("1 1 1\n2 2 1\n", encoding="utf-8")
+    code = dispatch(
+        ["limit", "--which", "strong", "--network", str(_write_two_layer_net(tmp_path)),
+         "--kind", "eigenvector", "--interlayer", f"file:{identity}",
+         "--out", str(tmp_path / "limit.json")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_limit_weak_skips_strong_solve_without_special_shape(tmp_path, monkeypatch):
+    from supracentrality import limits
+
+    def no_strong_solve(*args, **kwargs):
+        raise AssertionError("strong limit solved for a weak-limit command")
+
+    monkeypatch.setattr(limits, "strong_limit", no_strong_solve)
+    identity = tmp_path / "identity.tsv"
+    identity.write_text("1 1 1\n2 2 1\n", encoding="utf-8")
+    out = tmp_path / "weak.json"
+    code = dispatch(
+        ["limit", "--which", "weak", "--network", str(_write_two_layer_net(tmp_path)),
+         "--kind", "eigenvector", "--interlayer", f"file:{identity}", "--out", str(out)]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["dominating_set"] == [2]
+    assert payload["corollary_check"] is None
+
+
+def test_csv_outputs_quote_labels_with_commas_and_quotes(six_layer_net, tmp_path):
+    node_labels = [f'Smith, J. "{i}"' for i in range(1, 5)]
+    layer_labels = [f'layer "{t}", x' for t in range(1, 7)]
+    nodes = tmp_path / "nodes.tsv"
+    nodes.write_text("".join(f"{i}\t{s}\n" for i, s in enumerate(node_labels, 1)), "utf-8")
+    layers = tmp_path / "layers.tsv"
+    layers.write_text("".join(f"{t}\t{s}\n" for t, s in enumerate(layer_labels, 1)), "utf-8")
+    base = ["--network", str(six_layer_net), "--node-labels", str(nodes),
+            "--layer-labels", str(layers), "--interlayer", "alltoall"]
+    kind = ["--kind", "eigenvector"]
+    grid = ["--grid", "-1,1,0.5"]
+    commands = {
+        "centrality": (["centrality", *kind, "--omega", "1"], 1 + 6),
+        "sweep": (["sweep", *kind, *grid], 4 + 6 + 4),
+        "correlate": (["correlate", *kind, *grid], 4),
+        "trajectory": (["trajectory", "--node", "2", *kind, *grid], 1 + 6),
+        "versatility": (["versatility", "--omega", "1"], 2),
+    }
+    rows = {}
+    for name, (argv, width) in commands.items():
+        out = tmp_path / f"{name}.csv"
+        assert dispatch(argv + base + ["--out", str(out)]) == 0, name
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows[name] = list(csv.reader(fh))
+        assert {len(row) for row in rows[name]} == {width}, name
+    assert rows["centrality"][0][1:] == layer_labels
+    assert [row[0] for row in rows["centrality"][1:]] == node_labels
+    assert rows["sweep"][0][-4:] == [f"mnc_{s}" for s in node_labels]
+    assert rows["trajectory"][0][1:] == [f"rank_{s}" for s in layer_labels]
+    assert [row[0] for row in rows["versatility"][1:]] == node_labels

@@ -11,6 +11,7 @@ from supracentrality import (
     SupraOperator,
     SupraProblem,
     dominant_eigenpair,
+    shifted_power_iteration,
     stride_permutation,
     tableau_from_vector,
 )
@@ -222,3 +223,29 @@ def test_stride_conjugation_identity():
             lhs = p @ np.kron(np.eye(n), a) @ p.T
             rhs = np.kron(a, np.eye(n))
             assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+def test_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol"):
+        shifted_power_iteration(lambda x: x, 2, tol=tol)
+
+
+def test_non_finite_iterate_fails_on_first_iteration():
+    with pytest.raises(NonConvergenceError) as err:
+        shifted_power_iteration(lambda x: np.full_like(x, np.nan), 3, shift=0.5)
+    assert err.value.iterations == 1
+
+
+def test_with_omega_matches_a_fresh_operator_and_shares_blocks():
+    net, inter = random_instance(61, kind=PageRank())
+    base = SupraOperator(_problem(net, inter, 0.5, kind=PageRank()))
+    moved = base.with_omega(3.0)
+    fresh = SupraOperator(_problem(net, inter, 3.0, kind=PageRank()))
+    assert moved._block_diag is base._block_diag
+    assert moved.shift == fresh.shift and base.omega == 0.5 and moved.omega == 3.0
+    x = np.random.default_rng(61).standard_normal(base.dim)
+    assert np.array_equal(moved.apply(x), fresh.apply(x))
+    assert np.array_equal(moved.apply_transpose(x), fresh.apply_transpose(x))
+    with pytest.raises(ValueError, match="finite"):
+        base.with_omega(float("nan"))

@@ -203,3 +203,13 @@ def test_sweep_csv_shape(tmp_path):
     # every numeric field reparses
     for line in lines[1:]:
         [float(v) for v in line.split(",")]
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_load_non_finite_weight_reports_line(tmp_path, weight):
+    path = tmp_path / "net.edges"
+    path.write_text(f"1 1 2 1.0\n1 2 1 {weight}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_multiplex(path)
+    assert err.value.lineno == 2
+    assert "non-finite weight" in str(err.value)

@@ -8,6 +8,7 @@ from supracentrality import (
     InterlayerMatrix,
     LayerGraph,
     MultiplexNetwork,
+    OmegaGrid,
     PageRank,
     correlate_with_degrees,
     detect_regimes,
@@ -214,3 +215,13 @@ def test_pagerank_small_omega_correlation_matches_weak_limit():
     r_engine = pearson(deg, tab.Z.flatten(order="F"))
     r_limit = pearson(deg, weak.tableau.Z.flatten(order="F"))
     assert r_engine == pytest.approx(r_limit, abs=1e-3)
+
+
+def test_grid_rejects_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    # without the check these exponents would grow the grid without end
+    for lo, hi, step in [(nan, 1.0, 0.5), (0.0, inf, 1.0), (0.0, 1.0, nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            log_grid(lo, hi, step)
+    with pytest.raises(ValueError, match="finite"):
+        OmegaGrid(np.array([1.0, nan]))

@@ -103,3 +103,20 @@ def test_tableau_validate_catches_bad_marginals():
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_weight_reported(weight):
+    net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, weight), (2, 1, 1.0))),))
+    report = validate_network(net)
+    assert len(report) == 1
+    assert "non-finite weight" in report[0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_interlayer_and_omega_reject_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        InterlayerMatrix(np.array([[1.0, value], [1.0, 0.0]]))
+    net = MultiplexNetwork(1, (LayerGraph(1, ()),))
+    with pytest.raises(ValueError, match="finite"):
+        SupraProblem(net, Eigenvector(), InterlayerMatrix(np.ones((1, 1))), omega=value)
