@@ -249,7 +249,9 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_versatility(args) -> int:
     net, _, interlayer = _load_inputs(args)
-    values = pagerank_versatility(net, interlayer, args.omega, args.sigma)
+    values = pagerank_versatility(
+        net, interlayer, args.omega, args.sigma, tol=args.tol, max_iter=args.max_iter
+    )
     fileio.write_csv(
         args.out,
         ["node", "versatility"],
@@ -274,8 +276,8 @@ def _add_kind_flags(parser) -> None:
     )
 
 
-def _add_solver_flags(parser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
+def _add_solver_flags(parser, tol: float = 1e-10) -> None:
+    parser.add_argument("--tol", type=float, default=tol, help="residual tolerance")
     parser.add_argument("--max-iter", type=int, default=100_000, help="iteration budget")
 
 
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("versatility", parents=[common], help="PageRank versatility baseline")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--sigma", type=float, default=0.85)
-    _add_solver_flags(p)
+    _add_solver_flags(p, tol=1e-12)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_versatility)
 

@@ -9,7 +9,9 @@ omega-scaled identity couplings off the diagonal.  It is applied blockwise
 and never materialized.  Vectors are ordered node-major within layer: entry
 N*(t-1) + i holds node i of layer t (both 1-based).
 
-Power iteration runs on the shifted operator C + c*I.  Any c > 0 makes the
+The dominant eigenvector comes from ARPACK's implicitly restarted Arnoldi
+method (Perron root = eigenvalue of largest real part) and is accepted by
+power iteration on the shifted operator C + c*I.  Any c > 0 makes the
 spectrum aperiodic (bipartite-like layers would otherwise cycle) without
 changing eigenvectors; the reported eigenvalue has the shift removed.
 """
@@ -23,6 +25,7 @@ from typing import Callable, Literal
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .centrality import build_centrality_matrix
 from .types import CentralityTableau, SupraProblem
@@ -40,7 +43,7 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """Power iteration did not meet its tolerance within the iteration budget.
+    """An eigensolver did not meet its tolerance within the iteration budget.
 
     Typical causes: a periodic operator iterated without a shift, a
     near-degenerate dominant eigenvalue pair, or a tolerance that is too
@@ -89,6 +92,26 @@ def _fix_sign(x: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
+def _check_budget(tol: float, max_iter: int) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
+def _unit_start(dim: int, start: np.ndarray | None) -> np.ndarray:
+    """``start`` scaled to unit norm, or the uniform unit vector."""
+    if start is None:
+        return np.full(dim, 1.0 / np.sqrt(dim))
+    x = np.array(start, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"start vector must have length {dim}")
+    nrm = float(np.linalg.norm(x))
+    if nrm == 0:
+        raise ValueError("start vector must be nonzero")
+    return x / nrm
+
+
 def shifted_power_iteration(
     matvec: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -110,21 +133,8 @@ def shifted_power_iteration(
     Raises NonConvergenceError after ``max_iter`` iterations, or as soon as
     an iterate is not finite.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if start is None:
-        x = np.full(dim, 1.0 / np.sqrt(dim))
-    else:
-        x = np.array(start, dtype=float)
-        if x.shape != (dim,):
-            raise ValueError(f"start vector must have length {dim}")
-        nrm = float(np.linalg.norm(x))
-        if nrm == 0:
-            raise ValueError("start vector must be nonzero")
-        x /= nrm
-
+    _check_budget(tol, max_iter)
+    x = _unit_start(dim, start)
     lam_prev = None
     residual = np.inf
     for iteration in range(1, max_iter + 1):
@@ -261,6 +271,10 @@ class SupraOperator:
         return dense
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
 def dominant_eigenpair(
     op: SupraOperator,
     side: Literal["right", "left"] = "right",
@@ -271,22 +285,49 @@ def dominant_eigenpair(
 ) -> EigenpairResult:
     """Dominant right or left eigenpair of the coupled operator.
 
-    Runs the power iteration on ``op`` (or its transpose for the left pair)
-    shifted by ``op.shift``; the reported eigenvalue has the shift removed.
-    Warm starts: pass the previous solution as ``start`` when sweeping over
-    coupling strengths.
+    ARPACK (``eigs`` with k=1, which="LR", machine-precision tolerance)
+    finds the eigenvector of ``op`` (or its transpose for the left pair)
+    from ``start``, or from the uniform vector; power iteration on the
+    operator shifted by ``op.shift`` then accepts it, and its residual and
+    stopping rule are the reported ones.  The eigenvalue has the shift
+    removed.  ``iterations`` counts the matvecs of both steps, which share
+    ``max_iter``.  When ARPACK fails (for instance does not converge within
+    its own limits), or the operator is too small for it (dim < 3), power
+    iteration runs alone from ``start``.  Warm starts: pass the previous
+    solution as ``start`` when sweeping over coupling strengths.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    _check_budget(tol, max_iter)
     matvec = op.apply if side == "right" else op.apply_transpose
-    return shifted_power_iteration(
-        matvec,
-        op.dim,
-        shift=op.shift,
-        tol=tol,
-        max_iter=max_iter,
-        start=start,
-    )
+    dim = op.dim
+    v0 = _unit_start(dim, start)
+    spent = 0
+    if dim >= 3:
+        def counted(x: np.ndarray) -> np.ndarray:
+            nonlocal spent
+            if spent == max_iter:
+                raise _BudgetSpent
+            spent += 1
+            return matvec(x)
+
+        try:
+            _, vecs = eigs(
+                LinearOperator((dim, dim), matvec=counted, dtype=float),
+                k=1, which="LR", v0=v0, tol=0.0,
+            )
+            start = _fix_sign(vecs[:, 0].real, tol)
+        except (ArpackError, _BudgetSpent):
+            pass
+        if spent == max_iter:
+            raise NonConvergenceError(spent, math.inf, "iteration budget spent in ARPACK")
+    try:
+        pair = shifted_power_iteration(
+            matvec, dim, shift=op.shift, tol=tol, max_iter=max_iter - spent, start=start
+        )
+    except NonConvergenceError as err:
+        raise NonConvergenceError(err.iterations + spent, err.residual, err.context) from err
+    return dataclasses.replace(pair, iterations=pair.iterations + spent)
 
 
 def tableau_from_vector(

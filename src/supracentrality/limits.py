@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .centrality import build_centrality_matrix
 from .engine import (
@@ -61,7 +62,7 @@ class DegenerateLayerEigenvalueError(LimitPreconditionError):
         self.layer = layer
         super().__init__(
             f"layer {layer}: dominant eigenvalue {radius:.6g} is not well separated "
-            f"(second magnitude estimate {second:.6g})"
+            f"(second magnitude {second:.6g})"
         )
 
 
@@ -142,41 +143,31 @@ class StrongLimitResult:
     tableau: CentralityTableau
 
 
-def _second_magnitude_estimate(
-    matvec,
-    dim: int,
-    shift: float,
-    mu_shifted: float,
-    right: np.ndarray,
-    left: np.ndarray,
-    iters: int = 1500,
-) -> float:
-    """Magnitude of the subdominant eigenvalue of the shifted operator.
+def _second_magnitude(mat, shift: float) -> float:
+    """Exact magnitude of the subdominant eigenvalue of ``mat`` + shift*I.
 
-    Power iteration deflated against the known dominant pair at every step;
-    the estimate is the geometric mean of the late growth factors.  It
-    resolves relative gaps down to roughly 1e-3 and is exact for genuine
-    multiplicity, which is what the degeneracy guard needs.
+    ARPACK's two largest-magnitude eigenvalues at machine precision, or the
+    dense spectrum when the layer is too small for ARPACK (n < 4).
     """
-    if dim == 1:
-        return 0.0
-    denom = float(left @ right)
-    if abs(denom) < 1e-300:
-        return mu_shifted  # defective pairing; report as degenerate
-    rng = np.random.default_rng(1234)
-    x = rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    growth = []
-    for _ in range(iters):
-        y = matvec(x) + shift * x
-        y -= (mu_shifted * float(left @ x) / denom) * right
-        nrm = float(np.linalg.norm(y))
-        if nrm < 1e-300:
-            return 0.0
-        growth.append(nrm)
-        x = y / nrm
-    tail = np.array(growth[len(growth) // 3 :])
-    return float(np.exp(np.mean(np.log(tail))))
+    n = mat.n
+    if n < 4:
+        mags = np.abs(np.linalg.eigvals(mat.to_dense() + shift * np.eye(n)))
+        return float(np.sort(mags)[-2])
+    calls = 0
+
+    def shifted(x: np.ndarray) -> np.ndarray:
+        nonlocal calls
+        calls += 1
+        return mat.apply(x) + shift * x
+
+    try:
+        vals = eigs(
+            LinearOperator((n, n), matvec=shifted, dtype=float), k=2, which="LM",
+            v0=np.full(n, 1.0 / math.sqrt(n)), tol=0.0, return_eigenvectors=False,
+        )
+    except ArpackNoConvergence as err:
+        raise NonConvergenceError(calls, math.inf, "eigen-gap check") from err
+    return float(np.abs(vals).min())
 
 
 def _left_right_pairs(apply, apply_transpose, dim: int, max_row_sum: float, tol, max_iter):
@@ -197,10 +188,11 @@ def layer_eigendata(
 ) -> LayerEigendata:
     """Dominant right/left eigenpair of every layer's centrality matrix.
 
-    Uses the same shifted power iteration as the coupled engine, applied per
-    block.  Non-irreducible layers are flagged rather than rejected.  With
-    ``check_gap`` a deflated second iteration guards against (near-)multiple
-    dominant eigenvalues, raising DegenerateLayerEigenvalueError.
+    Uses the shifted power iteration that accepts the coupled engine's
+    solves, applied per block.  Non-irreducible layers are flagged rather than rejected.  With
+    ``check_gap`` the exact second eigenvalue magnitude of the shifted layer
+    guards against (near-)multiple dominant eigenvalues, raising
+    DegenerateLayerEigenvalueError.
     """
     layer_matrices = tuple(build_centrality_matrix(g, kind) for g in net.layers)
     n = net.n_nodes
@@ -214,21 +206,16 @@ def layer_eigendata(
             shift, res_r, res_l = _left_right_pairs(
                 mat.apply, mat.apply_transpose, n, mat.max_row_sum(), tol, max_iter
             )
+            second = _second_magnitude(mat, shift) if check_gap and n > 1 else 0.0
         except NonConvergenceError as err:
-            raise NonConvergenceError(
-                err.iterations, err.residual, f"layer {t + 1}"
-            ) from err
+            context = f"layer {t + 1}: {err.context}" if err.context else f"layer {t + 1}"
+            raise NonConvergenceError(err.iterations, err.residual, context) from err
         radii[t] = res_r.eigenvalue
         right[t] = res_r.vector
         left[t] = res_l.vector
         flags.append(layer_sum_irreducible((mat,)))
-        if check_gap and n > 1:
-            mu_shifted = res_r.eigenvalue + shift
-            second = _second_magnitude_estimate(
-                mat.apply, n, shift, mu_shifted, res_r.vector, res_l.vector
-            )
-            if second >= (1.0 - LAYER_GAP_FLOOR) * mu_shifted:
-                raise DegenerateLayerEigenvalueError(t + 1, radii[t], second - shift)
+        if second >= (1.0 - LAYER_GAP_FLOOR) * (res_r.eigenvalue + shift):
+            raise DegenerateLayerEigenvalueError(t + 1, radii[t], second - shift)
     return LayerEigendata(
         spectral_radii=radii, right=right, left=left, irreducible=tuple(flags)
     )
@@ -251,6 +238,10 @@ def weak_limit(
     over the dominating layers.  With a single dominating layer this reduces
     to localization: the limit vector is that layer's eigenvector.
     """
+    if not 0.0 <= rel_tol_dominating < 1.0:
+        raise ValueError(
+            f"rel_tol_dominating must be finite and in [0, 1), got {rel_tol_dominating}"
+        )
     net = problem.network
     data = layer_eigendata(net, problem.kind, tol=tol, max_iter=max_iter)
     radii = data.spectral_radii

@@ -116,8 +116,8 @@ def sweep(
     """Solve the coupled eigenproblem at every grid point, in increasing order.
 
     With ``warm_start`` each solve starts from the previous point's
-    eigenvector, which keeps strongly coupled points (where the dominant
-    eigenvalue cluster is nearly degenerate) tractable.  A failed point is
+    eigenvector, which saves matvecs where the dominant eigenvalue cluster
+    is nearly degenerate (strong coupling).  A failed point is
     recorded and the sweep continues; the next solve falls back to the
     default start.
     """
@@ -195,6 +195,10 @@ def detect_regimes(
     float-level wiggle from fabricating regimes.  NaN entries (failed sweep
     points) are treated as zero for peak finding.
     """
+    if not 0.0 <= prominence_fraction < math.inf:
+        raise ValueError(
+            f"prominence_fraction must be finite and nonnegative, got {prominence_fraction}"
+        )
     series = np.asarray(sensitivity, dtype=float)
     if series.ndim != 1 or series.size < 3:
         raise ValueError("sensitivity series must be 1-D with at least 3 points")

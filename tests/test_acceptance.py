@@ -281,27 +281,13 @@ def test_criterion_9_precondition_checker():
 
 
 def _oracle_sweep_z_sensitivity(net, kind, inter, grid):
-    # independent dense sweep: materialized matrices, warm-started power iteration
+    # independent dense sweep: the exact Perron vector of each materialized matrix
     n, t = net.n_nodes, net.n_layers
-    shift = 1.0 + max(
-        float(dense_layer_matrix(g, kind).sum(axis=1).max()) for g in net.layers
-    )
-    x = np.full(n * t, 1.0 / math.sqrt(n * t))
     z_list = []
     for omega in grid.values:
-        m = dense_supra_matrix(net, kind, inter, float(omega))
-        lam_prev = None
-        for _ in range(500_000):
-            y = m @ x + shift * x
-            lam = float(x @ y)
-            resid = float(np.linalg.norm(y - lam * x))
-            if lam_prev is not None and resid <= 1e-9 * abs(lam - shift) and abs(lam - lam_prev) <= 1e-9 * abs(lam - shift):
-                break
-            x = y / np.linalg.norm(y)
-            lam_prev = lam
-        else:
-            raise RuntimeError("oracle sweep stalled")
-        w = np.abs(x).reshape(t, n).T
+        vals, vecs = np.linalg.eig(dense_supra_matrix(net, kind, inter, float(omega)))
+        x = np.abs(vecs[:, np.argmax(vals.real)].real)
+        w = x.reshape(t, n).T
         z_list.append(w / w.sum(axis=0)[None, :])
     return np.array(
         [float(np.linalg.norm(z_list[s + 1] - z_list[s])) for s in range(len(z_list) - 1)]

@@ -232,6 +232,26 @@ def test_non_finite_inputs_are_rejected(tmp_path, capsys):
     assert f"{inter}:2: non-finite weight 'nan'" in capsys.readouterr().err
 
 
+def test_non_finite_limit_and_sweep_flags_are_usage_errors(six_layer_net, tmp_path, capsys):
+    base = ["--network", str(six_layer_net), "--kind", "eigenvector", "--interlayer",
+            "alltoall"]
+    code = dispatch(["limit", "--which", "weak", "--rel-tol-dominating", "nan",
+                     "--out", str(tmp_path / "weak.json")] + base)
+    assert code == 1
+    assert "rel_tol_dominating must be finite" in capsys.readouterr().err
+    code = dispatch(["sweep", "--grid", "-1,1,0.5", "--prominence", "nan",
+                     "--out", str(tmp_path / "sweep.csv")] + base)
+    assert code == 1
+    assert "prominence_fraction must be finite" in capsys.readouterr().err
+
+
+def test_versatility_honours_solver_flags(six_layer_net, tmp_path):
+    argv = ["versatility", "--network", str(six_layer_net), "--interlayer", "alltoall",
+            "--omega", "1", "--out", str(tmp_path / "v.csv")]
+    assert dispatch(argv + ["--max-iter", "1"]) == 3
+    assert dispatch(argv + ["--tol", "nan"]) == 1
+
+
 def test_limit_preconditions_exit_2(tmp_path, capsys):
     identity = tmp_path / "identity.tsv"
     identity.write_text("1 1 1\n2 2 1\n", encoding="utf-8")

@@ -134,16 +134,32 @@ def test_converged_vector_positive_when_preconditions_hold():
         assert pair.residual <= 1e-11 * abs(pair.eigenvalue)
 
 
-def test_nonconvergence_on_periodic_operator_without_shift():
+def _periodic_three_cycle_operator():
     # weighted directed 3-cycle: three eigenvalues of equal magnitude
     cyc = LayerGraph(3, ((1, 2, 2.0), (2, 3, 1.0), (3, 1, 1.0)))
     net = MultiplexNetwork(3, (cyc,))
-    op = SupraOperator(
+    return SupraOperator(
         _problem(net, InterlayerMatrix(np.zeros((1, 1))), 0.0), shift=0.0
     )
+
+
+def test_nonconvergence_on_periodic_operator_without_shift():
+    op = _periodic_three_cycle_operator()
     with pytest.raises(NonConvergenceError) as err:
-        dominant_eigenpair(op, max_iter=500)
+        shifted_power_iteration(op.apply, op.dim, shift=0.0, max_iter=500)
     assert err.value.iterations == 500
+
+
+def test_dominant_eigenpair_solves_periodic_operator_without_shift():
+    op = _periodic_three_cycle_operator()
+    pair = dominant_eigenpair(op, max_iter=500)
+    vals, vecs = np.linalg.eig(op.to_dense())
+    perron = vecs[:, np.argmax(vals.real)].real
+    perron *= np.sign(perron.sum())
+    assert abs(pair.eigenvalue - 2.0 ** (1.0 / 3.0)) <= 1e-12
+    assert np.allclose(pair.vector, perron, rtol=0, atol=1e-10)
+    assert np.allclose(pair.vector, [0.7024, 0.4425, 0.5575], rtol=0, atol=1e-4)
+    assert pair.iterations < 500
 
 
 def test_warm_start_is_accepted():

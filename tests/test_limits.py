@@ -5,6 +5,7 @@ import pytest
 
 from supracentrality import (
     DegenerateInterlayerEigenvalueError,
+    DegenerateLayerEigenvalueError,
     Eigenvector,
     InterlayerMatrix,
     LayerGraph,
@@ -70,6 +71,34 @@ def test_layer_eigendata_flags_reducible_layer():
     net = MultiplexNetwork(3, (TRIANGLE, lonely))
     data = layer_eigendata(net, Eigenvector())
     assert data.irreducible == (True, False)
+
+
+def _undirected(n, edges):
+    return LayerGraph(n, tuple((a, b, 1.0) for i, j in edges for a, b in ((i, j), (j, i))))
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        # n < 4 takes the dense spectrum: two self-loops give eigenvalue 1 twice
+        LayerGraph(3, ((1, 1, 1.0), (2, 2, 1.0), (3, 1, 0.5))),
+        # ARPACK: two disjoint triangles give eigenvalue 2 twice
+        _undirected(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]),
+    ],
+    ids=["dense", "arpack"],
+)
+def test_layer_gap_guard_rejects_repeated_dominant_eigenvalue(layer):
+    net = MultiplexNetwork(layer.n_nodes, (layer,))
+    with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
+        layer_eigendata(net, Eigenvector())
+    assert layer_eigendata(net, Eigenvector(), check_gap=False).spectral_radii[0] > 0
+
+
+def test_layer_gap_guard_accepts_bipartite_path():
+    # spectrum symmetric about 0: only the shift separates +sqrt(3) from -sqrt(3)
+    path = _undirected(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    data = layer_eigendata(MultiplexNetwork(5, (path,)), Eigenvector())
+    assert data.spectral_radii[0] == pytest.approx(math.sqrt(3.0), abs=1e-10)
 
 
 def test_weak_limit_pagerank_dominating_set_is_everything():
