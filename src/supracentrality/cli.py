@@ -19,11 +19,19 @@ from .interlayer import all_to_all, block_communities, chain_teleport, chain_und
 from .limits import (
     LimitPreconditionError,
     NotApplicableError,
+    check_rel_tol_dominating,
     corollary_crosscheck,
     strong_limit,
     weak_limit,
 )
-from .sweeps import correlate_with_degrees, detect_regimes, log_grid, rank_trajectory, sweep
+from .sweeps import (
+    check_prominence_fraction,
+    correlate_with_degrees,
+    detect_regimes,
+    log_grid,
+    rank_trajectory,
+    sweep,
+)
 from .types import (
     Authority,
     DanglingPolicy,
@@ -152,6 +160,8 @@ def _cmd_centrality(args) -> int:
 def _run_sweep(args):
     net, kind, interlayer = _load_inputs(args)
     grid = _parse_grid(args.grid)
+    if "prominence" in args:
+        check_prominence_fraction(args.prominence)
     result = sweep(
         net,
         kind,
@@ -183,6 +193,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_limit(args) -> int:
     net, kind, interlayer = _load_inputs(args)
     problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=1.0)
+    check_rel_tol_dominating(args.rel_tol_dominating)
     strong = None
     if args.which == "weak":
         res = weak_limit(problem, args.rel_tol_dominating)

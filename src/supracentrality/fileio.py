@@ -6,6 +6,9 @@ Edge lists are whitespace-separated text with 1-based indices:
 
 Full-line comments start with '#'.  Layer indices need not be contiguous;
 they are densely re-indexed in sorted order and the mapping is logged.
+Edge lists are parsed whole with numpy; a file that parse cannot prove
+clean is read again line by line, and only that scan raises
+:class:`ParseError`, with the file and line number.
 Interlayer triplet files use columns ``t t_prime weight`` with the same
 conventions; weights must be finite.  Label files are ``index<TAB>label``
 lines.  Every output goes through :func:`fmt` (17 significant digits, so
@@ -14,9 +17,12 @@ every value re-parses exactly), :func:`write_csv` and :func:`write_json`.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
+import re
+import warnings
 
 import numpy as np
 
@@ -107,19 +113,11 @@ def load_labels(path, count: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def load_multiplex(
-    path,
-    *,
-    node_labels_path=None,
-    layer_labels_path=None,
-    n_nodes: int | None = None,
-) -> MultiplexNetwork:
-    """Parse a multiplex edge-list file into a validated network.
+def _scan_edges(path) -> tuple[dict[int, list[tuple[int, int, float]]], int]:
+    """Line-by-line parse: ``({layer: [(i, j, weight), ...]}, largest node index)``.
 
-    The node count is the largest node index seen unless ``n_nodes``
-    overrides it.  Duplicate (layer, i, j) lines and structural violations
-    raise; the layer re-index mapping is logged when layers are not already
-    1..T.
+    This is the reference reading of an edge list and the only source of
+    :class:`ParseError` for it.
     """
     edges: dict[int, list[tuple[int, int, float]]] = {}
     seen: dict[tuple[int, int, int], int] = {}
@@ -152,9 +150,91 @@ def load_multiplex(
         seen[key] = lineno
         edges.setdefault(layer, []).append((i, j, weight))
         max_node = max(max_node, i, j)
-
     if not edges:
         raise ParseError(path, 0, "file contains no edges")
+    return edges, max_node
+
+
+# bytes a clean edge list holds outside its comment lines
+_EDGE_BYTES = b"0123456789+-.eE \t\n"
+_COMMENT_LINE = re.compile(rb"^[ \t]*#[^\r\n]*", re.MULTILINE)
+_FIRST_LINE = re.compile(rb"\S[^\n]*")
+
+
+def _increasing(layer: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the (layer, i, j) rows are strictly increasing."""
+    dl, di, dj = np.diff(layer), np.diff(i), np.diff(j)
+    return bool(np.all((dl > 0) | ((dl == 0) & ((di > 0) | ((di == 0) & (dj > 0))))))
+
+
+def _parse_edges_whole(path):
+    """Whole-file numpy parse with the result of :func:`_scan_edges` (edges
+    in sorted order), or None where the file is not provably clean.
+
+    It accepts a strict subset of what the line scan accepts: valid UTF-8,
+    only number bytes outside full-line comments, LF or CRLF line ends (a
+    lone CR also ends a line, so it is not let through), one column count
+    (3 or 4) throughout, integer fields numpy reads as int64 (Python's
+    ``int`` takes each of them), positive indices, finite weights and no
+    duplicate (layer, i, j) key.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    body = _COMMENT_LINE.sub(b"", data.replace(b"\r\n", b"\n"))
+    if body.translate(None, _EDGE_BYTES):
+        return None
+    first = _FIRST_LINE.search(body)
+    if first is None:
+        return None
+    columns = len(first.group().split())
+    if columns not in (3, 4):
+        return None
+    fields = [("layer", np.int64), ("i", np.int64), ("j", np.int64), ("w", np.float64)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(body), dtype=fields[:columns], comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    layer, i, j = rows["layer"], rows["i"], rows["j"]
+    w = rows["w"] if columns == 4 else np.ones(rows.size)
+    if min(layer.min(), i.min(), j.min()) < 1 or not np.isfinite(w).all():
+        return None
+    if not _increasing(layer, i, j):
+        order = np.lexsort((j, i, layer))
+        layer, i, j, w = layer[order], i[order], j[order], w[order]
+        if not _increasing(layer, i, j):  # a duplicate key
+            return None
+    bounds = [0, *(np.flatnonzero(np.diff(layer)) + 1).tolist(), rows.size]
+    edges = {
+        int(layer[lo]): list(zip(i[lo:hi].tolist(), j[lo:hi].tolist(), w[lo:hi].tolist()))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    }
+    return edges, int(max(i.max(), j.max()))
+
+
+def load_multiplex(
+    path,
+    *,
+    node_labels_path=None,
+    layer_labels_path=None,
+    n_nodes: int | None = None,
+) -> MultiplexNetwork:
+    """Parse a multiplex edge-list file into a validated network.
+
+    The file is parsed whole with numpy; a file that parse cannot prove
+    clean is read again line by line, which reports the first bad line by
+    number.  The node count is the largest node index seen unless
+    ``n_nodes`` overrides it.  Duplicate (layer, i, j) lines and structural
+    violations raise; the layer re-index mapping is logged when layers are
+    not already 1..T.
+    """
+    parsed = _parse_edges_whole(path)
+    edges, max_node = parsed if parsed is not None else _scan_edges(path)
     layer_ids = sorted(edges)
     if layer_ids != list(range(1, len(layer_ids) + 1)):
         mapping = {old: new for new, old in enumerate(layer_ids, start=1)}

@@ -221,6 +221,14 @@ def layer_eigendata(
     )
 
 
+def check_rel_tol_dominating(rel_tol_dominating: float) -> None:
+    """Raise ValueError unless the dominating-set tolerance is finite and in [0, 1)."""
+    if not 0.0 <= rel_tol_dominating < 1.0:
+        raise ValueError(
+            f"rel_tol_dominating must be finite and in [0, 1), got {rel_tol_dominating}"
+        )
+
+
 def weak_limit(
     problem: SupraProblem,
     rel_tol_dominating: float = 1e-9,
@@ -238,10 +246,7 @@ def weak_limit(
     over the dominating layers.  With a single dominating layer this reduces
     to localization: the limit vector is that layer's eigenvector.
     """
-    if not 0.0 <= rel_tol_dominating < 1.0:
-        raise ValueError(
-            f"rel_tol_dominating must be finite and in [0, 1), got {rel_tol_dominating}"
-        )
+    check_rel_tol_dominating(rel_tol_dominating)
     net = problem.network
     data = layer_eigendata(net, problem.kind, tol=tol, max_iter=max_iter)
     radii = data.spectral_radii

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .engine import NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector
 from .graph import ConstantInputError, intralayer_degrees, pearson, total_degrees
@@ -182,6 +181,14 @@ class RegimeReport:
     intervals: tuple[RegimeInterval, ...]
 
 
+def check_prominence_fraction(prominence_fraction: float) -> None:
+    """Raise ValueError unless the peak prominence fraction is finite and nonnegative."""
+    if not 0.0 <= prominence_fraction < math.inf:
+        raise ValueError(
+            f"prominence_fraction must be finite and nonnegative, got {prominence_fraction}"
+        )
+
+
 def detect_regimes(
     sensitivity: np.ndarray,
     grid: OmegaGrid,
@@ -195,10 +202,7 @@ def detect_regimes(
     float-level wiggle from fabricating regimes.  NaN entries (failed sweep
     points) are treated as zero for peak finding.
     """
-    if not 0.0 <= prominence_fraction < math.inf:
-        raise ValueError(
-            f"prominence_fraction must be finite and nonnegative, got {prominence_fraction}"
-        )
+    check_prominence_fraction(prominence_fraction)
     series = np.asarray(sensitivity, dtype=float)
     if series.ndim != 1 or series.size < 3:
         raise ValueError("sensitivity series must be 1-D with at least 3 points")
@@ -208,6 +212,10 @@ def detect_regimes(
     peak_idx: tuple[int, ...] = ()
     top = float(clean.max())
     if top > 0:
+        # importing scipy.signal costs more than the rest of the package; only
+        # this call needs it
+        from scipy.signal import find_peaks
+
         found, _ = find_peaks(clean, prominence=prominence_fraction * top)
         peak_idx = tuple(int(p) for p in found)
 

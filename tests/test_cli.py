@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -243,6 +246,39 @@ def test_non_finite_limit_and_sweep_flags_are_usage_errors(six_layer_net, tmp_pa
                      "--out", str(tmp_path / "sweep.csv")] + base)
     assert code == 1
     assert "prominence_fraction must be finite" in capsys.readouterr().err
+
+
+def test_bad_limit_and_sweep_flags_stop_before_any_solve(six_layer_net, tmp_path, capsys):
+    base = ["--network", str(six_layer_net), "--kind", "eigenvector", "--interlayer",
+            "alltoall"]
+    out = tmp_path / "sweep.csv"
+    # three grid points never reach regime detection, five points would solve first
+    for grid in ("-1,0,0.5", "-1,1,0.5"):
+        assert dispatch(["sweep", "--grid", grid, "--prominence", "nan",
+                         "--out", str(out)] + base) == 1
+        assert "prominence_fraction must be finite" in capsys.readouterr().err
+        assert not out.exists()
+    out = tmp_path / "limit.json"
+    for which in ("weak", "strong"):
+        for value in ("nan", "5", "-0.5"):
+            assert dispatch(["limit", "--which", which, "--rel-tol-dominating", value,
+                             "--out", str(out)] + base) == 1
+            assert "rel_tol_dominating must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # scipy.signal was most of the package's import time; only regime detection needs it
+    import supracentrality
+
+    src = os.path.dirname(os.path.dirname(supracentrality.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, supracentrality, supracentrality.cli; "
+            "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_versatility_honours_solver_flags(six_layer_net, tmp_path):
