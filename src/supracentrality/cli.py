@@ -160,8 +160,6 @@ def _cmd_centrality(args) -> int:
 def _run_sweep(args):
     net, kind, interlayer = _load_inputs(args)
     grid = _parse_grid(args.grid)
-    if "prominence" in args:
-        check_prominence_fraction(args.prominence)
     result = sweep(
         net,
         kind,
@@ -175,6 +173,7 @@ def _run_sweep(args):
 
 
 def _cmd_sweep(args) -> int:
+    check_prominence_fraction(args.prominence)
     net, result = _run_sweep(args)
     fileio.write_sweep_csv(result, net, args.out)
     for index, message in result.failures:

@@ -204,11 +204,10 @@ def _parse_edges_whole(path):
     w = rows["w"] if columns == 4 else np.ones(rows.size)
     if min(layer.min(), i.min(), j.min()) < 1 or not np.isfinite(w).all():
         return None
-    if not _increasing(layer, i, j):
-        order = np.lexsort((j, i, layer))
-        layer, i, j, w = layer[order], i[order], j[order], w[order]
-        if not _increasing(layer, i, j):  # a duplicate key
-            return None
+    order = np.lexsort((j, i, layer))
+    layer, i, j, w = layer[order], i[order], j[order], w[order]
+    if not _increasing(layer, i, j):  # a duplicate key
+        return None
     bounds = [0, *(np.flatnonzero(np.diff(layer)) + 1).tolist(), rows.size]
     edges = {
         int(layer[lo]): list(zip(i[lo:hi].tolist(), j[lo:hi].tolist(), w[lo:hi].tolist()))
