@@ -11,8 +11,10 @@ clean is read again line by line, and only that scan raises
 :class:`ParseError`, with the file and line number.
 Interlayer triplet files use columns ``t t_prime weight`` with the same
 conventions; weights must be finite.  Label files are ``index<TAB>label``
-lines.  Every output goes through :func:`fmt` (17 significant digits, so
-every value re-parses exactly), :func:`write_csv` and :func:`write_json`.
+lines.  Every input file is UTF-8: a byte that does not decode is a
+:class:`ParseError` naming its line.  Every output goes through
+:func:`fmt` (17 significant digits, so every value re-parses exactly),
+:func:`write_csv` and :func:`write_json`.
 """
 from __future__ import annotations
 
@@ -87,9 +89,18 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+# what the surrogateescape handler decodes each undecodable byte to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def _data_lines(path):
-    with open(path, encoding="utf-8") as fh:
+    # surrogateescape keeps a bad byte in its line, so the error names the line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            bad = _ESCAPED_BYTE.search(raw)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                raise ParseError(path, lineno, f"not valid UTF-8 (byte {byte:#04x})")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -189,6 +189,37 @@ def check_prominence_fraction(prominence_fraction: float) -> None:
         )
 
 
+def _prominent_peaks(x: list[float], floor: float) -> tuple[int, ...]:
+    """Indices of the local maxima of ``x`` whose prominence is at least
+    ``floor``, in increasing order (the rule of SciPy's ``find_peaks`` with
+    ``prominence=floor``; the tests hold the two equal)."""
+    last = len(x) - 1
+    peaks = []
+    i = 1
+    while i < last:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < last and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+
+    def base(peak: int, side: range) -> float:
+        low = x[peak]
+        for k in side:
+            if x[k] > x[peak]:
+                break
+            low = min(low, x[k])
+        return low
+
+    return tuple(
+        p for p in peaks
+        if floor <= x[p] - max(base(p, range(p, -1, -1)), base(p, range(p, last + 1)))
+    )
+
+
 def detect_regimes(
     sensitivity: np.ndarray,
     grid: OmegaGrid,
@@ -197,10 +228,18 @@ def detect_regimes(
     """Partition the grid at the prominent local maxima of a sensitivity series.
 
     A peak at series index s marks the transition between grid points s and
-    s+1; the intervals tile the grid exactly.  Peaks need prominence of at
-    least ``prominence_fraction`` times the series maximum, which keeps
-    float-level wiggle from fabricating regimes.  NaN entries (failed sweep
+    s+1; the intervals tile the grid exactly.  NaN entries (failed sweep
     points) are treated as zero for peak finding.
+
+    A local maximum is an interior point whose left neighbour is strictly
+    lower and whose first different value to the right is strictly lower;
+    a flat top reports its middle index (the left one of two).  Its
+    prominence is its height minus the higher of the two lowest values
+    reached walking left and walking right while values stay at or below
+    that height.  A peak is kept when its prominence is at least
+    ``prominence_fraction`` times the series maximum, which keeps
+    float-level wiggle from fabricating regimes.  This is the rule of
+    SciPy's ``find_peaks`` with ``prominence=`` that floor.
     """
     check_prominence_fraction(prominence_fraction)
     series = np.asarray(sensitivity, dtype=float)
@@ -212,12 +251,7 @@ def detect_regimes(
     peak_idx: tuple[int, ...] = ()
     top = float(clean.max())
     if top > 0:
-        # importing scipy.signal costs more than the rest of the package; only
-        # this call needs it
-        from scipy.signal import find_peaks
-
-        found, _ = find_peaks(clean, prominence=prominence_fraction * top)
-        peak_idx = tuple(int(p) for p in found)
+        peak_idx = _prominent_peaks(clean.tolist(), prominence_fraction * top)
 
     omegas = grid.values
     intervals = []

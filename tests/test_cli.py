@@ -267,18 +267,49 @@ def test_bad_limit_and_sweep_flags_stop_before_any_solve(six_layer_net, tmp_path
             assert not out.exists()
 
 
-def test_package_import_leaves_scipy_signal_unloaded():
-    # scipy.signal was most of the package's import time; only regime detection needs it
+_IMPORT_BUDGET_CHILD = """
+import json, sys
+import supracentrality, supracentrality.cli
+heavy = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate")
+loaded = {"import": (0, [m for m in heavy if m in sys.modules])}
+net, out = sys.argv[1], sys.argv[2]
+base = ["--network", net, "--interlayer", "alltoall"]
+kind = ["--kind", "eigenvector"]
+grid = ["--grid", "-1,1,0.5"]
+commands = {
+    "check": ["check", *kind],
+    "centrality": ["centrality", *kind, "--omega", "1", "--out", out + "/c.csv"],
+    "sweep": ["sweep", *kind, *grid, "--out", out + "/s.csv"],
+    "limit_weak": ["limit", "--which", "weak", *kind, "--out", out + "/w.json"],
+    "limit_strong": ["limit", "--which", "strong", *kind, "--out", out + "/l.json"],
+    "correlate": ["correlate", *kind, *grid, "--out", out + "/r.csv"],
+    "trajectory": ["trajectory", "--node", "2", *kind, *grid, "--out", out + "/t.csv"],
+    "versatility": ["versatility", "--omega", "1", "--out", out + "/v.csv"],
+}
+for name, argv in commands.items():
+    code = supracentrality.cli.dispatch(argv + base)
+    loaded[name] = (code, [m for m in heavy if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_package_import_leaves_scipy_signal_unloaded(six_layer_net, tmp_path):
+    # scipy.signal pulls in scipy.stats, scipy.optimize and scipy.interpolate,
+    # which once cost more than a whole sweep; no command needs any of them
     import supracentrality
 
     src = os.path.dirname(os.path.dirname(supracentrality.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, supracentrality, supracentrality.cli; "
-            "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUDGET_CHILD, str(six_layer_net), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    # five grid points, so the sweep reaches regime detection
+    assert "regimes" in proc.stdout
+    assert loaded == {name: [0, []] for name in loaded}
 
 
 def test_versatility_honours_solver_flags(six_layer_net, tmp_path):
@@ -351,3 +382,24 @@ def test_csv_outputs_quote_labels_with_commas_and_quotes(six_layer_net, tmp_path
     assert rows["sweep"][0][-4:] == [f"mnc_{s}" for s in node_labels]
     assert rows["trajectory"][0][1:] == [f"rank_{s}" for s in layer_labels]
     assert [row[0] for row in rows["versatility"][1:]] == node_labels
+
+
+def test_undecodable_input_names_file_and_line(tmp_path, capsys):
+    good = _write_two_layer_net(tmp_path)
+    edges = tmp_path / "bad.edges"
+    edges.write_bytes(b"1 1 2\n1 2 \xff1\n")
+    labels = tmp_path / "labels.tsv"
+    labels.write_bytes(b"1\tA\n2\tB\xe9\n")
+    inter = tmp_path / "inter.tsv"
+    inter.write_bytes(b"# caf\xc3\n1 2 1.0\n")
+    base = ["check", "--kind", "eigenvector"]
+    cases = [
+        (["--network", str(edges), "--interlayer", "alltoall"], f"{edges}:2:", "0xff"),
+        (["--network", str(good), "--node-labels", str(labels), "--interlayer", "alltoall"],
+         f"{labels}:2:", "0xe9"),
+        (["--network", str(good), "--interlayer", f"file:{inter}"], f"{inter}:1:", "0xc3"),
+    ]
+    for argv, where, byte in cases:
+        assert dispatch(base + argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {where} not valid UTF-8 (byte {byte})\n"

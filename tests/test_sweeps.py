@@ -21,6 +21,7 @@ from supracentrality import (
     weak_limit,
 )
 from supracentrality.interlayer import all_to_all, block_communities
+from supracentrality.sweeps import _prominent_peaks
 
 from _oracles import cosine, engine_ladder, ladder_omegas, random_instance, random_layer
 
@@ -125,6 +126,29 @@ def test_detect_regimes_prominence_floor_filters_wiggle():
     series[7] = 1.001  # 0.1% bump, below the 1% floor
     report = detect_regimes(series, grid)
     assert report.peaks == ()
+
+
+@pytest.mark.parametrize(
+    "series, peaks",
+    [
+        ([0, 1, 1, 1, 0], (2,)),  # a flat top reports its middle
+        ([0, 1, 1, 0], (1,)),  # and the left middle of an even one
+        ([0, 2, 1, 1], (1,)),
+        ([0, 1, 2, 2], ()),  # a flat top touching the end is no peak
+        ([0, 0, 0, 0], ()),
+        ([1, 0, 1], ()),  # nor is an endpoint
+    ],
+)
+def test_prominent_peaks_local_maxima(series, peaks):
+    assert _prominent_peaks([float(v) for v in series], 0.0) == peaks
+
+
+def test_detect_regimes_keeps_peak_whose_prominence_equals_the_floor():
+    grid = log_grid(0, 0.5, 0.1)
+    # prominence of index 1 is 1 - 0.5 = 0.5, exactly 0.25 of the maximum 2
+    series = np.array([0.0, 1.0, 0.5, 2.0, 0.0])
+    assert detect_regimes(series, grid, prominence_fraction=0.25).peaks == (1, 3)
+    assert detect_regimes(series, grid, prominence_fraction=0.2501).peaks == (3,)
 
 
 def test_detect_regimes_rejects_short_series():
