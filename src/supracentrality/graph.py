@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .centrality import LayerCentralityMatrix, build_centrality_matrix
 from .types import LayerGraph, MultiplexNetwork, SupraProblem
@@ -20,6 +21,7 @@ __all__ = [
     "ConstantInputError",
     "PreconditionReport",
     "strongly_connected",
+    "layer_sum_components",
     "layer_sum_irreducible",
     "check_preconditions",
     "intralayer_degrees",
@@ -34,21 +36,18 @@ class ConstantInputError(ValueError):
     """Raised when a correlation input has zero variance."""
 
 
-def _adjacency_bool(matrix) -> np.ndarray:
-    if sparse.issparse(matrix):
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-        return (matrix > 0).toarray()
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr > 0
+def _strong_components(matrix) -> tuple[int, np.ndarray]:
+    """Number of strong components of the digraph with an edge wherever the
+    entry is > 0, and each node's component label; O(N + nnz) when sparse.
+    The > 0 matters: csgraph counts stored zeros (PageRank, sigma=0) as edges."""
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    return csgraph.connected_components(matrix > 0, directed=True, connection="strong")
 
 
 def _reaches_all(adj: np.ndarray) -> bool:
     # breadth-first reachability from node 0 using boolean row masks
-    n = adj.shape[0]
-    visited = np.zeros(n, dtype=bool)
+    visited = np.zeros(adj.shape[0], dtype=bool)
     visited[0] = True
     frontier = visited.copy()
     while frontier.any():
@@ -61,31 +60,40 @@ def _reaches_all(adj: np.ndarray) -> bool:
 def strongly_connected(matrix) -> bool:
     """True iff the digraph with an edge wherever the entry is > 0 is strongly connected.
 
-    Accepts a dense array or a scipy sparse matrix.  A 1x1 (or empty) matrix
-    counts as strongly connected.  Linear-time check: every node must be
-    reachable from node 1 and must reach node 1.
-    """
-    adj = _adjacency_bool(matrix)
-    n = adj.shape[0]
-    if n <= 1:
-        return True
-    return _reaches_all(adj) and _reaches_all(adj.T)
+    A 1x1 (or empty) matrix counts.  Sparse input goes through csgraph,
+    O(N + nnz); a dense array (interlayer, weak-limit X) takes a cheaper
+    O(n^2) breadth-first search from node 0 both ways."""
+    if sparse.issparse(matrix):
+        return _strong_components(matrix)[0] <= 1
+    adj = np.asarray(matrix) > 0
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {adj.shape}")
+    return adj.shape[0] <= 1 or (_reaches_all(adj) and _reaches_all(adj.T))
+
+
+def layer_sum_components(
+    layer_matrices: tuple[LayerCentralityMatrix, ...],
+) -> tuple[int, np.ndarray]:
+    """Strong components (Frobenius normal form blocks) of the entrywise sum
+    of the layer matrices.  A teleport term c u 1^T becomes a hub node h with
+    edges i -> h (i in supp(u)) and h -> j (all j), in supp(u)'s component."""
+    n = layer_matrices[0].n
+    teleported = [m for m in layer_matrices if m.teleport_coeff > 0]
+    if any(m.teleport.min() > 0 for m in teleported):  # the sum is positive
+        return 1, np.zeros(n, dtype=np.int32)
+    total = sum(m.sparse for m in layer_matrices)
+    if not teleported:
+        return _strong_components(total)
+    into_hub = sparse.csr_matrix(sum(m.teleport for m in teleported)[:, None])
+    hub = sparse.bmat([[total, into_hub], [sparse.csr_matrix(np.ones((1, n))), None]])
+    count, labels = _strong_components(hub)
+    return count, labels[:n]
 
 
 def layer_sum_irreducible(layer_matrices: tuple[LayerCentralityMatrix, ...]) -> bool:
     """True iff the entrywise sum of the layer matrices, PageRank teleport
     terms included, is irreducible."""
-    teleported = [m for m in layer_matrices if m.teleport_coeff > 0]
-    if teleported and all(m.teleport.min() > 0 for m in teleported):
-        # some layer contributes a strictly positive rank-one term
-        return True
-    total = sum(m.sparse for m in layer_matrices)
-    if teleported:
-        dense = total.toarray()
-        for m in teleported:
-            dense += m.teleport_coeff * np.outer(m.teleport, np.ones(m.n))
-        return strongly_connected(dense)
-    return strongly_connected(total)
+    return layer_sum_components(layer_matrices)[0] == 1
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,9 @@ full coupled operator, so they double as cross-checks for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .centrality import build_centrality_matrix
 from .engine import (
@@ -27,7 +26,7 @@ from .engine import (
     shifted_power_iteration,
     tableau_from_vector,
 )
-from .graph import layer_sum_irreducible, strongly_connected
+from .graph import layer_sum_components, strongly_connected
 from .types import CentralityKind, CentralityTableau, MultiplexNetwork, SupraProblem
 
 __all__ = [
@@ -143,39 +142,31 @@ class StrongLimitResult:
     tableau: CentralityTableau
 
 
-def _second_magnitude(mat, shift: float) -> float:
-    """Exact magnitude of the subdominant eigenvalue of ``mat`` + shift*I.
-
-    ARPACK's two largest-magnitude eigenvalues at machine precision, or the
-    dense spectrum when the layer is too small for ARPACK (n < 4).
-    """
-    n = mat.n
-    if n < 4:
-        mags = np.abs(np.linalg.eigvals(mat.to_dense() + shift * np.eye(n)))
-        return float(np.sort(mags)[-2])
-    calls = 0
-
-    def shifted(x: np.ndarray) -> np.ndarray:
-        nonlocal calls
-        calls += 1
-        return mat.apply(x) + shift * x
-
-    try:
-        vals = eigs(
-            LinearOperator((n, n), matvec=shifted, dtype=float), k=2, which="LM",
-            v0=np.full(n, 1.0 / math.sqrt(n)), tol=0.0, return_eigenvectors=False,
-        )
-    except ArpackNoConvergence as err:
-        raise NonConvergenceError(calls, math.inf, "eigen-gap check") from err
-    return float(np.abs(vals).min())
+def _block_radii(mat, count: int, labels: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Spectral radius of each strong component block of a layer: a single
+    node's diagonal entry, else one shifted power iteration on the block."""
+    rank_one = mat.teleport_coeff * mat.teleport if mat.teleport_coeff else 0.0
+    diagonal = mat.sparse.diagonal() + rank_one
+    sizes = np.bincount(labels, minlength=count)
+    radii = np.zeros(count)
+    radii[labels] = diagonal  # exact for single-node blocks, overwritten below
+    order = np.argsort(labels, kind="stable")
+    for block, end in zip(np.flatnonzero(sizes > 1), np.cumsum(sizes)[sizes > 1]):
+        nodes = order[end - sizes[block]:end]
+        sub = replace(mat, n=nodes.size, sparse=mat.sparse[nodes][:, nodes],
+                      teleport=None if mat.teleport is None else mat.teleport[nodes])
+        radii[block] = shifted_power_iteration(
+            sub.apply, sub.n, shift=default_shift(sub.max_row_sum()), tol=tol, max_iter=max_iter
+        ).eigenvalue
+    return radii
 
 
 def _left_right_pairs(apply, apply_transpose, dim: int, max_row_sum: float, tol, max_iter):
-    """Shift, right and left dominant eigenpairs, both iterated with the default shift."""
+    """Right and left dominant eigenpairs, both iterated with the default shift."""
     shift = default_shift(max_row_sum)
     res_r = shifted_power_iteration(apply, dim, shift=shift, tol=tol, max_iter=max_iter)
     res_l = shifted_power_iteration(apply_transpose, dim, shift=shift, tol=tol, max_iter=max_iter)
-    return shift, res_r, res_l
+    return res_r, res_l
 
 
 def layer_eigendata(
@@ -189,35 +180,35 @@ def layer_eigendata(
     """Dominant right/left eigenpair of every layer's centrality matrix.
 
     Uses the shifted power iteration that accepts the coupled engine's
-    solves, applied per block.  Non-irreducible layers are flagged rather than rejected.  With
-    ``check_gap`` the exact second eigenvalue magnitude of the shifted layer
-    guards against (near-)multiple dominant eigenvalues, raising
-    DegenerateLayerEigenvalueError.
+    solves.  Non-irreducible layers are flagged rather than rejected.  With
+    ``check_gap``, a reducible layer whose two largest strong component
+    radii (plus the shift) lie within LAYER_GAP_FLOOR raises
+    DegenerateLayerEigenvalueError before its power iteration (by
+    Perron-Frobenius and Rothblum 1975).  Near-degeneracy inside one
+    irreducible block is not caught: it shows up as slow convergence.
     """
     layer_matrices = tuple(build_centrality_matrix(g, kind) for g in net.layers)
-    n = net.n_nodes
-    t_count = len(layer_matrices)
-    radii = np.zeros(t_count)
-    right = np.zeros((t_count, n))
-    left = np.zeros((t_count, n))
-    flags = []
+    flags, pairs = [], []
     for t, mat in enumerate(layer_matrices):
+        count, labels = layer_sum_components((mat,))
+        flags.append(count == 1)
         try:
-            shift, res_r, res_l = _left_right_pairs(
-                mat.apply, mat.apply_transpose, n, mat.max_row_sum(), tol, max_iter
-            )
-            second = _second_magnitude(mat, shift) if check_gap and n > 1 else 0.0
+            if check_gap and count > 1:
+                second, top = np.sort(_block_radii(mat, count, labels, tol, max_iter))[-2:]
+                shift = default_shift(mat.max_row_sum())
+                if second + shift >= (1.0 - LAYER_GAP_FLOOR) * (top + shift):
+                    raise DegenerateLayerEigenvalueError(t + 1, top, second)
+            pairs.append(_left_right_pairs(
+                mat.apply, mat.apply_transpose, mat.n, mat.max_row_sum(), tol, max_iter
+            ))
         except NonConvergenceError as err:
             context = f"layer {t + 1}: {err.context}" if err.context else f"layer {t + 1}"
             raise NonConvergenceError(err.iterations, err.residual, context) from err
-        radii[t] = res_r.eigenvalue
-        right[t] = res_r.vector
-        left[t] = res_l.vector
-        flags.append(layer_sum_irreducible((mat,)))
-        if second >= (1.0 - LAYER_GAP_FLOOR) * (res_r.eigenvalue + shift):
-            raise DegenerateLayerEigenvalueError(t + 1, radii[t], second - shift)
     return LayerEigendata(
-        spectral_radii=radii, right=right, left=left, irreducible=tuple(flags)
+        spectral_radii=np.array([r.eigenvalue for r, _ in pairs]),
+        right=np.array([r.vector for r, _ in pairs]),
+        left=np.array([res_l.vector for _, res_l in pairs]),
+        irreducible=tuple(flags),
     )
 
 
@@ -270,7 +261,7 @@ def weak_limit(
             "is not strongly connected; the limit mixing weights are not unique"
         )
 
-    _, res_r, res_l = _left_right_pairs(
+    res_r, res_l = _left_right_pairs(
         lambda z: X @ z, lambda z: X.T @ z, m, float(np.max(X @ np.ones(m))), tol, max_iter
     )
     alpha = res_r.vector
@@ -305,7 +296,7 @@ def _interlayer_eigendata(
             f"{int(near.sum())} within relative tolerance {INTERLAYER_GAP_FLOOR}"
         )
     row_max = float(np.abs(atil).sum(axis=1).max())
-    _, res_r, res_l = _left_right_pairs(
+    res_r, res_l = _left_right_pairs(
         lambda z: atil @ z, lambda z: atil.T @ z, dim, row_max, tol, max_iter
     )
     return res_r.eigenvalue, res_r.vector, res_l.vector
@@ -361,7 +352,7 @@ def strong_limit(
         return y
 
     row_max = float(np.max(xt_apply(np.ones(n))))
-    _, res_r, res_l = _left_right_pairs(xt_apply, xt_apply_t, n, row_max, tol, max_iter)
+    res_r, res_l = _left_right_pairs(xt_apply, xt_apply_t, n, row_max, tol, max_iter)
     alpha_tilde = res_r.vector
     beta_tilde = res_l.vector
 

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from supracentrality import (
     ConstantInputError,
@@ -11,6 +12,7 @@ from supracentrality import (
     PageRank,
     SupraProblem,
     aggregate_layers,
+    build_pagerank_matrix,
     check_preconditions,
     intralayer_degrees,
     k_path_counts,
@@ -18,6 +20,7 @@ from supracentrality import (
     strongly_connected,
     total_degrees,
 )
+from supracentrality.graph import layer_sum_irreducible
 from supracentrality.interlayer import chain_teleport
 
 from _oracles import dense_adjacency, oracle_strongly_connected
@@ -49,6 +52,9 @@ def test_directed_five_cycle_strongly_connected():
 def test_sparse_input_accepted():
     assert strongly_connected(LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0))).csr)
     assert not strongly_connected(LayerGraph(2, ((1, 2, 1.0),)).csr)
+    stored_zero = sparse.csr_matrix(([1.0, 0.0], ([0, 1], [1, 0])), shape=(2, 2))
+    assert stored_zero.nnz == 2
+    assert not strongly_connected(stored_zero)
 
 
 def test_strongly_connected_vs_oracle_exhaustive_n_le_3():
@@ -59,6 +65,25 @@ def test_strongly_connected_vs_oracle_exhaustive_n_le_3():
             for (i, j), b in zip(off_diag, bits):
                 m[i, j] = b
             assert strongly_connected(m) == oracle_strongly_connected(m)
+            assert strongly_connected(sparse.csr_matrix(m)) == oracle_strongly_connected(m)
+
+
+def test_layer_sum_stored_zero_is_not_an_edge():
+    # sigma = 0 stores the zero link matrix next to a teleport term u 1^T
+    two_cycle = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
+    only_teleport = build_pagerank_matrix(two_cycle, sigma=0.0, teleport=np.array([1.0, 0.0]))
+    assert only_teleport.sparse.nnz > 0
+    assert not layer_sum_irreducible((only_teleport,))
+
+
+@pytest.mark.parametrize("teleport, expected", [([1.0, 0.0], True), ([0.0, 1.0], False)])
+def test_layer_sum_irreducible_partial_teleport(teleport, expected):
+    # u 1^T links supp(u) to every node; reading it the other way round flips both answers
+    m = build_pagerank_matrix(
+        LayerGraph(2, ((1, 2, 1.0),)), sigma=0.5, teleport=np.array(teleport)
+    )
+    assert layer_sum_irreducible((m,)) is expected
+    assert strongly_connected(m.to_dense()) is expected
 
 
 def test_self_loops_do_not_affect_strong_connectivity():

@@ -101,6 +101,13 @@ def test_layer_gap_guard_accepts_bipartite_path():
     assert data.spectral_radii[0] == pytest.approx(math.sqrt(3.0), abs=1e-10)
 
 
+def test_layer_gap_guard_rejects_dag_layer_before_iterating():
+    # every block is one node with a zero diagonal: eigenvalue 0, twice
+    net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0),)),))
+    with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
+        layer_eigendata(net, Eigenvector(), max_iter=1)
+
+
 def test_weak_limit_pagerank_dominating_set_is_everything():
     for seed in (3, 4, 5):
         net, inter = random_instance(seed, kind=PageRank())
