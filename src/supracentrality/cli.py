@@ -193,7 +193,6 @@ def _cmd_limit(args) -> int:
     net, kind, interlayer = _load_inputs(args)
     problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=1.0)
     check_rel_tol_dominating(args.rel_tol_dominating)
-    strong = None
     if args.which == "weak":
         res = weak_limit(problem, args.rel_tol_dominating)
         payload = {
@@ -205,7 +204,7 @@ def _cmd_limit(args) -> int:
             "beta": [float(v) for v in res.beta],
         }
     else:
-        res = strong = strong_limit(problem)
+        res = strong_limit(problem)
         payload = {
             "which": "strong",
             "mu1": res.mu1,
@@ -218,7 +217,7 @@ def _cmd_limit(args) -> int:
     payload["mnc"] = [float(v) for v in res.tableau.mnc]
     payload["mlc"] = [float(v) for v in res.tableau.mlc]
     try:
-        check = corollary_crosscheck(problem, strong)
+        check = corollary_crosscheck(problem)
         payload["corollary_check"] = {
             "shape": check.shape,
             "mu1_computed": check.mu1_computed,

@@ -10,7 +10,11 @@ dominant eigenproblem of an aggregate matrix that averages the layer
 matrices with weights from the interlayer matrix's own dominant eigenpair.
 
 Both solvers are independent of the iterative engine's path through the
-full coupled operator, so they double as cross-checks for it.
+full coupled operator, so they double as cross-checks for it.  N x N
+matrices (each layer, the aggregate) go through one gap-guarded power
+iteration, ``_perron_pairs``; T x T ones (interlayer, X) through one dense
+``eig``, ``_dense_perron``.  No dense N x N array is built unless
+``StrongLimitResult.X_tilde`` is read.
 """
 from __future__ import annotations
 
@@ -18,10 +22,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
-from .centrality import build_centrality_matrix
+from .centrality import LayerCentralityMatrix, build_centrality_matrix
 from .engine import (
     NonConvergenceError,
+    _fix_sign,
     default_shift,
     shifted_power_iteration,
     tableau_from_vector,
@@ -48,6 +54,7 @@ __all__ = [
 # Relative eigen-gap below which a dominant eigenvalue is treated as degenerate.
 LAYER_GAP_FLOOR = 1e-6
 INTERLAYER_GAP_FLOOR = 1e-8
+DENSE_CLAMP = 1e-12  # dense Perron vector entries in (-DENSE_CLAMP, 0) become 0
 
 
 class LimitPreconditionError(RuntimeError):
@@ -55,12 +62,13 @@ class LimitPreconditionError(RuntimeError):
 
 
 class DegenerateLayerEigenvalueError(LimitPreconditionError):
-    """A layer's dominant eigenvalue is (numerically) not simple."""
+    """The dominant eigenvalue of a layer (``where`` = "layer t") or of the
+    strong-limit aggregate is (numerically) not simple."""
 
-    def __init__(self, layer: int, radius: float, second: float):
-        self.layer = layer
+    def __init__(self, where: str, radius: float, second: float):
+        self.where = where
         super().__init__(
-            f"layer {layer}: dominant eigenvalue {radius:.6g} is not well separated "
+            f"{where}: dominant eigenvalue {radius:.6g} is not well separated "
             f"(second magnitude {second:.6g})"
         )
 
@@ -123,23 +131,28 @@ class StrongLimitResult:
     """Infinite-coupling limit: layer aggregation.
 
     ``mu1`` with ``v_tilde``/``u_tilde`` is the dominant eigendata of the
-    interlayer matrix; ``X_tilde`` is the aggregate node matrix (weighted
-    entrywise sum of the layer matrices); ``alpha_tilde``/``beta_tilde`` are
-    its dominant right/left eigenvectors and ``x_eigenvalue`` its computed
-    dominant eigenvalue.  The two eigenvalues coincide only after the
-    1/omega rescaling of the coupled operator, so both are reported.  The
-    limiting joint centralities are separable: W[i, t] is proportional to
-    alpha_tilde[i] * v_tilde[t].
+    interlayer matrix; ``aggregate`` is the node matrix X_tilde (weighted
+    entrywise sum of the layer matrices, dense only through the ``X_tilde``
+    property); ``alpha_tilde``/``beta_tilde`` are its dominant right/left
+    eigenvectors and ``x_eigenvalue`` its computed dominant eigenvalue.  The
+    two eigenvalues coincide only after the 1/omega rescaling of the coupled
+    operator, so both are reported.  The limiting joint centralities are
+    separable: W[i, t] is proportional to alpha_tilde[i] * v_tilde[t].
     """
 
     mu1: float
     v_tilde: np.ndarray
     u_tilde: np.ndarray
-    X_tilde: np.ndarray
+    aggregate: LayerCentralityMatrix
     alpha_tilde: np.ndarray
     beta_tilde: np.ndarray
     x_eigenvalue: float
     tableau: CentralityTableau
+
+    @property
+    def X_tilde(self) -> np.ndarray:
+        """The aggregate as a dense N x N array (built on every access)."""
+        return self.aggregate.to_dense()
 
 
 def _block_radii(mat, count: int, labels: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -161,12 +174,61 @@ def _block_radii(mat, count: int, labels: np.ndarray, tol: float, max_iter: int)
     return radii
 
 
-def _left_right_pairs(apply, apply_transpose, dim: int, max_row_sum: float, tol, max_iter):
-    """Right and left dominant eigenpairs, both iterated with the default shift."""
-    shift = default_shift(max_row_sum)
-    res_r = shifted_power_iteration(apply, dim, shift=shift, tol=tol, max_iter=max_iter)
-    res_l = shifted_power_iteration(apply_transpose, dim, shift=shift, tol=tol, max_iter=max_iter)
-    return res_r, res_l
+def _perron_pairs(
+    mat: LayerCentralityMatrix, where: str, tol: float, max_iter: int, check_gap: bool
+):
+    """Whether ``mat`` is irreducible, and its right and left dominant
+    eigenpairs by shifted power iteration.
+
+    With ``check_gap``, a reducible ``mat`` whose two largest strong
+    component radii (plus the shift) lie within LAYER_GAP_FLOOR raises
+    DegenerateLayerEigenvalueError before any iteration on the whole
+    matrix (Perron-Frobenius and Rothblum 1975).  Errors name ``where``.
+    """
+    count, labels = layer_sum_components((mat,))
+    shift = default_shift(mat.max_row_sum())
+    try:
+        if check_gap and count > 1:
+            second, top = np.sort(_block_radii(mat, count, labels, tol, max_iter))[-2:]
+            if second + shift >= (1.0 - LAYER_GAP_FLOOR) * (top + shift):
+                raise DegenerateLayerEigenvalueError(where, top, second)
+        right, left = [shifted_power_iteration(f, mat.n, shift=shift, tol=tol, max_iter=max_iter)
+                       for f in (mat.apply, mat.apply_transpose)]
+    except NonConvergenceError as err:
+        context = f"{where}: {err.context}" if err.context else where
+        raise NonConvergenceError(err.iterations, err.residual, context) from err
+    return count == 1, right, left
+
+
+def _dense_perron(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Spectrum of the small dense matrix ``a``, its eigenvalue of largest
+    real part (the Perron root when ``a`` is nonnegative), and that
+    eigenvalue's sign-fixed unit right and left eigenvectors."""
+    eigs, left, right = scipy.linalg.eig(a, left=True)
+    k = int(np.argmax(eigs.real))
+    return (eigs, float(eigs[k].real),
+            _fix_sign(right[:, k].real, DENSE_CLAMP), _fix_sign(left[:, k].real, DENSE_CLAMP))
+
+
+def _weighted_sum(mats: tuple[LayerCentralityMatrix, ...], weights) -> LayerCentralityMatrix:
+    """sum_t weights[t] * mats[t], the PageRank teleport terms folded into
+    one rank-one term (coefficient 1, vector sum_t weights[t] c_t u_t)."""
+    pairs = tuple(zip(weights, mats))
+    teleports = [w * m.teleport_coeff * m.teleport for w, m in pairs if m.teleport_coeff]
+    return LayerCentralityMatrix(
+        n=mats[0].n, kind=mats[0].kind, sparse=sum(w * m.sparse for w, m in pairs),
+        teleport_coeff=1.0 if teleports else 0.0, teleport=sum(teleports) if teleports else None,
+    )
+
+
+def _max_abs_entry(mat: LayerCentralityMatrix) -> float:
+    """Largest |entry| of ``mat`` in O(nnz + N): every stored entry plus its
+    row's rank-one term, and that term alone in rows with a structural zero.
+    Needs duplicate-free CSR, as built layer matrices and their sums are."""
+    row_term = mat.teleport_coeff * mat.teleport if mat.teleport_coeff else np.zeros(mat.n)
+    counts = np.diff(mat.sparse.indptr)
+    stored = np.abs(mat.sparse.data + np.repeat(row_term, counts))
+    return float(max(stored.max(initial=0.0), np.abs(row_term[counts < mat.n]).max(initial=0.0)))
 
 
 def layer_eigendata(
@@ -179,36 +241,21 @@ def layer_eigendata(
 ) -> LayerEigendata:
     """Dominant right/left eigenpair of every layer's centrality matrix.
 
-    Uses the shifted power iteration that accepts the coupled engine's
-    solves.  Non-irreducible layers are flagged rather than rejected.  With
-    ``check_gap``, a reducible layer whose two largest strong component
-    radii (plus the shift) lie within LAYER_GAP_FLOOR raises
-    DegenerateLayerEigenvalueError before its power iteration (by
-    Perron-Frobenius and Rothblum 1975).  Near-degeneracy inside one
-    irreducible block is not caught: it shows up as slow convergence.
+    Each layer goes through ``_perron_pairs``, the structural gap guard
+    (with ``check_gap``) and the shifted power iteration that accepts the
+    coupled engine's solves.  Non-irreducible layers are flagged rather
+    than rejected.  Near-degeneracy inside one irreducible block is not
+    caught: it shows up as slow convergence.
     """
-    layer_matrices = tuple(build_centrality_matrix(g, kind) for g in net.layers)
-    flags, pairs = [], []
-    for t, mat in enumerate(layer_matrices):
-        count, labels = layer_sum_components((mat,))
-        flags.append(count == 1)
-        try:
-            if check_gap and count > 1:
-                second, top = np.sort(_block_radii(mat, count, labels, tol, max_iter))[-2:]
-                shift = default_shift(mat.max_row_sum())
-                if second + shift >= (1.0 - LAYER_GAP_FLOOR) * (top + shift):
-                    raise DegenerateLayerEigenvalueError(t + 1, top, second)
-            pairs.append(_left_right_pairs(
-                mat.apply, mat.apply_transpose, mat.n, mat.max_row_sum(), tol, max_iter
-            ))
-        except NonConvergenceError as err:
-            context = f"layer {t + 1}: {err.context}" if err.context else f"layer {t + 1}"
-            raise NonConvergenceError(err.iterations, err.residual, context) from err
+    solved = [
+        _perron_pairs(build_centrality_matrix(g, kind), f"layer {t + 1}", tol, max_iter, check_gap)
+        for t, g in enumerate(net.layers)
+    ]
     return LayerEigendata(
-        spectral_radii=np.array([r.eigenvalue for r, _ in pairs]),
-        right=np.array([r.vector for r, _ in pairs]),
-        left=np.array([res_l.vector for _, res_l in pairs]),
-        irreducible=tuple(flags),
+        spectral_radii=np.array([right.eigenvalue for _, right, _ in solved]),
+        right=np.array([right.vector for _, right, _ in solved]),
+        left=np.array([left.vector for _, _, left in solved]),
+        irreducible=tuple(flag for flag, _, _ in solved),
     )
 
 
@@ -252,7 +299,7 @@ def weak_limit(
         u_a = data.left[ta]
         denom = float(u_a @ data.right[ta])
         if denom <= 0:
-            raise DegenerateLayerEigenvalueError(int(ta) + 1, radii[ta], radii[ta])
+            raise DegenerateLayerEigenvalueError(f"layer {int(ta) + 1}", radii[ta], radii[ta])
         for b, tb in enumerate(dominating):
             X[a, b] = atil[ta, tb] * float(u_a @ data.right[tb]) / denom
     if not strongly_connected(X):
@@ -261,11 +308,7 @@ def weak_limit(
             "is not strongly connected; the limit mixing weights are not unique"
         )
 
-    res_r, res_l = _left_right_pairs(
-        lambda z: X @ z, lambda z: X.T @ z, m, float(np.max(X @ np.ones(m))), tol, max_iter
-    )
-    alpha = res_r.vector
-    beta = res_l.vector
+    _, lambda1, alpha, beta = _dense_perron(X)
 
     W = np.zeros((net.n_nodes, net.n_layers))
     for a, ta in enumerate(dominating):
@@ -274,7 +317,7 @@ def weak_limit(
     tableau = tableau_from_vector(vector, net.n_nodes, net.n_layers, lam0, 0.0)
     return WeakLimitResult(
         dominating_set=tset,
-        lambda1=res_r.eigenvalue,
+        lambda1=lambda1,
         alpha=alpha,
         beta=beta,
         X=X,
@@ -283,23 +326,22 @@ def weak_limit(
     )
 
 
-def _interlayer_eigendata(
-    atil: np.ndarray, tol: float, max_iter: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    dim = atil.shape[0]
-    eigs = np.linalg.eigvals(atil)
-    mu1_dense = float(eigs.real.max())
-    near = np.abs(eigs - mu1_dense) <= INTERLAYER_GAP_FLOOR * max(abs(mu1_dense), 1.0)
+def _interlayer_weights(atil: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Dominant eigenvalue mu1 (required simple) and right/left eigenvectors
+    of the interlayer matrix, and the aggregation weights u_t v_t / <u, v>."""
+    eigs, mu1, v, u = _dense_perron(atil)
+    near = np.abs(eigs - mu1) <= INTERLAYER_GAP_FLOOR * max(abs(mu1), 1.0)
     if int(near.sum()) > 1:
         raise DegenerateInterlayerEigenvalueError(
-            f"top interlayer eigenvalue {mu1_dense:.6g} has multiplicity "
+            f"top interlayer eigenvalue {mu1:.6g} has multiplicity "
             f"{int(near.sum())} within relative tolerance {INTERLAYER_GAP_FLOOR}"
         )
-    row_max = float(np.abs(atil).sum(axis=1).max())
-    res_r, res_l = _left_right_pairs(
-        lambda z: atil @ z, lambda z: atil.T @ z, dim, row_max, tol, max_iter
-    )
-    return res_r.eigenvalue, res_r.vector, res_l.vector
+    denom = float(u @ v)
+    if denom <= 0:
+        raise DegenerateInterlayerEigenvalueError(
+            "left/right interlayer eigenvectors are orthogonal; limit undefined"
+        )
+    return mu1, v, u, u * v / denom
 
 
 def strong_limit(
@@ -311,67 +353,29 @@ def strong_limit(
     """Limit of the dominant eigenvector as the coupling strength tends to infinity.
 
     After rescaling by 1/omega the coupled operator tends to the interlayer
-    coupling alone, whose dominant eigenvalue mu1 (required simple) the
-    rescaled eigenvalue approaches.  Node weights alpha_tilde solve the
-    dominant eigenproblem of the aggregate matrix
+    coupling alone, whose dominant eigenvalue mu1 (required simple, from one
+    dense ``eig``) the rescaled eigenvalue approaches.  Node weights
+    alpha_tilde solve the dominant eigenproblem of the aggregate matrix
     X_tilde = sum_t layer_t * v_tilde[t] * u_tilde[t] / <u_tilde, v_tilde>,
-    formed as a weighted entrywise sum of the sparse layer matrices.  The
-    aggregate's own dominant eigenvalue is reported alongside mu1: the two
-    live on different scales of the original problem.
+    a LayerCentralityMatrix that passes a layer's gap guard (the error names
+    the strong-limit aggregate).  Its own dominant eigenvalue is reported
+    alongside mu1: the two live on different scales of the original problem.
     """
     net = problem.network
-    mu1, v_tilde, u_tilde = _interlayer_eigendata(
-        problem.interlayer.values, tol, max_iter
-    )
-    denom = float(u_tilde @ v_tilde)
-    if denom <= 0:
-        raise DegenerateInterlayerEigenvalueError(
-            "left/right interlayer eigenvectors are orthogonal; limit undefined"
-        )
-    weights = u_tilde * v_tilde / denom
-
+    mu1, v_tilde, u_tilde, weights = _interlayer_weights(problem.interlayer.values)
     mats = tuple(build_centrality_matrix(g, problem.kind) for g in net.layers)
-    n = net.n_nodes
-    sparse_sum = sum(w * m.sparse for w, m in zip(weights, mats))
-    rank_ones = [
-        (m.teleport_coeff * w, m.teleport)
-        for w, m in zip(weights, mats)
-        if m.teleport_coeff > 0
-    ]
+    aggregate = _weighted_sum(mats, weights)
+    _, res_r, res_l = _perron_pairs(aggregate, "strong-limit aggregate", tol, max_iter, True)
 
-    def xt_apply(z: np.ndarray) -> np.ndarray:
-        y = sparse_sum @ z
-        for coeff, u in rank_ones:
-            y = y + (coeff * float(z.sum())) * u
-        return y
-
-    def xt_apply_t(z: np.ndarray) -> np.ndarray:
-        y = sparse_sum.T @ z
-        for coeff, u in rank_ones:
-            y = y + coeff * float(u @ z)
-        return y
-
-    row_max = float(np.max(xt_apply(np.ones(n))))
-    res_r, res_l = _left_right_pairs(xt_apply, xt_apply_t, n, row_max, tol, max_iter)
-    alpha_tilde = res_r.vector
-    beta_tilde = res_l.vector
-
-    x_dense = sparse_sum.toarray()
-    for coeff, u in rank_ones:
-        x_dense = x_dense + coeff * np.outer(u, np.ones(n))
-
-    W = np.outer(alpha_tilde, v_tilde)
-    vector = W.flatten(order="F")
-    tableau = tableau_from_vector(
-        vector, net.n_nodes, net.n_layers, mu1, float("inf")
-    )
+    vector = np.outer(res_r.vector, v_tilde).flatten(order="F")
+    tableau = tableau_from_vector(vector, net.n_nodes, net.n_layers, mu1, float("inf"))
     return StrongLimitResult(
         mu1=mu1,
         v_tilde=v_tilde,
         u_tilde=u_tilde,
-        X_tilde=x_dense,
-        alpha_tilde=alpha_tilde,
-        beta_tilde=beta_tilde,
+        aggregate=aggregate,
+        alpha_tilde=res_r.vector,
+        beta_tilde=res_l.vector,
         x_eigenvalue=res_r.eigenvalue,
         tableau=tableau,
     )
@@ -420,25 +424,23 @@ def _detect_shape(atil: np.ndarray) -> tuple[str, np.ndarray | None]:
     raise NotApplicableError("interlayer matrix matches no special closed-form shape")
 
 
-def corollary_crosscheck(
-    problem: SupraProblem,
-    result: StrongLimitResult | None = None,
-) -> CorollaryCheck:
+def corollary_crosscheck(problem: SupraProblem) -> CorollaryCheck:
     """Evaluate the applicable closed form and compare with the general path.
 
     Chain coupling: dominant eigenvalue 2 cos(pi / (T + 1)) and aggregation
     weights proportional to sin^2(pi t / (T + 1)).  All-ones coupling: the
     aggregate matrix is the plain layer mean.  Unit-norm rank-one coupling
     w w^T: eigenvalue 1 and weights w_t^2.  Raises NotApplicableError for
-    any other interlayer matrix, before anything is solved.  ``result`` is
-    the strong limit of ``problem`` when the caller already has it; it is
-    computed otherwise.
+    any other interlayer matrix, before anything is solved.  The general
+    path is the strong limit's interlayer eigensolve; the aggregate itself
+    is never solved.  ``x_max_discrepancy`` is the largest |entry| of
+    sum_t (w_t - w'_t) * layer_t (general minus closed-form weights), read
+    off the stored entries and rank-one terms in O(nnz + N).
     """
     atil = problem.interlayer.values
     dim = atil.shape[0]
     shape, w = _detect_shape(atil)
-    if result is None:
-        result = strong_limit(problem)
+    mu1, _, _, weights_general = _interlayer_weights(atil)
 
     t_idx = np.arange(1, dim + 1)
     if shape == "chain":
@@ -453,15 +455,11 @@ def corollary_crosscheck(
         weights = w * w
 
     mats = tuple(build_centrality_matrix(g, problem.kind) for g in problem.network.layers)
-    x_formula = np.zeros((problem.network.n_nodes, problem.network.n_nodes))
-    for wt, m in zip(weights, mats):
-        x_formula += wt * m.to_dense()
-
     return CorollaryCheck(
         shape=shape,
-        mu1_computed=result.mu1,
+        mu1_computed=mu1,
         mu1_closed_form=mu_formula,
-        mu1_discrepancy=abs(result.mu1 - mu_formula),
-        x_max_discrepancy=float(np.abs(result.X_tilde - x_formula).max()),
+        mu1_discrepancy=abs(mu1 - mu_formula),
+        x_max_discrepancy=_max_abs_entry(_weighted_sum(mats, weights_general - weights)),
         weights_closed_form=weights,
     )

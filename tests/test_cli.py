@@ -352,6 +352,37 @@ def test_limit_weak_skips_strong_solve_without_special_shape(tmp_path, monkeypat
     assert payload["corollary_check"] is None
 
 
+def test_limit_weak_corollary_check_skips_strong_solve(six_layer_net, tmp_path, monkeypatch):
+    from supracentrality import limits
+
+    def no_strong_solve(*args, **kwargs):
+        raise AssertionError("strong limit solved for a weak-limit command")
+
+    monkeypatch.setattr(limits, "strong_limit", no_strong_solve)
+    out = tmp_path / "weak.json"
+    code = dispatch(
+        ["limit", "--which", "weak", "--network", str(six_layer_net),
+         "--kind", "eigenvector", "--interlayer", "chain", "--out", str(out)]
+    )
+    assert code == 0
+    check = json.loads(out.read_text(encoding="utf-8"))["corollary_check"]
+    assert check["shape"] == "chain"
+    assert check["mu1_discrepancy"] <= 1e-10 and check["x_max_discrepancy"] <= 1e-12
+
+
+def test_limit_strong_degenerate_aggregate_exits_2(tmp_path, capsys):
+    # a nilpotent aggregate used to spend the whole iteration budget and exit 3
+    dag = tmp_path / "dag.edges"
+    dag.write_text("1 1 2 1\n", encoding="utf-8")
+    code = dispatch(
+        ["limit", "--which", "strong", "--network", str(dag), "--kind", "eigenvector",
+         "--interlayer", "alltoall", "--out", str(tmp_path / "limit.json")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: strong-limit aggregate: ") and err.count("\n") == 1
+
+
 def test_csv_outputs_quote_labels_with_commas_and_quotes(six_layer_net, tmp_path):
     node_labels = [f'Smith, J. "{i}"' for i in range(1, 5)]
     layer_labels = [f'layer "{t}", x' for t in range(1, 7)]

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from supracentrality import (
     DegenerateInterlayerEigenvalueError,
@@ -9,6 +11,7 @@ from supracentrality import (
     Eigenvector,
     InterlayerMatrix,
     LayerGraph,
+    LimitPreconditionError,
     MultiplexNetwork,
     NotApplicableError,
     PageRank,
@@ -21,6 +24,8 @@ from supracentrality import (
     tableau_from_vector,
     weak_limit,
 )
+from supracentrality import limits
+from supracentrality.centrality import LayerCentralityMatrix, build_centrality_matrix
 from supracentrality.interlayer import all_to_all, chain_undirected
 
 from _oracles import (
@@ -80,12 +85,12 @@ def _undirected(n, edges):
 @pytest.mark.parametrize(
     "layer",
     [
-        # n < 4 takes the dense spectrum: two self-loops give eigenvalue 1 twice
+        # single-node blocks: two self-loops, block radii 1 and 1 (and 0)
         LayerGraph(3, ((1, 1, 1.0), (2, 2, 1.0), (3, 1, 0.5))),
-        # ARPACK: two disjoint triangles give eigenvalue 2 twice
+        # two disjoint triangles: two blocks of radius 2, each from a block solve
         _undirected(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]),
     ],
-    ids=["dense", "arpack"],
+    ids=["tied_single_node_blocks", "tied_triangle_blocks"],
 )
 def test_layer_gap_guard_rejects_repeated_dominant_eigenvalue(layer):
     net = MultiplexNetwork(layer.n_nodes, (layer,))
@@ -262,3 +267,85 @@ def test_corollary_not_applicable_for_generic_coupling():
     net, _ = random_instance(20, kind=Eigenvector(), t_lo=2, t_hi=2)
     with pytest.raises(NotApplicableError):
         corollary_crosscheck(_problem(net, InterlayerMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))))
+
+
+@pytest.mark.parametrize("budget", [{}, {"max_iter": 1}], ids=["default_budget", "max_iter_1"])
+def test_strong_limit_rejects_degenerate_aggregate_before_iterating(budget):
+    # the aggregate of one DAG layer is nilpotent: eigenvalue 0, twice
+    net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0),)),))
+    problem = _problem(net, all_to_all(1))
+    with pytest.raises(LimitPreconditionError) as err:
+        strong_limit(problem, **budget)
+    assert str(err.value) == (
+        "strong-limit aggregate: dominant eigenvalue 0 is not well separated "
+        "(second magnitude 0)"
+    )
+    with pytest.raises(DegenerateLayerEigenvalueError) as err:
+        weak_limit(problem, **budget)
+    assert str(err.value) == (
+        "layer 1: dominant eigenvalue 0 is not well separated (second magnitude 0)"
+    )
+
+
+def _ring(n, step):
+    return LayerGraph(n, tuple((i, (i - 1 + step) % n + 1, 1.0) for i in range(1, n + 1)))
+
+
+def test_strong_limit_and_corollary_memory_is_linear_in_n():
+    # one dense 5000 x 5000 float array alone would take 200 MB
+    n = 5000
+    problem = _problem(MultiplexNetwork(n, (_ring(n, 1), _ring(n, 2))), chain_undirected(2))
+    tracemalloc.start()
+    try:
+        res = strong_limit(problem)
+        check = corollary_crosscheck(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert res.x_eigenvalue == pytest.approx(1.0, abs=1e-12)
+    assert check.shape == "chain" and check.x_max_discrepancy <= 1e-12
+
+
+SHAPES = {
+    "chain": chain_undirected(3),
+    "all_to_all": all_to_all(3),
+    "rank_one": InterlayerMatrix(np.outer([2.0, 1.0, 2.0], [2.0, 1.0, 2.0]) / 9.0),
+}
+
+
+@pytest.mark.parametrize("kind", [Eigenvector(), PageRank()], ids=["eigenvector", "pagerank"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_corollary_x_discrepancy_matches_dense_difference(kind, shape):
+    net, _ = random_instance(21, kind=kind, t_lo=3, t_hi=3)
+    problem = _problem(net, SHAPES[shape], kind=kind)
+    res = strong_limit(problem)
+    check = corollary_crosscheck(problem)
+    assert check.shape == shape
+    dense = np.abs(res.X_tilde - sum(
+        float(w) * dense_layer_matrix(g, kind)
+        for w, g in zip(check.weights_closed_form, net.layers)
+    )).max()
+    assert abs(check.x_max_discrepancy - dense) <= 1e-13 * np.abs(res.X_tilde).max()
+
+
+@pytest.mark.parametrize("kind", [Eigenvector(), PageRank(sigma=0.2)], ids=["eigenvector", "pagerank"])
+@pytest.mark.parametrize("seed", range(6))
+def test_max_abs_entry_of_signed_weighted_sum_matches_dense(kind, seed):
+    # signed weights: stored entries and rank-one terms can cancel, so the
+    # largest |entry| may sit at a structural zero of the sparse part
+    net, _ = random_instance(30 + seed, kind=kind, t_lo=3, t_hi=3)
+    weights = np.random.default_rng(seed).uniform(-1.0, 1.0, net.n_layers)
+    mats = tuple(build_centrality_matrix(g, kind) for g in net.layers)
+    dense = sum(float(w) * dense_layer_matrix(g, kind) for w, g in zip(weights, net.layers))
+    got = limits._max_abs_entry(limits._weighted_sum(mats, weights))
+    assert got == pytest.approx(np.abs(dense).max(), rel=1e-13)
+
+
+def test_max_abs_entry_reads_rank_one_term_at_structural_zeros():
+    # row 1: stored -0.5 + 0.4 = -0.1, structural zero 0.4; row 2 is empty
+    mat = LayerCentralityMatrix(
+        n=2, kind=PageRank(), sparse=sparse.csr_matrix(np.array([[-0.5, 0.0], [0.0, 0.0]])),
+        teleport_coeff=1.0, teleport=np.array([0.4, 0.0]),
+    )
+    assert limits._max_abs_entry(mat) == np.abs(mat.to_dense()).max() == 0.4
