@@ -32,7 +32,8 @@ from .engine import EigenpairResult
 from .graph import PreconditionReport
 from .interlayer import from_triplets
 from .sweeps import SweepResult
-from .types import CentralityTableau, InterlayerMatrix, LayerGraph, MultiplexNetwork, validate_network
+from .types import (CentralityTableau, InterlayerMatrix, LayerGraph, MultiplexNetwork,
+                    in_lex_order, validate_network)
 
 __all__ = [
     "ParseError",
@@ -124,15 +125,15 @@ def load_labels(path, count: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _scan_edges(path) -> tuple[dict[int, list[tuple[int, int, float]]], int]:
-    """Line-by-line parse: ``({layer: [(i, j, weight), ...]}, largest node index)``.
+def _scan_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Line-by-line parse: flat (layer, i, j, weight) arrays sorted by
+    (layer, i, j).
 
     This is the reference reading of an edge list and the only source of
     :class:`ParseError` for it.
     """
-    edges: dict[int, list[tuple[int, int, float]]] = {}
+    edges: list[tuple[int, int, int, float]] = []
     seen: dict[tuple[int, int, int], int] = {}
-    max_node = 0
     for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) not in (3, 4):
@@ -153,17 +154,20 @@ def _scan_edges(path) -> tuple[dict[int, list[tuple[int, int, float]]], int]:
                 raise ParseError(path, lineno, f"non-finite weight {parts[3]!r}")
         if layer < 1 or i < 1 or j < 1:
             raise ParseError(path, lineno, "indices must be 1-based positive integers")
+        if max(layer, i, j) >= 2**63:
+            raise ParseError(path, lineno, f"index above the int64 limit {2**63 - 1}")
         key = (layer, i, j)
         if key in seen:
             raise ParseError(
                 path, lineno, f"duplicate edge {key} (first seen on line {seen[key]})"
             )
         seen[key] = lineno
-        edges.setdefault(layer, []).append((i, j, weight))
-        max_node = max(max_node, i, j)
+        edges.append((layer, i, j, weight))
     if not edges:
         raise ParseError(path, 0, "file contains no edges")
-    return edges, max_node
+    edges.sort()
+    *indices, weights = zip(*edges)
+    return (*(np.array(index, dtype=np.int64) for index in indices), np.array(weights))
 
 
 # bytes a clean edge list holds outside its comment lines
@@ -172,15 +176,9 @@ _COMMENT_LINE = re.compile(rb"^[ \t]*#[^\r\n]*", re.MULTILINE)
 _FIRST_LINE = re.compile(rb"\S[^\n]*")
 
 
-def _increasing(layer: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
-    """Whether the (layer, i, j) rows are strictly increasing."""
-    dl, di, dj = np.diff(layer), np.diff(i), np.diff(j)
-    return bool(np.all((dl > 0) | ((dl == 0) & ((di > 0) | ((di == 0) & (dj > 0))))))
-
-
 def _parse_edges_whole(path):
-    """Whole-file numpy parse with the result of :func:`_scan_edges` (edges
-    in sorted order), or None where the file is not provably clean.
+    """Whole-file numpy parse with the result of :func:`_scan_edges`, or
+    None where the file is not provably clean.
 
     It accepts a strict subset of what the line scan accepts: valid UTF-8,
     only number bytes outside full-line comments, LF or CRLF line ends (a
@@ -199,9 +197,8 @@ def _parse_edges_whole(path):
     if body.translate(None, _EDGE_BYTES):
         return None
     first = _FIRST_LINE.search(body)
-    if first is None:
-        return None
-    columns = len(first.group().split())
+    columns = len(first.group().split()) if first else 0
+    del data, first  # the match refers to the file bytes too; body goes after loadtxt
     if columns not in (3, 4):
         return None
     fields = [("layer", np.int64), ("i", np.int64), ("j", np.int64), ("w", np.float64)]
@@ -211,20 +208,17 @@ def _parse_edges_whole(path):
             rows = np.loadtxt(io.BytesIO(body), dtype=fields[:columns], comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
+    del body
     layer, i, j = rows["layer"], rows["i"], rows["j"]
     w = rows["w"] if columns == 4 else np.ones(rows.size)
     if min(layer.min(), i.min(), j.min()) < 1 or not np.isfinite(w).all():
         return None
-    order = np.lexsort((j, i, layer))
-    layer, i, j, w = layer[order], i[order], j[order], w[order]
-    if not _increasing(layer, i, j):  # a duplicate key
-        return None
-    bounds = [0, *(np.flatnonzero(np.diff(layer)) + 1).tolist(), rows.size]
-    edges = {
-        int(layer[lo]): list(zip(i[lo:hi].tolist(), j[lo:hi].tolist(), w[lo:hi].tolist()))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    }
-    return edges, int(max(i.max(), j.max()))
+    if not in_lex_order(layer, i, j, strict=True):
+        order = np.lexsort((j, i, layer))
+        layer, i, j, w = layer[order], i[order], j[order], w[order]
+        if not in_lex_order(layer, i, j, strict=True):
+            return None  # a duplicate key
+    return layer, i, j, w
 
 
 def load_multiplex(
@@ -244,20 +238,22 @@ def load_multiplex(
     not already 1..T.
     """
     parsed = _parse_edges_whole(path)
-    edges, max_node = parsed if parsed is not None else _scan_edges(path)
-    layer_ids = sorted(edges)
+    layer, i, j, w = parsed if parsed is not None else _scan_edges(path)
+    starts = np.flatnonzero(np.diff(layer, prepend=0))
+    layer_ids = layer[starts].tolist()
     if layer_ids != list(range(1, len(layer_ids) + 1)):
         mapping = {old: new for new, old in enumerate(layer_ids, start=1)}
         log.warning("re-indexed non-contiguous layers: %s", mapping)
-    count = n_nodes if n_nodes is not None else max_node
+    count = n_nodes if n_nodes is not None else int(max(i.max(), j.max()))
 
     node_labels = load_labels(node_labels_path, count) if node_labels_path else None
     layer_labels = (
         load_labels(layer_labels_path, len(layer_ids)) if layer_labels_path else None
     )
+    per_layer = zip(*(np.split(a, starts[1:]) for a in (i, j, w)))
     net = MultiplexNetwork(
         n_nodes=count,
-        layers=tuple(LayerGraph(count, tuple(edges[t])) for t in layer_ids),
+        layers=tuple(LayerGraph.from_arrays(count, *arrays) for arrays in per_layer),
         node_labels=node_labels,
         layer_labels=layer_labels,
     )
@@ -300,15 +296,9 @@ def write_tableau_csv(tableau: CentralityTableau, net: MultiplexNetwork, path) -
 def read_tableau_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Inverse of :func:`write_tableau_csv`: (node labels, layer labels, W)."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        layer_labels = header[1:]
-        node_labels = []
-        rows = []
-        for row in reader:
-            node_labels.append(row[0])
-            rows.append([float(v) for v in row[1:]])
-    return node_labels, layer_labels, np.array(rows)
+        header, *rows = csv.reader(fh)
+    values = np.array([[float(v) for v in row[1:]] for row in rows])
+    return [row[0] for row in rows], header[1:], values
 
 
 def write_summary_json(
@@ -343,19 +333,12 @@ def write_sweep_csv(result: SweepResult, net: MultiplexNetwork, path) -> None:
     header = ["omega", "lambda_max", "w_sensitivity", "z_sensitivity"]
     header += [f"mlc_{net.layer_label(t)}" for t in range(1, net.n_layers + 1)]
     header += [f"mnc_{net.node_label(i)}" for i in range(1, net.n_nodes + 1)]
+    nan = float("nan")
+    failed = [nan] * (1 + net.n_layers + net.n_nodes)  # lambda_max and the marginals
     rows = []
-    for s, omega in enumerate(result.grid.values):
-        tab = result.tableaus[s]
-        w_s = result.w_sensitivity[s - 1] if s >= 1 else float("nan")
-        z_s = result.z_sensitivity[s - 1] if s >= 1 else float("nan")
-        row = [fmt(omega)]
-        if tab is None:
-            nan = float("nan")
-            row += [fmt(nan), fmt(w_s), fmt(z_s)]
-            row += [fmt(nan)] * (net.n_layers + net.n_nodes)
-        else:
-            row += [fmt(tab.lambda_max), fmt(w_s), fmt(z_s)]
-            row += [fmt(v) for v in tab.mlc]
-            row += [fmt(v) for v in tab.mnc]
-        rows.append(row)
+    for s, (omega, tab) in enumerate(zip(result.grid.values, result.tableaus)):
+        w_s = result.w_sensitivity[s - 1] if s >= 1 else nan
+        z_s = result.z_sensitivity[s - 1] if s >= 1 else nan
+        lam, *marginals = failed if tab is None else [tab.lambda_max, *tab.mlc, *tab.mnc]
+        rows.append([fmt(v) for v in (omega, lam, w_s, z_s, *marginals)])
     write_csv(path, header, rows)

@@ -153,13 +153,10 @@ def k_path_counts(graph: LayerGraph, k: int) -> np.ndarray:
 
 
 def aggregate_layers(net: MultiplexNetwork) -> LayerGraph:
-    """Entrywise sum of all layer adjacency matrices, as a single layer."""
-    acc: dict[tuple[int, int], float] = {}
-    for layer in net.layers:
-        for i, j, w in layer.entries:
-            acc[(i, j)] = acc.get((i, j), 0.0) + w
-    entries = tuple((i, j, w) for (i, j), w in sorted(acc.items()))
-    return LayerGraph(n_nodes=net.n_nodes, entries=entries)
+    """Entrywise sum of all layer adjacency matrices, as a single layer
+    (a pair whose weights cancel to zero is not stored)."""
+    total = sum((layer.csr for layer in net.layers), sparse.csr_matrix((net.n_nodes,) * 2)).tocoo()
+    return LayerGraph.from_arrays(net.n_nodes, total.row + 1, total.col + 1, total.data)
 
 
 def pearson(x, y) -> float:

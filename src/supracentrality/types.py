@@ -3,7 +3,10 @@
 Node and layer indices are 1-based wherever a user sees them (edge lists,
 labels, CLI flags, violation reports); array positions are 0-based
 internally.  All types are immutable after construction and safe to share
-across concurrent computations.
+across concurrent computations.  A :class:`LayerGraph` holds its edges as
+sorted, read-only index and weight arrays; parsing, validation,
+aggregation and the CSR matrix all work on those arrays, and the tuple
+view ``entries`` is built only when asked for.
 """
 from __future__ import annotations
 
@@ -31,34 +34,79 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def in_lex_order(*keys: np.ndarray, strict: bool = False) -> bool:
+    """Whether the rows of equal-length key arrays (most significant first)
+    are in lexicographic order; ``strict`` also rules out repeated rows."""
+    *major, last = keys
+    ordered = last[:-1] < last[1:] if strict else last[:-1] <= last[1:]
+    for key in reversed(major):
+        ordered = (key[:-1] < key[1:]) | (key[:-1] == key[1:]) & ordered
+    return bool(ordered.all())
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LayerGraph:
     """One network layer: a weighted directed graph on nodes 1..n_nodes.
 
-    ``entries`` holds (i, j, weight) triples with 1-based node indices,
-    normalized to sorted row-major order at construction.  Construction is
-    permissive; run :func:`validate_network` on the enclosing network to get
-    a violation report before feeding it into numerical code.
+    ``rows`` and ``cols`` (int64, 1-based node indices) and ``weights``
+    (float64) are read-only arrays in sorted (i, j, weight) order.
+    ``LayerGraph(n, triples)`` takes (i, j, weight) triples and
+    :meth:`from_arrays` the three arrays; ``entries`` is the edges as a
+    tuple of triples, built on first access.  Two layers are equal when
+    their node counts and arrays are.  Construction is permissive; run
+    :func:`validate_network` on the enclosing network to get a violation
+    report before feeding it into numerical code.
     """
 
     n_nodes: int
-    entries: tuple[tuple[int, int, float], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        norm = tuple(sorted((int(i), int(j), float(w)) for i, j, w in self.entries))
-        object.__setattr__(self, "n_nodes", int(self.n_nodes))
-        object.__setattr__(self, "entries", norm)
+    def __init__(self, n_nodes: int, entries):
+        triples = [(int(i), int(j), float(w)) for i, j, w in entries]
+        self._set_arrays(n_nodes, *(zip(*triples) if triples else ((), (), ())))
+
+    @classmethod
+    def from_arrays(cls, n_nodes: int, rows, cols, weights) -> LayerGraph:
+        """A layer from 1-based index arrays and weights in any order (copied)."""
+        graph = cls.__new__(cls)
+        graph._set_arrays(n_nodes, rows, cols, weights)
+        return graph
+
+    def _set_arrays(self, n_nodes, rows, cols, weights) -> None:
+        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        weights = np.array(weights, dtype=np.float64)
+        if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
+            raise ValueError("rows, cols and weights must be 1-D arrays of equal length")
+        if not in_lex_order(rows, cols, weights):
+            order = np.lexsort((weights, cols, rows))
+            rows, cols, weights = rows[order], cols[order], weights[order]
+        object.__setattr__(self, "n_nodes", int(n_nodes))
+        for name, values in (("rows", rows), ("cols", cols), ("weights", weights)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as sorted (i, j, weight) tuples of Python numbers."""
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, LayerGraph):
+            return NotImplemented
+        return self is other or self.n_nodes == other.n_nodes and all(
+            map(np.array_equal, (self.rows, self.cols, self.weights),
+                (other.rows, other.cols, other.weights)))
+
+    def __hash__(self):  # equal layers have equal index arrays
+        return hash((self.n_nodes, self.rows.tobytes(), self.cols.tobytes()))
 
     @cached_property
     def csr(self) -> sparse.csr_matrix:
         """Adjacency matrix as CSR.  Requires in-range, duplicate-free entries."""
         n = self.n_nodes
-        if not self.entries:
-            return sparse.csr_matrix((n, n))
-        rows = np.fromiter((e[0] - 1 for e in self.entries), dtype=np.int64)
-        cols = np.fromiter((e[1] - 1 for e in self.entries), dtype=np.int64)
-        vals = np.fromiter((e[2] for e in self.entries), dtype=np.float64)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return sparse.csr_matrix((self.weights, (self.rows - 1, self.cols - 1)), shape=(n, n))
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -108,7 +156,8 @@ def validate_network(net: MultiplexNetwork) -> list[str]:
 
     Reported violations: layer size mismatch, index out of range, negative,
     zero or non-finite stored weights, duplicate (i, j) pairs, label-count
-    mismatch.
+    mismatch.  Edge checks are array masks; only offending edges are
+    visited, in sorted order, each reported in that order.
     """
     problems: list[str] = []
     if net.n_nodes < 1:
@@ -128,9 +177,15 @@ def validate_network(net: MultiplexNetwork) -> list[str]:
             problems.append(
                 f"layer {t}: has {layer.n_nodes} nodes, network declares {net.n_nodes}"
             )
-        seen: set[tuple[int, int]] = set()
-        for i, j, w in layer.entries:
-            if not (1 <= i <= net.n_nodes and 1 <= j <= net.n_nodes):
+        rows, cols, weights = layer.rows, layer.cols, layer.weights
+        out_of_range = (np.minimum(rows, cols) < 1) | (np.maximum(rows, cols) > net.n_nodes)
+        # sorted by (i, j), so a repeated pair sits next to its first copy
+        duplicate = np.zeros(rows.size, dtype=bool)
+        duplicate[1:] = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        bad = out_of_range | duplicate | ~(weights > 0) | np.isinf(weights)
+        for k in np.flatnonzero(bad).tolist():
+            i, j, w = int(rows[k]), int(cols[k]), float(weights[k])
+            if out_of_range[k]:
                 problems.append(f"layer {t}: edge ({i}, {j}) index out of range")
             if not math.isfinite(w):
                 problems.append(f"layer {t}: edge ({i}, {j}) has non-finite weight {w}")
@@ -138,9 +193,8 @@ def validate_network(net: MultiplexNetwork) -> list[str]:
                 problems.append(f"layer {t}: edge ({i}, {j}) has negative weight {w}")
             elif w == 0:
                 problems.append(f"layer {t}: edge ({i}, {j}) stores zero weight")
-            if (i, j) in seen:
+            if duplicate[k]:
                 problems.append(f"layer {t}: duplicate edge ({i}, {j})")
-            seen.add((i, j))
     return problems
 
 
@@ -301,21 +355,15 @@ class CentralityTableau:
             raise ValueError("marginal layer centralities disagree with column sums")
         if np.abs(self.W.sum(axis=1) - self.x_hat).max() > atol:
             raise ValueError("marginal node centralities disagree with row sums")
-        zero_l = set(self.zero_mass_layers)
-        for tt in range(t):
-            col = self.Z[:, tt]
-            if tt + 1 in zero_l:
-                if not np.all(np.isnan(col)):
-                    raise ValueError(f"layer {tt + 1} flagged zero-mass but Z is not NaN")
-                continue
-            if abs(float(col.sum()) - 1.0) > atol:
-                raise ValueError(f"conditional centralities of layer {tt + 1} do not sum to 1")
-        zero_n = set(self.zero_mass_nodes)
-        for ii in range(n):
-            row = self.Z_hat[ii, :]
-            if ii + 1 in zero_n:
-                if not np.all(np.isnan(row)):
-                    raise ValueError(f"node {ii + 1} flagged zero-mass but Z_hat is not NaN")
-                continue
-            if abs(float(row.sum()) - 1.0) > atol:
-                raise ValueError(f"conditional centralities of node {ii + 1} do not sum to 1")
+        for what, name, cond, axis, zero_mass in (
+                ("layer", "Z", self.Z, 0, self.zero_mass_layers),
+                ("node", "Z_hat", self.Z_hat, 1, self.zero_mass_nodes)):
+            flagged = np.isin(np.arange(1, cond.shape[1 - axis] + 1), zero_mass)
+            # an unflagged slice with a NaN sum compares False and passes
+            bad = np.where(flagged, ~np.isnan(cond).all(axis=axis),
+                           np.abs(cond.sum(axis=axis) - 1.0) > atol)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"{what} {k + 1} flagged zero-mass but {name} is not NaN"
+                                 if flagged[k] else
+                                 f"conditional centralities of {what} {k + 1} do not sum to 1")

@@ -434,3 +434,15 @@ def test_undecodable_input_names_file_and_line(tmp_path, capsys):
         assert dispatch(base + argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: {where} not valid UTF-8 (byte {byte})\n"
+
+
+@pytest.mark.parametrize("line", ["1 1 99999999999999999999", "99999999999999999999 1 2"])
+@pytest.mark.parametrize("nodes", [[], ["--nodes", "3"]])
+def test_index_beyond_int64_is_a_parse_error(tmp_path, capsys, line, nodes):
+    # Python's int takes these fields, but no int64 index array can hold them
+    path = tmp_path / "huge.edges"
+    path.write_text(f"1 2 1\n{line}\n", encoding="utf-8")
+    argv = ["check", "--network", str(path), "--interlayer", "alltoall",
+            "--kind", "eigenvector", *nodes]
+    assert dispatch(argv) == 2
+    assert f"{path}:2: index above the int64 limit" in capsys.readouterr().err

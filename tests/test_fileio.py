@@ -1,14 +1,19 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from supracentrality import (
+    Authority,
     Eigenvector,
+    Hub,
     LayerGraph,
     MultiplexNetwork,
+    PageRank,
     SupraOperator,
     SupraProblem,
+    build_centrality_matrix,
     check_preconditions,
     dominant_eigenpair,
     log_grid,
@@ -227,3 +232,41 @@ def test_clean_files_skip_the_line_scan(tmp_path, monkeypatch):
     assert net.n_nodes == 3 and net.n_layers == 2
     assert net.layers[0].entries == ((1, 3, 2.0), (3, 1, 0.5))
     assert net.layers[1].entries == ((1, 2, 0.1),)
+
+
+def _write_random_edges(path, n, m, layers=1, seed=5):
+    rng = np.random.default_rng(seed)
+    keys = rng.permutation(np.unique(rng.integers(0, layers * n * n, size=int(m * 1.1))))[:m]
+    t, i, j = keys // (n * n) + 1, keys // n % n + 1, keys % n + 1
+    w = rng.uniform(0.1, 2.0, size=m)
+    path.write_text("".join(f"{a} {b} {c} {d!r}\n" for a, b, c, d in
+                            zip(t.tolist(), i.tolist(), j.tolist(), w.tolist())))
+
+
+def test_load_multiplex_memory_is_linear_in_stored_edges(tmp_path):
+    # 100k edges are 2.4 MB as arrays; the bound leaves room for the file
+    # bytes and numpy's parse, not for a Python tuple per edge
+    path = tmp_path / "big.edges"
+    _write_random_edges(path, 20_000, 100_000)
+    tracemalloc.start()
+    try:
+        net = load_multiplex(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert net.layers[0].rows.size == 100_000
+
+
+def test_loading_and_building_matrices_makes_no_edge_tuples(tmp_path):
+    path = tmp_path / "net.edges"
+    _write_random_edges(path, 30, 400, layers=3)
+    for parse in (fileio._parse_edges_whole, lambda path: None):  # whole file, line scan
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_parse_edges_whole", parse)
+            net = load_multiplex(path, n_nodes=30)
+        for kind in (Eigenvector(), Hub(), Authority(), PageRank()):
+            for layer in net.layers:
+                build_centrality_matrix(layer, kind)
+        assert net.n_layers == 3 and sum(layer.rows.size for layer in net.layers) == 400
+        assert not any("entries" in vars(layer) for layer in net.layers)
