@@ -92,10 +92,7 @@ def build_eigenvector_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
     return LayerCentralityMatrix(n=graph.n_nodes, kind=Eigenvector(), sparse=graph.csr)
 
 
-def _product_matrix(n: int, kind: CentralityKind, product) -> LayerCentralityMatrix:
-    """A hub or authority product as a layer matrix with sorted indices."""
-    product = product.tocsr()
-    product.sort_indices()
+def _warn_if_dense(product: sparse.csr_matrix) -> None:
     if product.nnz > DENSE_PRODUCT_WARN_NNZ:
         warnings.warn(
             f"hub/authority product has {product.nnz} stored entries; "
@@ -103,17 +100,24 @@ def _product_matrix(n: int, kind: CentralityKind, product) -> LayerCentralityMat
             ResourceWarning,
             stacklevel=3,
         )
-    return LayerCentralityMatrix(n=n, kind=kind, sparse=product)
 
 
 def build_hub_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
     """Hub product A A^T (symmetric positive semidefinite)."""
-    return _product_matrix(graph.n_nodes, Hub(), graph.csr @ graph.csr.T)
+    a = graph.csr
+    product = (a @ a.T).tocsr()
+    product.sort_indices()
+    _warn_if_dense(product)
+    return LayerCentralityMatrix(n=graph.n_nodes, kind=Hub(), sparse=product)
 
 
 def build_authority_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
     """Authority product A^T A (symmetric positive semidefinite)."""
-    return _product_matrix(graph.n_nodes, Authority(), graph.csr.T @ graph.csr)
+    a = graph.csr
+    product = (a.T @ a).tocsr()
+    product.sort_indices()
+    _warn_if_dense(product)
+    return LayerCentralityMatrix(n=graph.n_nodes, kind=Authority(), sparse=product)
 
 
 def apply_dangling_policy(

@@ -213,11 +213,10 @@ def _parse_edges_whole(path):
     w = rows["w"] if columns == 4 else np.ones(rows.size)
     if min(layer.min(), i.min(), j.min()) < 1 or not np.isfinite(w).all():
         return None
-    if not in_lex_order(layer, i, j, strict=True):
-        order = np.lexsort((j, i, layer))
-        layer, i, j, w = layer[order], i[order], j[order], w[order]
-        if not in_lex_order(layer, i, j, strict=True):
-            return None  # a duplicate key
+    order = np.lexsort((j, i, layer))
+    layer, i, j, w = layer[order], i[order], j[order], w[order]
+    if not in_lex_order(layer, i, j, strict=True):  # a duplicate key
+        return None
     return layer, i, j, w
 
 
@@ -296,9 +295,15 @@ def write_tableau_csv(tableau: CentralityTableau, net: MultiplexNetwork, path) -
 def read_tableau_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Inverse of :func:`write_tableau_csv`: (node labels, layer labels, W)."""
     with open(path, encoding="utf-8", newline="") as fh:
-        header, *rows = csv.reader(fh)
-    values = np.array([[float(v) for v in row[1:]] for row in rows])
-    return [row[0] for row in rows], header[1:], values
+        reader = csv.reader(fh)
+        header = next(reader)
+        layer_labels = header[1:]
+        node_labels = []
+        rows = []
+        for row in reader:
+            node_labels.append(row[0])
+            rows.append([float(v) for v in row[1:]])
+    return node_labels, layer_labels, np.array(rows)
 
 
 def write_summary_json(
@@ -333,12 +338,19 @@ def write_sweep_csv(result: SweepResult, net: MultiplexNetwork, path) -> None:
     header = ["omega", "lambda_max", "w_sensitivity", "z_sensitivity"]
     header += [f"mlc_{net.layer_label(t)}" for t in range(1, net.n_layers + 1)]
     header += [f"mnc_{net.node_label(i)}" for i in range(1, net.n_nodes + 1)]
-    nan = float("nan")
-    failed = [nan] * (1 + net.n_layers + net.n_nodes)  # lambda_max and the marginals
     rows = []
-    for s, (omega, tab) in enumerate(zip(result.grid.values, result.tableaus)):
-        w_s = result.w_sensitivity[s - 1] if s >= 1 else nan
-        z_s = result.z_sensitivity[s - 1] if s >= 1 else nan
-        lam, *marginals = failed if tab is None else [tab.lambda_max, *tab.mlc, *tab.mnc]
-        rows.append([fmt(v) for v in (omega, lam, w_s, z_s, *marginals)])
+    for s, omega in enumerate(result.grid.values):
+        tab = result.tableaus[s]
+        w_s = result.w_sensitivity[s - 1] if s >= 1 else float("nan")
+        z_s = result.z_sensitivity[s - 1] if s >= 1 else float("nan")
+        row = [fmt(omega)]
+        if tab is None:
+            nan = float("nan")
+            row += [fmt(nan), fmt(w_s), fmt(z_s)]
+            row += [fmt(nan)] * (net.n_layers + net.n_nodes)
+        else:
+            row += [fmt(tab.lambda_max), fmt(w_s), fmt(z_s)]
+            row += [fmt(v) for v in tab.mlc]
+            row += [fmt(v) for v in tab.mnc]
+        rows.append(row)
     write_csv(path, header, rows)

@@ -153,8 +153,12 @@ def k_path_counts(graph: LayerGraph, k: int) -> np.ndarray:
 
 
 def aggregate_layers(net: MultiplexNetwork) -> LayerGraph:
-    """Entrywise sum of all layer adjacency matrices, as a single layer
-    (a pair whose weights cancel to zero is not stored)."""
+    """Entrywise sum of all layer adjacency matrices, as a single layer.
+
+    The layers must pass :func:`validate_network` (an out-of-range index
+    raises ``ValueError``).  A sum of zero is not stored, whether it is a
+    stored zero weight or weights that cancel.
+    """
     total = sum((layer.csr for layer in net.layers), sparse.csr_matrix((net.n_nodes,) * 2)).tocoo()
     return LayerGraph.from_arrays(net.n_nodes, total.row + 1, total.col + 1, total.data)
 

@@ -82,12 +82,17 @@ def block_communities(
     if intra_weight < 0 or inter_weight < 0:
         raise ValueError("weights must be nonnegative")
     values = np.zeros((n_layers, n_layers))
-    stops = np.cumsum(sizes)
-    for start, stop in zip(stops - sizes, stops):
+    start = 0
+    boundaries = []
+    for size in sizes:
+        stop = start + size
         values[start:stop, start:stop] = intra_weight
+        boundaries.append((start, stop - 1))
+        start = stop
     np.fill_diagonal(values, 0.0)
-    for first in stops[:-1]:  # first layer of the next block
-        values[first - 1, first] = values[first, first - 1] = inter_weight
+    for (_, last), (first, _) in zip(boundaries, boundaries[1:]):
+        values[last, first] = inter_weight
+        values[first, last] = inter_weight
     return InterlayerMatrix(values)
 
 

@@ -33,7 +33,6 @@ from .engine import (
     tableau_from_vector,
 )
 from .graph import layer_sum_components, strongly_connected
-from .interlayer import chain_undirected
 from .types import CentralityKind, CentralityTableau, MultiplexNetwork, SupraProblem
 
 __all__ = [
@@ -312,7 +311,8 @@ def weak_limit(
     _, lambda1, alpha, beta = _dense_perron(X)
 
     W = np.zeros((net.n_nodes, net.n_layers))
-    W[:, dominating] = data.right[dominating].T * alpha
+    for a, ta in enumerate(dominating):
+        W[:, ta] = alpha[a] * data.right[ta]
     vector = W.flatten(order="F")
     tableau = tableau_from_vector(vector, net.n_nodes, net.n_layers, lam0, 0.0)
     return WeakLimitResult(
@@ -401,8 +401,13 @@ class CorollaryCheck:
 
 def _detect_shape(atil: np.ndarray) -> tuple[str, np.ndarray | None]:
     dim = atil.shape[0]
-    if dim >= 2 and np.array_equal(atil, chain_undirected(dim).values):
-        return "chain", None
+    if dim >= 2:
+        chain = np.zeros_like(atil)
+        idx = np.arange(dim - 1)
+        chain[idx, idx + 1] = 1.0
+        chain[idx + 1, idx] = 1.0
+        if np.array_equal(atil, chain):
+            return "chain", None
     if np.array_equal(atil, np.ones_like(atil)):
         return "all_to_all", None
     if np.allclose(atil, atil.T, atol=1e-12):

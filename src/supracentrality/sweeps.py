@@ -71,8 +71,13 @@ def log_grid(exp_lo: float, exp_hi: float, step: float) -> OmegaGrid:
     if exp_lo > exp_hi:
         raise ValueError(f"empty grid: exp_lo {exp_lo} exceeds exp_hi {exp_hi}")
     exponents = []
-    while (e := exp_lo + len(exponents) * step) <= exp_hi + 1e-12:
+    k = 0
+    while True:
+        e = exp_lo + k * step
+        if e > exp_hi + 1e-12:
+            break
         exponents.append(e)
+        k += 1
     return OmegaGrid(np.power(10.0, np.array(exponents)))
 
 
@@ -137,11 +142,15 @@ def sweep(
         )
         start = pair.vector if warm_start else None
 
-    w_sens, z_sens = np.full((2, len(grid) - 1), np.nan)
-    for s, (a, b) in enumerate(zip(tableaus, tableaus[1:])):
-        if a is not None and b is not None:
-            w_sens[s] = float(np.linalg.norm(b.W - a.W))
-            z_sens[s] = float(np.linalg.norm(b.Z - a.Z))
+    count = len(grid)
+    w_sens = np.full(max(count - 1, 0), np.nan)
+    z_sens = np.full(max(count - 1, 0), np.nan)
+    for s in range(count - 1):
+        a, b = tableaus[s], tableaus[s + 1]
+        if a is None or b is None:
+            continue
+        w_sens[s] = float(np.linalg.norm(b.W - a.W))
+        z_sens[s] = float(np.linalg.norm(b.Z - a.Z))
     return SweepResult(
         grid=grid,
         tableaus=tuple(tableaus),
@@ -268,12 +277,16 @@ def rank_trajectory(result: SweepResult, node: int) -> np.ndarray:
         raise ValueError(f"node {node} out of range 1..{n}")
     t_count = result.network.n_layers
     out = np.zeros((len(result.grid), t_count), dtype=int)
-    tiebreak = np.broadcast_to(np.arange(n), (t_count, n))
+    order_tiebreak = np.arange(n)
     for s, tab in enumerate(result.tableaus):
-        if tab is not None:
-            # row t lists layer t's nodes by decreasing conditional centrality
-            order = np.lexsort((tiebreak, -tab.Z.T))
-            out[s] = np.argmax(order == node - 1, axis=1) + 1
+        if tab is None:
+            continue
+        for t in range(t_count):
+            col = tab.Z[:, t]
+            order = np.lexsort((order_tiebreak, -col))
+            ranks = np.empty(n, dtype=int)
+            ranks[order] = np.arange(1, n + 1)
+            out[s, t] = ranks[node - 1]
     return out
 
 

@@ -53,9 +53,10 @@ class LayerGraph:
     ``LayerGraph(n, triples)`` takes (i, j, weight) triples and
     :meth:`from_arrays` the three arrays; ``entries`` is the edges as a
     tuple of triples, built on first access.  Two layers are equal when
-    their node counts and arrays are.  Construction is permissive; run
-    :func:`validate_network` on the enclosing network to get a violation
-    report before feeding it into numerical code.
+    their node counts and arrays are.  Construction is permissive apart
+    from requiring int64 node indices (a larger one raises
+    ``OverflowError``); run :func:`validate_network` on the enclosing
+    network to get a violation report before feeding it into numerical code.
     """
 
     n_nodes: int

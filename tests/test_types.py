@@ -163,6 +163,11 @@ def test_layer_graph_arrays_are_sorted_read_only_copies():
         g.weights[0] = 0.0
 
 
+def test_layer_graph_rejects_indices_beyond_int64():
+    with pytest.raises(OverflowError):
+        LayerGraph(3, ((2**70, 1, 1.0),))
+
+
 def test_entries_of_unsorted_numpy_scalar_triples_are_python_numbers():
     g = LayerGraph(3, [(np.int64(2), np.int32(1), np.float32(0.5)), (1, 3, 2),
                        (np.int64(1), 2, np.float64(1.25)), (1, 2, 0.75)])
