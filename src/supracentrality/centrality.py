@@ -30,7 +30,7 @@ __all__ = [
     "build_eigenvector_matrix",
     "build_hub_matrix",
     "build_authority_matrix",
-    "apply_dangling_policy",
+    "pagerank_from_adjacency",
     "build_pagerank_matrix",
     "build_centrality_matrix",
     "DENSE_PRODUCT_WARN_NNZ",
@@ -120,43 +120,37 @@ def build_authority_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
     return LayerCentralityMatrix(n=graph.n_nodes, kind=Authority(), sparse=product)
 
 
-def apply_dangling_policy(
-    a: sparse.csr_matrix, dangling: DanglingPolicy
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Add the policy's unit self-edges to the square matrix ``a``; returns
-    the repaired matrix and its (nonzero) row sums."""
+def pagerank_from_adjacency(
+    a: sparse.csr_matrix, kind: PageRank, teleport: np.ndarray | None = None
+) -> LayerCentralityMatrix:
+    """Column-stochastic PageRank matrix sigma (D^-1 A')^T + (1-sigma) u 1^T
+    of the square adjacency ``a``.
+
+    A' is ``a`` after the dangling policy has added unit self-edges (to
+    dangling nodes only, or to every node), and D is the diagonal of A' row
+    sums.  ``teleport`` is an optional biased teleportation distribution; it
+    defaults to uniform and is normalized to sum to 1.  ``a`` is not
+    modified.
+    """
+    n = a.shape[0]
     row_sums = np.asarray(a.sum(axis=1)).ravel()
-    if dangling is DanglingPolicy.ALL_NODES:
-        a = (a + sparse.identity(a.shape[0], format="csr")).tocsr()
+    if kind.dangling is DanglingPolicy.ALL_NODES:
+        a = (a + sparse.identity(n, format="csr")).tocsr()
         row_sums = row_sums + 1.0
     else:
-        mask = (row_sums == 0).astype(float)
-        if mask.any():
-            a = (a + sparse.diags(mask)).tocsr()
-            row_sums = row_sums + mask
+        dangling = row_sums == 0
+        if dangling.any():
+            a = (a + sparse.diags(dangling.astype(float))).tocsr()
+            row_sums = row_sums + dangling
     if np.any(row_sums == 0):  # impossible by construction
         raise AssertionError("zero row sum survived the dangling policy")
-    return a, row_sums
 
-
-def build_pagerank_matrix(
-    graph: LayerGraph,
-    sigma: float = 0.85,
-    dangling: DanglingPolicy = DanglingPolicy.DANGLING_ONLY,
-    teleport: np.ndarray | None = None,
-) -> LayerCentralityMatrix:
-    """Column-stochastic PageRank matrix sigma (D^-1 A')^T + (1-sigma) u 1^T.
-
-    A' is the adjacency matrix after the dangling policy has added unit
-    self-edges (to dangling nodes only, or to every node), and D is the
-    diagonal of A' row sums.  ``teleport`` is an optional biased
-    teleportation distribution; it defaults to uniform and is normalized to
-    sum to 1.
-    """
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    n = graph.n_nodes
-    a, row_sums = apply_dangling_policy(graph.csr, dangling)
+    # one new data array over a's index arrays, then one transposing copy;
+    # the row sums and the data array are freed as soon as they are spent
+    scaled = a.data * np.repeat(1.0 / row_sums, np.diff(a.indptr)) * kind.sigma
+    del row_sums
+    stochastic = sparse.csr_matrix((scaled, a.indices, a.indptr), shape=a.shape).T.tocsr()
+    del scaled
 
     if teleport is None:
         u = np.full(n, 1.0 / n)
@@ -167,17 +161,23 @@ def build_pagerank_matrix(
         if u.min() < 0 or u.sum() <= 0:
             raise ValueError("teleport vector must be nonnegative with positive sum")
         u = u / u.sum()
-
-    transition = sparse.diags(1.0 / row_sums) @ a
-    stochastic = (sigma * transition.T).tocsr()
-    kind = PageRank(sigma=sigma, dangling=dangling)
     return LayerCentralityMatrix(
         n=n,
         kind=kind,
         sparse=stochastic,
-        teleport_coeff=1.0 - sigma,
+        teleport_coeff=1.0 - kind.sigma,
         teleport=u,
     )
+
+
+def build_pagerank_matrix(
+    graph: LayerGraph,
+    sigma: float = 0.85,
+    dangling: DanglingPolicy = DanglingPolicy.DANGLING_ONLY,
+    teleport: np.ndarray | None = None,
+) -> LayerCentralityMatrix:
+    """The layer's PageRank matrix; see :func:`pagerank_from_adjacency`."""
+    return pagerank_from_adjacency(graph.csr, PageRank(sigma, dangling), teleport)
 
 
 def build_centrality_matrix(graph: LayerGraph, kind: CentralityKind) -> LayerCentralityMatrix:
@@ -189,5 +189,5 @@ def build_centrality_matrix(graph: LayerGraph, kind: CentralityKind) -> LayerCen
     if isinstance(kind, Authority):
         return build_authority_matrix(graph)
     if isinstance(kind, PageRank):
-        return build_pagerank_matrix(graph, sigma=kind.sigma, dangling=kind.dangling)
+        return pagerank_from_adjacency(graph.csr, kind)
     raise TypeError(f"unknown centrality kind: {kind!r}")

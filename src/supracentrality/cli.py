@@ -25,6 +25,7 @@ from .limits import (
     weak_limit,
 )
 from .sweeps import (
+    check_in_range,
     check_prominence_fraction,
     correlate_with_degrees,
     detect_regimes,
@@ -160,6 +161,11 @@ def _cmd_centrality(args) -> int:
 def _run_sweep(args):
     net, kind, interlayer = _load_inputs(args)
     grid = _parse_grid(args.grid)
+    # trajectory's node and correlate's layer fail here, not after every solve
+    if "node" in args:
+        check_in_range("node", args.node, net.n_nodes)
+    if getattr(args, "reference_layer", None) is not None:
+        check_in_range("reference layer", args.reference_layer, net.n_layers)
     result = sweep(
         net,
         kind,

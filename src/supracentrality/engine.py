@@ -359,13 +359,10 @@ def tableau_from_vector(
     x_hat = W.sum(axis=1)
     zero_layers = tuple(int(t + 1) for t in np.flatnonzero(x == 0))
     zero_nodes = tuple(int(i + 1) for i in np.flatnonzero(x_hat == 0))
+    # W >= 0, so a zero marginal is an all-zero slice whose 0/0 is already NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         Z = W / x[np.newaxis, :]
         Z_hat = W / x_hat[:, np.newaxis]
-    for t in np.flatnonzero(x == 0):
-        Z[:, t] = np.nan
-    for i in np.flatnonzero(x_hat == 0):
-        Z_hat[i, :] = np.nan
 
     tableau = CentralityTableau(
         W=W,

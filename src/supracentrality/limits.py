@@ -33,6 +33,7 @@ from .engine import (
     tableau_from_vector,
 )
 from .graph import layer_sum_components, strongly_connected
+from .interlayer import all_to_all, chain_undirected
 from .types import CentralityKind, CentralityTableau, MultiplexNetwork, SupraProblem
 
 __all__ = [
@@ -401,14 +402,9 @@ class CorollaryCheck:
 
 def _detect_shape(atil: np.ndarray) -> tuple[str, np.ndarray | None]:
     dim = atil.shape[0]
-    if dim >= 2:
-        chain = np.zeros_like(atil)
-        idx = np.arange(dim - 1)
-        chain[idx, idx + 1] = 1.0
-        chain[idx + 1, idx] = 1.0
-        if np.array_equal(atil, chain):
-            return "chain", None
-    if np.array_equal(atil, np.ones_like(atil)):
+    if dim >= 2 and np.array_equal(atil, chain_undirected(dim).values):
+        return "chain", None
+    if np.array_equal(atil, all_to_all(dim).values):
         return "all_to_all", None
     if np.allclose(atil, atil.T, atol=1e-12):
         diag = np.diag(atil)

@@ -265,6 +265,12 @@ def detect_regimes(
     return RegimeReport(peaks=peak_idx, intervals=tuple(intervals))
 
 
+def check_in_range(what: str, index: int, count: int) -> None:
+    """Raise ValueError unless the 1-based ``index`` lies in 1..count."""
+    if not 1 <= index <= count:
+        raise ValueError(f"{what} {index} out of range 1..{count}")
+
+
 def rank_trajectory(result: SweepResult, node: int) -> np.ndarray:
     """Per-grid-point, per-layer rank of one node's conditional centrality.
 
@@ -273,8 +279,7 @@ def rank_trajectory(result: SweepResult, node: int) -> np.ndarray:
     points are 0.
     """
     n = result.network.n_nodes
-    if not 1 <= node <= n:
-        raise ValueError(f"node {node} out of range 1..{n}")
+    check_in_range("node", node, n)
     t_count = result.network.n_layers
     out = np.zeros((len(result.grid), t_count), dtype=int)
     order_tiebreak = np.arange(n)
@@ -338,8 +343,7 @@ def correlate_with_degrees(
     net = network if network is not None else result.network
     if reference_layer is None:
         reference_layer = reference_layer_by_spectral_radius(net, result.kind)
-    if not 1 <= reference_layer <= net.n_layers:
-        raise ValueError(f"reference layer {reference_layer} out of range 1..{net.n_layers}")
+    check_in_range("reference layer", reference_layer, net.n_layers)
     degrees = intralayer_degrees(net)
     deg_flat = degrees.flatten(order="F")
     totals = total_degrees(net)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .centrality import apply_dangling_policy
+from .centrality import pagerank_from_adjacency
 from .engine import shifted_power_iteration
 from .types import DanglingPolicy, InterlayerMatrix, MultiplexNetwork, PageRank, SupraProblem
 
@@ -40,20 +40,12 @@ def pagerank_versatility(
     # the coupled problem owns the checks on sigma, omega and the layer count
     SupraProblem(network=net, kind=PageRank(sigma, dangling), interlayer=interlayer, omega=omega)
     n, t = net.n_nodes, net.n_layers
-    dim = n * t
     supra = sparse.block_diag([g.csr for g in net.layers], format="csr")
     if omega:
         supra = (supra + omega * sparse.kron(interlayer.values, sparse.identity(n))).tocsr()
-    supra, row_sums = apply_dangling_policy(supra, dangling)
-
-    supra_t = supra.T.tocsr()
-    inv_d = 1.0 / row_sums
-    teleport = (1.0 - sigma) / dim
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return sigma * (supra_t @ (x * inv_d)) + teleport * float(x.sum())
-
-    pair = shifted_power_iteration(matvec, dim, shift=0.0, tol=tol, max_iter=max_iter)
+    # the matrix is positive (teleport), so the iteration needs no shift
+    mat = pagerank_from_adjacency(supra, PageRank(sigma, dangling))
+    pair = shifted_power_iteration(mat.apply, n * t, shift=0.0, tol=tol, max_iter=max_iter)
     vec = pair.vector
     total = float(vec.sum())
     if total <= 0:

@@ -248,7 +248,12 @@ def test_non_finite_limit_and_sweep_flags_are_usage_errors(six_layer_net, tmp_pa
     assert "prominence_fraction must be finite" in capsys.readouterr().err
 
 
-def test_bad_limit_and_sweep_flags_stop_before_any_solve(six_layer_net, tmp_path, capsys):
+def test_bad_limit_and_sweep_flags_stop_before_any_solve(six_layer_net, tmp_path, capsys,
+                                                         monkeypatch):
+    from supracentrality import cli
+
+    sweeps_run = []
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: sweeps_run.append(args))
     base = ["--network", str(six_layer_net), "--kind", "eigenvector", "--interlayer",
             "alltoall"]
     out = tmp_path / "sweep.csv"
@@ -265,6 +270,18 @@ def test_bad_limit_and_sweep_flags_stop_before_any_solve(six_layer_net, tmp_path
                              "--out", str(out)] + base) == 1
             assert "rel_tol_dominating must be finite" in capsys.readouterr().err
             assert not out.exists()
+    # four nodes and six layers: the index checks need only the loaded network
+    out = tmp_path / "indexed.csv"
+    for flags, message in ((["trajectory", "--node", "0"], "node 0 out of range 1..4"),
+                           (["trajectory", "--node", "5"], "node 5 out of range 1..4"),
+                           (["correlate", "--reference-layer", "7"],
+                            "reference layer 7 out of range 1..6"),
+                           (["correlate", "--reference-layer", "0"],
+                            "reference layer 0 out of range 1..6")):
+        assert dispatch(flags + ["--grid", "-1,1,0.5", "--out", str(out)] + base) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert sweeps_run == []
 
 
 _IMPORT_BUDGET_CHILD = """

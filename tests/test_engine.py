@@ -188,6 +188,12 @@ def test_tableau_localized_vector():
     assert np.allclose(tab.x, [1.4, 0.0], atol=1e-15)
     assert np.allclose(tab.Z_hat[:, 0], [1.0, 1.0], atol=1e-15)
     assert np.all(np.isnan(tab.Z[:, 1]))
+    # a node with no mass in any layer: its conditional row is NaN (0/0)
+    tab = tableau_from_vector(np.array([0.6, 0.0, 0.8, 0.0]), 2, 2, 2.0, 0.0)
+    assert tab.zero_mass_layers == () and tab.zero_mass_nodes == (2,)
+    assert np.allclose(tab.x_hat, [1.4, 0.0], atol=1e-15)
+    assert np.allclose(tab.Z[0, :], [1.0, 1.0], atol=1e-15)
+    assert np.all(np.isnan(tab.Z_hat[1, :]))
 
 
 def test_tableau_from_coupled_eigenvector():

@@ -7,8 +7,10 @@ from supracentrality import (
     InterlayerMatrix,
     LayerGraph,
     MultiplexNetwork,
+    build_pagerank_matrix,
     pagerank_versatility,
 )
+from supracentrality.engine import shifted_power_iteration
 from supracentrality.interlayer import all_to_all
 
 from _oracles import (
@@ -41,6 +43,16 @@ def test_single_layer_reduces_to_monolayer_pagerank():
     _, vec = dense_dominant_eigenpair(pr)
     expected = vec / vec.sum()
     assert np.abs(got - expected).max() <= 1e-10
+
+
+def test_single_layer_is_the_layer_pagerank_solve_exactly():
+    # one PageRank construction: at omega = 0 a one-layer supra matrix is the
+    # layer's own, so versatility is the layer's unshifted solve, bit for bit
+    g = LayerGraph(4, ((1, 2, 1.0), (2, 3, 2.0), (3, 1, 1.0), (3, 4, 0.5), (1, 3, 3.0)))
+    net = MultiplexNetwork(4, (g,))
+    got = pagerank_versatility(net, InterlayerMatrix(np.array([[1.0]])), omega=0.0)
+    pair = shifted_power_iteration(build_pagerank_matrix(g).apply, 4, shift=0.0, tol=1e-12)
+    assert np.array_equal(got, pair.vector / pair.vector.sum())
 
 
 def test_duplicated_layers_decouple_at_zero_omega():
