@@ -5,12 +5,27 @@ Exit codes: 0 success, 1 usage error, 2 validation or precondition failure
 precondition fails), 3 eigensolver non-convergence.  All subcommands are
 deterministic: repeat runs with the same inputs produce byte-identical
 output files.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is already set, so the CLI runs OpenBLAS on one thread: the second thread
+only spins during sparse matvecs and small vector calls, and a threaded
+reduction makes the last bits of the output depend on the core count.  A
+value the user set wins.  Importing the library (``import supracentrality``
+or any other submodule) leaves the environment alone.  With the OpenBLAS
+that numpy's and scipy's wheels ship, output files are byte-identical across
+repeat runs and across core counts; other BLAS builds are untested.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# One BLAS thread (see the module docstring for why).  OpenBLAS reads the
+# variable once, when numpy or scipy loads it, so this comes before the first
+# import that loads numpy; importing the package itself loads none.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fileio
 from .engine import NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector

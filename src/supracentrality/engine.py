@@ -198,7 +198,6 @@ class SupraOperator:
         self._block_diag = sparse.block_diag(
             [m.sparse for m in self.layers], format="csr"
         )
-        self._block_diag_t = self._block_diag.T.tocsr()
         n = self.n_nodes
         self._tele_coeffs = np.array([m.teleport_coeff for m in self.layers])
         self._has_teleport = bool(np.any(self._tele_coeffs > 0))
@@ -252,7 +251,7 @@ class SupraOperator:
         """Product with the transposed operator."""
         x = np.asarray(x, dtype=float)
         blocks = self._blocks(x)
-        out = (self._block_diag_t @ x).reshape(blocks.shape)
+        out = (self._block_diag.T @ x).reshape(blocks.shape)
         if self._has_teleport:
             dots = np.einsum("tn,tn->t", self._tele_vectors, blocks)
             out += (self._tele_coeffs * dots)[:, None]

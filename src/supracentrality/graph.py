@@ -45,30 +45,31 @@ def _strong_components(matrix) -> tuple[int, np.ndarray]:
     return csgraph.connected_components(matrix > 0, directed=True, connection="strong")
 
 
-def _reaches_all(adj: np.ndarray) -> bool:
-    # breadth-first reachability from node 0 using boolean row masks
-    visited = np.zeros(adj.shape[0], dtype=bool)
-    visited[0] = True
-    frontier = visited.copy()
-    while frontier.any():
-        nxt = adj[frontier].any(axis=0) & ~visited
-        visited |= nxt
-        frontier = nxt
-    return bool(visited.all())
+# up to this size a dense Boolean closure beats csgraph's per-call overhead;
+# its O(n^3 log n) cost loses above it
+_CLOSURE_MAX_N = 32
 
 
 def strongly_connected(matrix) -> bool:
     """True iff the digraph with an edge wherever the entry is > 0 is strongly connected.
 
-    A 1x1 (or empty) matrix counts.  Sparse input goes through csgraph,
-    O(N + nnz); a dense array (interlayer, weak-limit X) takes a cheaper
-    O(n^2) breadth-first search from node 0 both ways."""
+    A 1x1 (or empty) matrix counts.  Sparse input, and dense input above 32
+    nodes, goes through csgraph, O(N + nnz).  A small dense array
+    (interlayer, weak-limit X) is decided by Boolean transitive closure:
+    reach = adj | I squared ceil(log2(n - 1)) times covers every path of up
+    to n - 1 edges."""
     if sparse.issparse(matrix):
         return _strong_components(matrix)[0] <= 1
     adj = np.asarray(matrix) > 0
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {adj.shape}")
-    return adj.shape[0] <= 1 or (_reaches_all(adj) and _reaches_all(adj.T))
+    n = adj.shape[0]
+    if n > _CLOSURE_MAX_N:
+        return _strong_components(adj)[0] <= 1
+    reach = adj | np.eye(n, dtype=bool)
+    for _ in range(max(n - 2, 0).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def layer_sum_components(

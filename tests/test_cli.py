@@ -286,9 +286,11 @@ def test_bad_limit_and_sweep_flags_stop_before_any_solve(six_layer_net, tmp_path
 
 _IMPORT_BUDGET_CHILD = """
 import json, sys
-import supracentrality, supracentrality.cli
+import supracentrality
+loaded = {"package": (0, [m for m in ("numpy",) if m in sys.modules])}
+import supracentrality.cli
 heavy = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate")
-loaded = {"import": (0, [m for m in heavy if m in sys.modules])}
+loaded["import"] = (0, [m for m in heavy if m in sys.modules])
 net, out = sys.argv[1], sys.argv[2]
 base = ["--network", net, "--interlayer", "alltoall"]
 kind = ["--kind", "eigenvector"]
@@ -310,23 +312,80 @@ print(json.dumps(loaded))
 """
 
 
-def test_package_import_leaves_scipy_signal_unloaded(six_layer_net, tmp_path):
-    # scipy.signal pulls in scipy.stats, scipy.optimize and scipy.interpolate,
-    # which once cost more than a whole sweep; no command needs any of them
+def _child_env(**overrides):
+    """This environment with the package on PYTHONPATH and no
+    OPENBLAS_NUM_THREADS (importing the CLI here set it), plus overrides."""
     import supracentrality
 
     src = os.path.dirname(os.path.dirname(supracentrality.__file__))
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
+
+
+def test_package_import_leaves_scipy_signal_unloaded(six_layer_net, tmp_path):
+    # scipy.signal pulls in scipy.stats, scipy.optimize and scipy.interpolate,
+    # which once cost more than a whole sweep; no command needs any of them.
+    # The package itself loads no numpy, so the CLI can pin BLAS threads first.
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_BUDGET_CHILD, str(six_layer_net), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     # five grid points, so the sweep reaches regime detection
     assert "regimes" in proc.stdout
     assert loaded == {name: [0, []] for name in loaded}
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "None 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 2")])
+def test_cli_import_pins_one_blas_thread_unless_set(preset, expected):
+    # using the library (a submodule reached as a package attribute, which
+    # loads numpy) leaves the environment alone; the CLI sets one thread
+    # unless the user chose a count
+    code = ("import os, supracentrality; supracentrality.engine.SupraOperator; "
+            "before = os.environ.get('OPENBLAS_NUM_THREADS'); "
+            "import supracentrality.cli; print(before, os.environ['OPENBLAS_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(**preset),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
+def _write_random_directed_layers(path, n, n_layers, edges, seed):
+    """About ``edges`` distinct off-diagonal unit-weight edges per layer."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for t in range(1, n_layers + 1):
+        i = rng.integers(1, n + 1, size=edges)
+        j = rng.integers(1, n + 1, size=edges)
+        keys = np.unique((i * (n + 1) + j)[i != j])
+        lines += [f"{t} {k // (n + 1)} {k % (n + 1)}" for k in keys.tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and at least two allowed CPUs")
+def test_output_bytes_do_not_depend_on_core_count(tmp_path):
+    # with a threaded OpenBLAS the last bits of versatility.csv differed
+    # between one CPU and two on this network
+    net = tmp_path / "pagerank.edges"
+    _write_random_directed_layers(net, n=2000, n_layers=6, edges=10000, seed=5)
+    cpus = os.sched_getaffinity(0)
+    outputs = []
+    for allowed in ({min(cpus)}, cpus):
+        out = tmp_path / f"versatility_{len(allowed)}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "supracentrality", "versatility", "--network", str(net),
+             "--nodes", "2000", "--interlayer", "teleport:0.01", "--omega", "1",
+             "--sigma", "0.85", "--out", str(out)],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda allowed=allowed: os.sched_setaffinity(0, allowed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_versatility_honours_solver_flags(six_layer_net, tmp_path):
