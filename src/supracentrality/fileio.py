@@ -6,9 +6,9 @@ Edge lists are whitespace-separated text with 1-based indices:
 
 Full-line comments start with '#'.  Layer indices need not be contiguous;
 they are densely re-indexed in sorted order and the mapping is logged.
-Edge lists are parsed whole with numpy; a file that parse cannot prove
-clean is read again line by line, and only that scan raises
-:class:`ParseError`, with the file and line number.
+Edge lists are parsed whole with numpy or, if that cannot prove a file
+clean, line by line into typed columns; both share one sort and duplicate
+test, and only the scan raises :class:`ParseError`, at the first bad line.
 Interlayer triplet files use columns ``t t_prime weight`` with the same
 conventions; weights must be finite.  Label files are ``index<TAB>label``
 lines.  Every input file is UTF-8: a byte that does not decode is a
@@ -25,6 +25,7 @@ import logging
 import math
 import re
 import warnings
+from array import array
 
 import numpy as np
 
@@ -109,8 +110,9 @@ def _data_lines(path):
 
 
 def load_labels(path, count: int) -> tuple[str, ...]:
-    """Read ``index<TAB>label`` lines; unlisted indices keep their number."""
+    """Read ``index<TAB>label`` lines, one per index; unlisted ones keep their number."""
     labels = [str(i) for i in range(1, count + 1)]
+    seen: dict[int, int] = {}
     for lineno, line in _data_lines(path):
         idx_str, sep, label = line.partition("\t")
         if not sep:
@@ -121,53 +123,74 @@ def load_labels(path, count: int) -> tuple[str, ...]:
             raise ParseError(path, lineno, f"bad index {idx_str!r}") from None
         if not 1 <= idx <= count:
             raise ParseError(path, lineno, f"index {idx} out of range 1..{count}")
+        if idx in seen:
+            message = f"duplicate index {idx} (first seen on line {seen[idx]})"
+            raise ParseError(path, lineno, message)
+        seen[idx] = lineno
         labels[idx - 1] = label
     return tuple(labels)
 
 
+def _sorted_edges(path, layer, i, j, w, lines=None):
+    """The edge columns stably sorted by (layer, i, j): the one sort and
+    repeated-key test of both parse paths.  A repeated key gives None, or,
+    with ``lines``, a ParseError at the earliest line that repeats a key; its
+    first line sorts right before it."""
+    order = np.lexsort((j, i, layer))
+    layer, i, j = layer[order], i[order], j[order]
+    if in_lex_order(layer, i, j, strict=True):
+        return layer, i, j, w[order]
+    if lines is None:
+        return None
+    lines = lines[order]
+    repeats = 1 + np.flatnonzero((np.diff(layer) == 0) & (np.diff(i) == 0) & (np.diff(j) == 0))
+    k = repeats[np.argmin(lines[repeats])]
+    key = (int(layer[k]), int(i[k]), int(j[k]))
+    message = f"duplicate edge {key} (first seen on line {lines[k - 1]})"
+    raise ParseError(path, int(lines[k]), message)
+
+
 def _scan_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Line-by-line parse: flat (layer, i, j, weight) arrays sorted by
-    (layer, i, j).
+    """Line-by-line parse: flat (layer, i, j, weight) arrays sorted by (layer, i, j).
 
     This is the reference reading of an edge list and the only source of
-    :class:`ParseError` for it.
+    :class:`ParseError` for it.  Each line is checked, then appended to typed
+    columns that :func:`_sorted_edges` sorts and tests for repeated keys.  The
+    first error in the file is raised: a repeat above a bad line wins.
     """
-    edges: list[tuple[int, int, int, float]] = []
-    seen: dict[tuple[int, int, int], int] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise ParseError(path, lineno, f"expected 3 or 4 columns, got {len(parts)}")
-        try:
-            layer = int(parts[0])
-            i = int(parts[1])
-            j = int(parts[2])
-        except ValueError:
-            raise ParseError(path, lineno, f"bad integer field in {line!r}") from None
-        weight = 1.0
-        if len(parts) == 4:
+    keys, weights = array("q"), array("d")  # layer, i, j and line number of each edge
+    try:
+        for lineno, line in _data_lines(path):
+            parts = line.split()
+            if len(parts) not in (3, 4):
+                raise ParseError(path, lineno, f"expected 3 or 4 columns, got {len(parts)}")
             try:
-                weight = float(parts[3])
+                layer, i, j = map(int, parts[:3])
             except ValueError:
-                raise ParseError(path, lineno, f"bad weight {parts[3]!r}") from None
-            if not math.isfinite(weight):
-                raise ParseError(path, lineno, f"non-finite weight {parts[3]!r}")
-        if layer < 1 or i < 1 or j < 1:
-            raise ParseError(path, lineno, "indices must be 1-based positive integers")
-        if max(layer, i, j) >= 2**63:
-            raise ParseError(path, lineno, f"index above the int64 limit {2**63 - 1}")
-        key = (layer, i, j)
-        if key in seen:
-            raise ParseError(
-                path, lineno, f"duplicate edge {key} (first seen on line {seen[key]})"
-            )
-        seen[key] = lineno
-        edges.append((layer, i, j, weight))
-    if not edges:
-        raise ParseError(path, 0, "file contains no edges")
-    edges.sort()
-    *indices, weights = zip(*edges)
-    return (*(np.array(index, dtype=np.int64) for index in indices), np.array(weights))
+                raise ParseError(path, lineno, f"bad integer field in {line!r}") from None
+            weight = 1.0
+            if len(parts) == 4:
+                try:
+                    weight = float(parts[3])
+                except ValueError:
+                    raise ParseError(path, lineno, f"bad weight {parts[3]!r}") from None
+                if not math.isfinite(weight):
+                    raise ParseError(path, lineno, f"non-finite weight {parts[3]!r}")
+            if layer < 1 or i < 1 or j < 1:
+                raise ParseError(path, lineno, "indices must be 1-based positive integers")
+            if max(layer, i, j) >= 2**63:
+                raise ParseError(path, lineno, f"index above the int64 limit {2**63 - 1}")
+            keys.extend((layer, i, j, lineno))
+            weights.append(weight)
+    except ParseError as err:
+        error = err
+    else:
+        error = None if weights else ParseError(path, 0, "file contains no edges")
+    layer, i, j, lines = np.asarray(keys).reshape(-1, 4).T
+    edges = _sorted_edges(path, layer, i, j, np.asarray(weights), lines)  # a repeat comes first
+    if error:
+        raise error
+    return edges
 
 
 # bytes a clean edge list holds outside its comment lines
@@ -213,11 +236,7 @@ def _parse_edges_whole(path):
     w = rows["w"] if columns == 4 else np.ones(rows.size)
     if min(layer.min(), i.min(), j.min()) < 1 or not np.isfinite(w).all():
         return None
-    order = np.lexsort((j, i, layer))
-    layer, i, j, w = layer[order], i[order], j[order], w[order]
-    if not in_lex_order(layer, i, j, strict=True):  # a duplicate key
-        return None
-    return layer, i, j, w
+    return _sorted_edges(path, layer, i, j, w)
 
 
 def load_multiplex(
@@ -230,11 +249,11 @@ def load_multiplex(
     """Parse a multiplex edge-list file into a validated network.
 
     The file is parsed whole with numpy; a file that parse cannot prove
-    clean is read again line by line, which reports the first bad line by
-    number.  The node count is the largest node index seen unless
-    ``n_nodes`` overrides it.  Duplicate (layer, i, j) lines and structural
-    violations raise; the layer re-index mapping is logged when layers are
-    not already 1..T.
+    clean is read again line by line into typed columns, which reports the
+    first bad line, a repeated (layer, i, j) key included, by number.  Both
+    paths share one sort and duplicate test.  The node count is the largest
+    node index seen unless ``n_nodes`` overrides it.  Structural violations
+    raise; the layer re-index mapping is logged when layers are not 1..T.
     """
     parsed = _parse_edges_whole(path)
     layer, i, j, w = parsed if parsed is not None else _scan_edges(path)
@@ -338,19 +357,15 @@ def write_sweep_csv(result: SweepResult, net: MultiplexNetwork, path) -> None:
     header = ["omega", "lambda_max", "w_sensitivity", "z_sensitivity"]
     header += [f"mlc_{net.layer_label(t)}" for t in range(1, net.n_layers + 1)]
     header += [f"mnc_{net.node_label(i)}" for i in range(1, net.n_nodes + 1)]
-    rows = []
-    for s, omega in enumerate(result.grid.values):
-        tab = result.tableaus[s]
-        w_s = result.w_sensitivity[s - 1] if s >= 1 else float("nan")
-        z_s = result.z_sensitivity[s - 1] if s >= 1 else float("nan")
-        row = [fmt(omega)]
-        if tab is None:
-            nan = float("nan")
-            row += [fmt(nan), fmt(w_s), fmt(z_s)]
-            row += [fmt(nan)] * (net.n_layers + net.n_nodes)
-        else:
-            row += [fmt(tab.lambda_max), fmt(w_s), fmt(z_s)]
-            row += [fmt(v) for v in tab.mlc]
-            row += [fmt(v) for v in tab.mnc]
-        rows.append(row)
-    write_csv(path, header, rows)
+
+    def rows():
+        for s, (omega, tab) in enumerate(zip(result.grid.values, result.tableaus)):
+            w_s = result.w_sensitivity[s - 1] if s >= 1 else math.nan
+            z_s = result.z_sensitivity[s - 1] if s >= 1 else math.nan
+            if tab is None:
+                values = [omega, math.nan, w_s, z_s] + [math.nan] * (net.n_layers + net.n_nodes)
+            else:
+                values = [omega, tab.lambda_max, w_s, z_s, *tab.mlc, *tab.mnc]
+            yield [fmt(v) for v in values]
+
+    write_csv(path, header, rows())

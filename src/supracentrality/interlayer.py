@@ -79,8 +79,8 @@ def block_communities(
         raise ValueError("block sizes must be positive")
     if sum(sizes) != n_layers:
         raise ValueError(f"block sizes {sizes} do not sum to {n_layers}")
-    if intra_weight < 0 or inter_weight < 0:
-        raise ValueError("weights must be nonnegative")
+    if not (0 <= intra_weight < np.inf and 0 <= inter_weight < np.inf):
+        raise ValueError("weights must be finite and nonnegative")
     values = np.zeros((n_layers, n_layers))
     start = 0
     boundaries = []

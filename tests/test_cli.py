@@ -64,6 +64,11 @@ def test_usage_errors(two_cycle_net, tmp_path):
          "--interlayer", "nonsense", "--omega", "1", "--out", str(out)]
     )
     assert code == 1
+    code = dispatch(
+        ["check", "--network", str(two_cycle_net), "--kind", "eigenvector",
+         "--interlayer", "blocks:sizes=1,1;intra=nan;inter=1"]
+    )
+    assert code == 1
 
 
 def test_validation_exit_code(tmp_path):

@@ -54,10 +54,20 @@ def test_load_default_weight(tmp_path):
 
 def test_load_duplicate_edge_rejected(tmp_path):
     path = tmp_path / "net.edges"
-    path.write_text("1 1 2 1.0\n1 1 2 1.0\n", encoding="utf-8")
-    with pytest.raises(ParseError) as err:
-        load_multiplex(path)
-    assert err.value.lineno == 2
+    for text, lineno, message in [
+        ("1 1 2 1.0\n1 1 2 1.0\n", 2, "duplicate edge (1, 1, 2) (first seen on line 1)"),
+        # the first error in the file is reported, a repeat or a bad line
+        ("1 1 2\n1 2 1\n1 1 2\n1 2 2\n1 x 1\n", 3,
+         "duplicate edge (1, 1, 2) (first seen on line 1)"),
+        ("1 1 2\n1 2 1\n1 x 1\n1 2 2\n1 1 2\n", 3, "bad integer field in '1 x 1'"),
+        ("1 1 1\n2 1 2\n1 1 3\n2 1 2\n1 1 1\n2 1 2\n", 4,
+         "duplicate edge (2, 1, 2) (first seen on line 2)"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_multiplex(path)
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"{path}:{lineno}: {message}"
 
 
 def test_load_bad_field_reports_line(tmp_path):
@@ -102,6 +112,10 @@ def test_load_labels(tmp_path):
     bad.write_text("7\tX\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_labels(bad, 3)
+    bad.write_text("1\tA\n# note\n1\tB\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_labels(bad, 3)
+    assert str(err.value) == f"{bad}:3: duplicate index 1 (first seen on line 1)"
 
 
 def test_load_interlayer_triplets(tmp_path):
@@ -248,14 +262,17 @@ def test_load_multiplex_memory_is_linear_in_stored_edges(tmp_path):
     # bytes and numpy's parse, not for a Python tuple per edge
     path = tmp_path / "big.edges"
     _write_random_edges(path, 20_000, 100_000)
-    tracemalloc.start()
-    try:
-        net = load_multiplex(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    assert net.layers[0].rows.size == 100_000
+    for parse in (fileio._parse_edges_whole, lambda path: None):  # whole file, line scan
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_parse_edges_whole", parse)
+            tracemalloc.start()
+            try:
+                net = load_multiplex(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 * 2**20, (parse, peak)
+        assert net.layers[0].rows.size == 100_000
 
 
 def test_loading_and_building_matrices_makes_no_edge_tuples(tmp_path):

@@ -84,8 +84,10 @@ def test_block_communities_equal_weights_matches_flat_coupling():
 def test_block_communities_guards():
     with pytest.raises(ValueError):
         block_communities(5, (3, 3), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        block_communities(4, (2, 2), -1.0, 1.0)
+    # a NaN intra weight on 1-layer blocks lands only on the zeroed diagonal
+    for intra, inter in [(-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)]:
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+            block_communities(2, (1, 1), intra, inter)
 
 
 def test_from_triplets():
