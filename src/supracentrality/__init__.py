@@ -24,8 +24,8 @@ _EXPORTS = {
     "limits": ("CorollaryCheck", "DegenerateInterlayerEigenvalueError",
                "DegenerateLayerEigenvalueError", "LayerEigendata", "LimitPreconditionError",
                "NotApplicableError", "ReducibleDominatingSetError", "StrongLimitResult",
-               "WeakLimitResult", "corollary_crosscheck", "layer_eigendata", "strong_limit",
-               "weak_limit"),
+               "WeakLimitResult", "corollary_crosscheck", "layer_eigendata", "layer_spectral_radii",
+               "strong_limit", "weak_limit"),
     "sweeps": ("DegreeCorrelation", "OmegaGrid", "RegimeInterval", "RegimeReport", "SweepResult",
                "correlate_with_degrees", "detect_regimes", "log_grid", "rank_trajectory", "sweep"),
     "types": ("Authority", "CentralityKind", "CentralityTableau", "DanglingPolicy", "Eigenvector",

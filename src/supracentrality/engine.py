@@ -338,9 +338,10 @@ def tableau_from_vector(
 ) -> CentralityTableau:
     """Reshape a unit nonnegative eigenvector into the centrality tableau.
 
-    Entry N*(t-1)+i of the vector becomes W[i-1, t-1]; marginals are the
-    row/column sums and conditionals divide by them.  Layers or nodes with
-    zero marginal mass get NaN conditionals and are flagged on the tableau.
+    Entries in (-1e-9, 0) are clamped to 0 and the vector is scaled to unit
+    norm; entry N*(t-1)+i then becomes W[i-1, t-1].  The tableau derives its
+    marginals, conditionals and zero-mass flags from W and rejects a W that
+    is not finite.
     """
     v = np.asarray(vector, dtype=float)
     if v.shape != (n_nodes * n_layers,):
@@ -352,30 +353,9 @@ def tableau_from_vector(
     if nrm == 0:
         raise ValueError("eigenvector is zero")
     v = v / nrm
-
-    W = v.reshape(n_layers, n_nodes).T.copy()
-    x = W.sum(axis=0)
-    x_hat = W.sum(axis=1)
-    zero_layers = tuple(int(t + 1) for t in np.flatnonzero(x == 0))
-    zero_nodes = tuple(int(i + 1) for i in np.flatnonzero(x_hat == 0))
-    # W >= 0, so a zero marginal is an all-zero slice whose 0/0 is already NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Z = W / x[np.newaxis, :]
-        Z_hat = W / x_hat[:, np.newaxis]
-
-    tableau = CentralityTableau(
-        W=W,
-        x=x,
-        x_hat=x_hat,
-        Z=Z,
-        Z_hat=Z_hat,
-        lambda_max=float(lambda_max),
-        omega=float(omega),
-        zero_mass_layers=zero_layers,
-        zero_mass_nodes=zero_nodes,
+    return CentralityTableau(
+        W=v.reshape(n_layers, n_nodes).T, lambda_max=float(lambda_max), omega=float(omega)
     )
-    tableau.validate()
-    return tableau
 
 
 def stride_permutation(n_nodes: int, n_layers: int) -> np.ndarray:

@@ -282,23 +282,30 @@ def load_multiplex(
 
 
 def load_interlayer(path, n_layers: int) -> InterlayerMatrix:
-    """Parse a ``t t_prime weight`` triplet file into an interlayer matrix."""
-    triplets = []
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, lineno, f"expected 3 columns, got {len(parts)}")
-        try:
-            t, t_prime, weight = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError(path, lineno, f"bad field in {line!r}") from None
-        if not math.isfinite(weight):
-            raise ParseError(path, lineno, f"non-finite weight {parts[2]!r}")
-        triplets.append((t, t_prime, weight))
+    """Parse a ``t t_prime weight`` triplet file into an interlayer matrix;
+    ``from_triplets`` checks each triplet as it is read, so errors name its line."""
+    lineno = 0
+
+    def triplets():
+        nonlocal lineno
+        for lineno, line in _data_lines(path):
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(path, lineno, f"expected 3 columns, got {len(parts)}")
+            try:
+                t, t_prime, weight = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ParseError(path, lineno, f"bad field in {line!r}") from None
+            if not math.isfinite(weight):
+                raise ParseError(path, lineno, f"non-finite weight {parts[2]!r}")
+            yield t, t_prime, weight
+
     try:
-        return from_triplets(n_layers, triplets)
+        return from_triplets(n_layers, triplets())
+    except ParseError:
+        raise
     except ValueError as err:
-        raise ParseError(path, 0, str(err)) from err
+        raise ParseError(path, lineno, str(err)) from err
 
 
 def write_tableau_csv(tableau: CentralityTableau, net: MultiplexNetwork, path) -> None:

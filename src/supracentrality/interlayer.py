@@ -5,6 +5,8 @@ layer t to layer t'.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .types import InterlayerMatrix
@@ -97,9 +99,10 @@ def block_communities(
 
 
 def from_triplets(
-    n_layers: int, triplets: list[tuple[int, int, float]]
+    n_layers: int, triplets: Iterable[tuple[int, int, float]]
 ) -> InterlayerMatrix:
-    """Dense matrix from 1-based (t, t', weight) triplets; unspecified entries are 0."""
+    """Dense matrix from 1-based (t, t', weight) triplets; unspecified entries are 0.
+    Triplets are checked in order: the first bad one raises ValueError."""
     values = np.zeros((n_layers, n_layers))
     seen: set[tuple[int, int]] = set()
     for t, tp, w in triplets:

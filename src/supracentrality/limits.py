@@ -47,6 +47,7 @@ __all__ = [
     "StrongLimitResult",
     "CorollaryCheck",
     "layer_eigendata",
+    "layer_spectral_radii",
     "weak_limit",
     "strong_limit",
     "corollary_crosscheck",
@@ -175,21 +176,19 @@ def _block_radii(mat, count: int, labels: np.ndarray, tol: float, max_iter: int)
     return radii
 
 
-def _perron_pairs(
-    mat: LayerCentralityMatrix, where: str, tol: float, max_iter: int, check_gap: bool
-):
+def _perron_pairs(mat: LayerCentralityMatrix, where: str, tol: float, max_iter: int):
     """Whether ``mat`` is irreducible, and its right and left dominant
     eigenpairs by shifted power iteration.
 
-    With ``check_gap``, a reducible ``mat`` whose two largest strong
-    component radii (plus the shift) lie within LAYER_GAP_FLOOR raises
-    DegenerateLayerEigenvalueError before any iteration on the whole
-    matrix (Perron-Frobenius and Rothblum 1975).  Errors name ``where``.
+    A reducible ``mat`` whose two largest strong component radii (plus the
+    shift) lie within LAYER_GAP_FLOOR raises DegenerateLayerEigenvalueError
+    before any iteration on the whole matrix (Perron-Frobenius and Rothblum
+    1975).  Errors name ``where``.
     """
     count, labels = layer_sum_components((mat,))
     shift = default_shift(mat.max_row_sum())
     try:
-        if check_gap and count > 1:
+        if count > 1:
             second, top = np.sort(_block_radii(mat, count, labels, tol, max_iter))[-2:]
             if second + shift >= (1.0 - LAYER_GAP_FLOOR) * (top + shift):
                 raise DegenerateLayerEigenvalueError(where, top, second)
@@ -238,18 +237,17 @@ def layer_eigendata(
     *,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    check_gap: bool = True,
 ) -> LayerEigendata:
     """Dominant right/left eigenpair of every layer's centrality matrix.
 
-    Each layer goes through ``_perron_pairs``, the structural gap guard
-    (with ``check_gap``) and the shifted power iteration that accepts the
-    coupled engine's solves.  Non-irreducible layers are flagged rather
-    than rejected.  Near-degeneracy inside one irreducible block is not
-    caught: it shows up as slow convergence.
+    Each layer goes through ``_perron_pairs``, the structural gap guard and
+    the shifted power iteration that accepts the coupled engine's solves.
+    Non-irreducible layers are flagged rather than rejected.  Near-degeneracy
+    inside one irreducible block is not caught: it shows up as slow
+    convergence.
     """
     solved = [
-        _perron_pairs(build_centrality_matrix(g, kind), f"layer {t + 1}", tol, max_iter, check_gap)
+        _perron_pairs(build_centrality_matrix(g, kind), f"layer {t + 1}", tol, max_iter)
         for t, g in enumerate(net.layers)
     ]
     return LayerEigendata(
@@ -258,6 +256,21 @@ def layer_eigendata(
         left=np.array([left.vector for _, _, left in solved]),
         irreducible=tuple(flag for flag, _, _ in solved),
     )
+
+
+def layer_spectral_radii(net: MultiplexNetwork, kind: CentralityKind) -> np.ndarray:
+    """Spectral radius of every layer's centrality matrix: the largest of its
+    strong component block radii (the gap guard's block solves), with no left
+    iteration and no gap required, so a tied dominant eigenvalue is no error."""
+    radii = []
+    for t, g in enumerate(net.layers, start=1):
+        mat = build_centrality_matrix(g, kind)
+        try:
+            radii.append(_block_radii(mat, *layer_sum_components((mat,)), 1e-12, 100_000).max())
+        except NonConvergenceError as err:
+            context = f"layer {t}: {err.context}" if err.context else f"layer {t}"
+            raise NonConvergenceError(err.iterations, err.residual, context) from err
+    return np.array(radii)
 
 
 def check_rel_tol_dominating(rel_tol_dominating: float) -> None:
@@ -366,7 +379,7 @@ def strong_limit(
     mu1, v_tilde, u_tilde, weights = _interlayer_weights(problem.interlayer.values)
     mats = tuple(build_centrality_matrix(g, problem.kind) for g in net.layers)
     aggregate = _weighted_sum(mats, weights)
-    _, res_r, res_l = _perron_pairs(aggregate, "strong-limit aggregate", tol, max_iter, True)
+    _, res_r, res_l = _perron_pairs(aggregate, "strong-limit aggregate", tol, max_iter)
 
     vector = np.outer(res_r.vector, v_tilde).flatten(order="F")
     tableau = tableau_from_vector(vector, net.n_nodes, net.n_layers, mu1, float("inf"))

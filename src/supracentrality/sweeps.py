@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector
 from .graph import ConstantInputError, intralayer_degrees, pearson, total_degrees
-from .limits import layer_eigendata
+from .limits import layer_spectral_radii
 from .types import (
     CentralityKind,
     CentralityTableau,
@@ -123,9 +123,13 @@ def sweep(
     base = SupraOperator(
         SupraProblem(network=network, kind=kind, interlayer=interlayer, omega=grid.values[0])
     )
+    count = len(grid)
+    w_sens = np.full(max(count - 1, 0), np.nan)
+    z_sens = np.full(max(count - 1, 0), np.nan)
     tableaus: list[CentralityTableau | None] = []
     failures: list[tuple[int, str]] = []
     start = None
+    previous = None  # W and Z of the previous point, None after a failed one
     for s, omega in enumerate(grid.values):
         op = base.with_omega(float(omega))
         try:
@@ -133,24 +137,18 @@ def sweep(
         except NonConvergenceError as err:
             failures.append((s, str(err)))
             tableaus.append(None)
-            start = None
+            start = previous = None
             continue
-        tableaus.append(
-            tableau_from_vector(
-                pair.vector, network.n_nodes, network.n_layers, pair.eigenvalue, float(omega)
-            )
+        tab = tableau_from_vector(
+            pair.vector, network.n_nodes, network.n_layers, pair.eigenvalue, float(omega)
         )
+        tableaus.append(tab)
+        Z = tab.Z
+        if previous is not None:
+            w_sens[s - 1] = float(np.linalg.norm(tab.W - previous[0]))
+            z_sens[s - 1] = float(np.linalg.norm(Z - previous[1]))
+        previous = tab.W, Z
         start = pair.vector if warm_start else None
-
-    count = len(grid)
-    w_sens = np.full(max(count - 1, 0), np.nan)
-    z_sens = np.full(max(count - 1, 0), np.nan)
-    for s in range(count - 1):
-        a, b = tableaus[s], tableaus[s + 1]
-        if a is None or b is None:
-            continue
-        w_sens[s] = float(np.linalg.norm(b.W - a.W))
-        z_sens[s] = float(np.linalg.norm(b.Z - a.Z))
     return SweepResult(
         grid=grid,
         tableaus=tuple(tableaus),
@@ -286,8 +284,9 @@ def rank_trajectory(result: SweepResult, node: int) -> np.ndarray:
     for s, tab in enumerate(result.tableaus):
         if tab is None:
             continue
+        Z = tab.Z
         for t in range(t_count):
-            col = tab.Z[:, t]
+            col = Z[:, t]
             order = np.lexsort((order_tiebreak, -col))
             ranks = np.empty(n, dtype=int)
             ranks[order] = np.arange(1, n + 1)
@@ -322,8 +321,7 @@ def reference_layer_by_spectral_radius(
 ) -> int:
     """1-based index of the layer whose centrality matrix has the largest
     spectral radius (ties go to the lowest index)."""
-    data = layer_eigendata(network, kind, check_gap=False)
-    return int(np.argmax(data.spectral_radii)) + 1
+    return int(np.argmax(layer_spectral_radii(network, kind))) + 1
 
 
 def correlate_with_degrees(
@@ -357,8 +355,9 @@ def correlate_with_degrees(
                 DegreeCorrelation(omega, float("nan"), float("nan"), float("nan"))
             )
             continue
-        z_flat = tab.Z.flatten(order="F")
-        z_sum = tab.Z.sum(axis=1)
+        Z = tab.Z
+        z_flat = Z.flatten(order="F")
+        z_sum = Z.sum(axis=1)
         r_a, f_a = _safe_pearson(deg_flat, z_flat)
         r_b, f_b = _safe_pearson(totals, z_sum)
         r_c, f_c = _safe_pearson(ref, z_sum)

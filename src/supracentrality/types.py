@@ -288,39 +288,41 @@ class SupraProblem:
             raise ValueError(f"omega must be nonnegative, got {self.omega}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class CentralityTableau:
-    """Joint centralities W (N x T) with derived marginals and conditionals.
+    """Joint centralities W (N x T), from which every other tableau field derives.
 
     W holds the dominant eigenvector at unit Euclidean norm, reshaped so that
-    W[i, t] is the joint centrality of node i+1 in layer t+1.  Marginal layer
-    centralities ``x`` are column sums, marginal node centralities ``x_hat``
-    are row sums, and the conditionals are Z[i, t] = W[i, t] / x[t] and
-    Z_hat[i, t] = W[i, t] / x_hat[i].  Layers (nodes) with zero marginal mass
-    yield NaN conditional columns (rows) and are listed 1-based in
-    ``zero_mass_layers`` (``zero_mass_nodes``); this cannot happen when the
-    coupled operator is irreducible.
+    W[i, t] is the joint centrality of node i+1 in layer t+1.  Construction
+    keeps a read-only C-ordered copy of W and raises ValueError unless W is
+    2-D, finite and nonnegative with squared entries summing to 1 within
+    1e-9.  Marginal layer centralities ``x`` (``mlc``) are column sums,
+    marginal node centralities ``x_hat`` (``mnc``) are row sums, and the
+    conditionals are Z[i, t] = W[i, t] / x[t] and Z_hat[i, t] = W[i, t] /
+    x_hat[i]; each is computed from W on every access, so a tableau holds one
+    N x T array.  Layers (nodes) with zero marginal mass yield NaN conditional
+    columns (rows) and are listed 1-based in ``zero_mass_layers``
+    (``zero_mass_nodes``); this cannot happen when the coupled operator is
+    irreducible.
     """
 
     W: np.ndarray
-    x: np.ndarray
-    x_hat: np.ndarray
-    Z: np.ndarray
-    Z_hat: np.ndarray
     lambda_max: float
     omega: float
-    zero_mass_layers: tuple[int, ...] = ()
-    zero_mass_nodes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("W", "x", "x_hat", "Z", "Z_hat"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        W = np.array(self.W, dtype=float, order="C")
+        if W.ndim != 2:
+            raise ValueError(f"joint centralities must form a 2-D array, got shape {W.shape}")
+        if not np.isfinite(W).all():
+            raise ValueError("joint centralities must be finite")
+        if W.min(initial=0.0) < 0:
+            raise ValueError("joint centralities must be nonnegative")
+        total = float(np.sum(W * W))
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"sum of squared joint centralities is {total}, expected 1")
+        W.setflags(write=False)
+        object.__setattr__(self, "W", W)
 
     @property
     def n_nodes(self) -> int:
@@ -331,40 +333,33 @@ class CentralityTableau:
         return self.W.shape[1]
 
     @property
-    def mlc(self) -> np.ndarray:
-        """Marginal layer centralities (alias for ``x``)."""
-        return self.x
+    def x(self) -> np.ndarray:
+        """Marginal layer centralities: the column sums of W."""
+        return self.W.sum(axis=0)
 
     @property
-    def mnc(self) -> np.ndarray:
-        """Marginal node centralities (alias for ``x_hat``)."""
-        return self.x_hat
+    def x_hat(self) -> np.ndarray:
+        """Marginal node centralities: the row sums of W."""
+        return self.W.sum(axis=1)
 
-    def validate(self, atol: float = 1e-12) -> None:
-        """Raise ValueError if any tableau invariant is violated."""
-        n, t = self.W.shape
-        if self.x.shape != (t,) or self.x_hat.shape != (n,):
-            raise ValueError("marginal shapes do not match W")
-        if self.Z.shape != (n, t) or self.Z_hat.shape != (n, t):
-            raise ValueError("conditional shapes do not match W")
-        if self.W.min() < 0:
-            raise ValueError("joint centralities must be nonnegative")
-        total = float(np.sum(self.W * self.W))
-        if abs(total - 1.0) > max(atol, 1e-9):
-            raise ValueError(f"sum of squared joint centralities is {total}, expected 1")
-        if np.abs(self.W.sum(axis=0) - self.x).max() > atol:
-            raise ValueError("marginal layer centralities disagree with column sums")
-        if np.abs(self.W.sum(axis=1) - self.x_hat).max() > atol:
-            raise ValueError("marginal node centralities disagree with row sums")
-        for what, name, cond, axis, zero_mass in (
-                ("layer", "Z", self.Z, 0, self.zero_mass_layers),
-                ("node", "Z_hat", self.Z_hat, 1, self.zero_mass_nodes)):
-            flagged = np.isin(np.arange(1, cond.shape[1 - axis] + 1), zero_mass)
-            # an unflagged slice with a NaN sum compares False and passes
-            bad = np.where(flagged, ~np.isnan(cond).all(axis=axis),
-                           np.abs(cond.sum(axis=axis) - 1.0) > atol)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValueError(f"{what} {k + 1} flagged zero-mass but {name} is not NaN"
-                                 if flagged[k] else
-                                 f"conditional centralities of {what} {k + 1} do not sum to 1")
+    mlc = x
+    mnc = x_hat
+
+    # W >= 0, so a zero marginal is an all-zero slice whose 0/0 is already NaN
+    @property
+    def Z(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.W / self.x[np.newaxis, :]
+
+    @property
+    def Z_hat(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.W / self.x_hat[:, np.newaxis]
+
+    @property
+    def zero_mass_layers(self) -> tuple[int, ...]:
+        return tuple(int(t + 1) for t in np.flatnonzero(self.x == 0))
+
+    @property
+    def zero_mass_nodes(self) -> tuple[int, ...]:
+        return tuple(int(i + 1) for i in np.flatnonzero(self.x_hat == 0))

@@ -181,6 +181,18 @@ def test_correlate_and_trajectory(six_layer_net, tmp_path):
     assert all(1 <= r <= 4 for r in ranks)
 
 
+def test_correlate_default_reference_layer_skips_a_dag_layer(tmp_path):
+    # layer 1 is the DAG 1 -> 2 (radius 0, a repeated eigenvalue), layer 2 a 2-cycle
+    net = tmp_path / "dag.edges"
+    net.write_text("1 1 2 1\n2 1 2 1\n2 2 1 1\n", encoding="utf-8")
+    base = ["correlate", "--network", str(net), "--kind", "eigenvector",
+            "--interlayer", "alltoall", "--grid", "-1,1,1"]
+    default, layer2 = tmp_path / "default.csv", tmp_path / "layer2.csv"
+    assert dispatch([*base, "--out", str(default)]) == 0
+    assert dispatch([*base, "--reference-layer", "2", "--out", str(layer2)]) == 0
+    assert default.read_bytes() == layer2.read_bytes()
+
+
 def test_versatility_output(six_layer_net, tmp_path):
     out = tmp_path / "vers.csv"
     code = dispatch(

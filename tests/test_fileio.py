@@ -129,6 +129,20 @@ def test_load_interlayer_triplets(tmp_path):
         load_interlayer(dup, 2)
 
 
+@pytest.mark.parametrize("name, text, lineno, message", [
+    ("dup.tsv", "1 2 1.0\n# note\n2 1 1.0\n1 2 2.0\n", 4, "duplicate layer pair (1, 2)"),
+    ("oor.tsv", "1 2 1.0\n\n3 1 1.0\n", 3, "layer pair (3, 1) out of range for 2 layers"),
+    ("neg.tsv", "2 1 -1.0\n1 2 1.0\n", 1, "negative weight -1.0 for layer pair (2, 1)"),
+])
+def test_load_interlayer_reports_the_line_of_a_bad_triplet(tmp_path, name, text, lineno, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_interlayer(path, 2)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
+    assert err.value.lineno == lineno
+
+
 def test_network_roundtrip_via_files(tmp_path):
     rng = np.random.default_rng(31)
     for trial in range(5):

@@ -13,6 +13,7 @@ from supracentrality import (
     LayerGraph,
     LimitPreconditionError,
     MultiplexNetwork,
+    NonConvergenceError,
     NotApplicableError,
     PageRank,
     SupraOperator,
@@ -20,6 +21,7 @@ from supracentrality import (
     corollary_crosscheck,
     dominant_eigenpair,
     layer_eigendata,
+    layer_spectral_radii,
     strong_limit,
     tableau_from_vector,
     weak_limit,
@@ -83,27 +85,37 @@ def _undirected(n, edges):
 
 
 @pytest.mark.parametrize(
-    "layer",
+    "layer, radius",
     [
         # single-node blocks: two self-loops, block radii 1 and 1 (and 0)
-        LayerGraph(3, ((1, 1, 1.0), (2, 2, 1.0), (3, 1, 0.5))),
+        (LayerGraph(3, ((1, 1, 1.0), (2, 2, 1.0), (3, 1, 0.5))), 1.0),
         # two disjoint triangles: two blocks of radius 2, each from a block solve
-        _undirected(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]),
+        (_undirected(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]), 2.0),
     ],
     ids=["tied_single_node_blocks", "tied_triangle_blocks"],
 )
-def test_layer_gap_guard_rejects_repeated_dominant_eigenvalue(layer):
+def test_layer_gap_guard_rejects_repeated_dominant_eigenvalue(layer, radius):
     net = MultiplexNetwork(layer.n_nodes, (layer,))
     with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
         layer_eigendata(net, Eigenvector())
-    assert layer_eigendata(net, Eigenvector(), check_gap=False).spectral_radii[0] > 0
+    # the radius alone needs no gap: the largest block radius
+    assert layer_spectral_radii(net, Eigenvector())[0] == pytest.approx(radius, abs=1e-10)
 
 
-def test_layer_gap_guard_accepts_bipartite_path():
+def test_layer_gap_guard_accepts_bipartite_path(monkeypatch):
     # spectrum symmetric about 0: only the shift separates +sqrt(3) from -sqrt(3)
     path = _undirected(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
-    data = layer_eigendata(MultiplexNetwork(5, (path,)), Eigenvector())
+    net = MultiplexNetwork(5, (path,))
+    data = layer_eigendata(net, Eigenvector())
     assert data.spectral_radii[0] == pytest.approx(math.sqrt(3.0), abs=1e-10)
+    assert layer_spectral_radii(net, Eigenvector())[0] == pytest.approx(math.sqrt(3.0), abs=1e-10)
+
+    def stalled(*args, **kwargs):
+        raise NonConvergenceError(100_000, 1.0)
+
+    monkeypatch.setattr(limits, "shifted_power_iteration", stalled)
+    with pytest.raises(NonConvergenceError, match=r"\(layer 1\)$"):
+        layer_spectral_radii(net, Eigenvector())
 
 
 def test_layer_gap_guard_rejects_dag_layer_before_iterating():

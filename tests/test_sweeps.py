@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,30 @@ def test_single_layer_sweep_is_flat():
         assert np.abs(tab.W - w0).max() <= 1e-10
     assert np.nanmax(res.w_sensitivity) <= 1e-10
     assert np.nanmax(res.z_sensitivity) <= 1e-10
+
+
+def test_sweep_holds_one_n_by_t_array_per_grid_point():
+    # each layer a circulant: a ring plus chords of a layer-specific length and weight
+    n, t = 3000, 3
+    ring = np.arange(1, n + 1)
+    layers = []
+    for k in range(t):
+        rows = np.concatenate([ring, ring % n + 1, ring, (ring + k + 1) % n + 1])
+        cols = np.concatenate([ring % n + 1, ring, (ring + k + 1) % n + 1, ring])
+        weights = np.repeat([1.0, 1.0, k + 1.0, k + 1.0], n)
+        layers.append(LayerGraph.from_arrays(n, rows, cols, weights))
+    net, grid = MultiplexNetwork(n, tuple(layers)), log_grid(-1, 1, 0.3)
+    sweep(net, Eigenvector(), all_to_all(t), grid)  # builds the layers' cached CSR
+    tracemalloc.start()
+    try:
+        result = sweep(net, Eigenvector(), all_to_all(t), grid)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not result.failures
+    w_bytes = len(grid) * result.tableaus[0].W.nbytes
+    # the margin covers the objects around the arrays and the two series
+    assert held <= 1.5 * w_bytes + 64 * 1024, (held, w_bytes)
 
 
 def test_warm_and_cold_sweeps_agree():

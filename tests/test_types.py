@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,19 +93,35 @@ def test_supraproblem_dimension_guard():
         )
 
 
-def test_tableau_validate_catches_bad_marginals():
-    W = np.full((2, 2), 0.5)
-    bad = CentralityTableau(
-        W=W,
-        x=np.array([0.9, 1.0]),
-        x_hat=W.sum(axis=1),
-        Z=W / W.sum(axis=0),
-        Z_hat=W / W.sum(axis=1)[:, None],
-        lambda_max=1.0,
-        omega=1.0,
-    )
+def test_tableau_holds_only_w_and_derives_the_rest():
+    assert [f.name for f in dataclasses.fields(CentralityTableau)] == ["W", "lambda_max", "omega"]
+    assert not hasattr(CentralityTableau, "validate")
+    W = np.array([[0.6, 0.0], [0.0, 0.8]])
+    tab = CentralityTableau(W, lambda_max=2.0, omega=0.5)
+    W[0, 0] = 0.0
+    assert tab.W[0, 0] == 0.6 and tab.W.flags.c_contiguous
     with pytest.raises(ValueError):
-        bad.validate()
+        tab.W[0, 0] = 1.0
+    assert tab.x.tolist() == [0.6, 0.8] and tab.mnc.tolist() == [0.6, 0.8]
+    assert tab.Z.tolist() == [[1.0, 0.0], [0.0, 1.0]] == tab.Z_hat.tolist()
+
+
+@pytest.mark.parametrize("W, message", [
+    (np.full(4, 0.5), "2-D"),
+    (np.array([[0.6, np.inf], [0.8, 0.0]]), "finite"),
+    (np.array([[0.6, np.nan], [0.8, 0.0]]), "finite"),
+    (np.array([[0.6, -1e-12], [0.8, 0.0]]), "nonnegative"),
+    (np.array([[0.6, 0.1], [0.8, 0.0]]), "sum of squared joint centralities"),
+    (np.zeros((2, 0)), "sum of squared joint centralities"),
+])
+def test_tableau_rejects_a_bad_w(W, message):
+    with pytest.raises(ValueError, match=message):
+        CentralityTableau(W, lambda_max=1.0, omega=1.0)
+
+
+def test_tableau_from_nan_vector_is_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        tableau_from_vector(np.array([np.nan, 1.0, 0.5, 0.5]), 2, 2, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
@@ -174,33 +192,3 @@ def test_entries_of_unsorted_numpy_scalar_triples_are_python_numbers():
     assert g.entries == ((1, 2, 0.75), (1, 2, 1.25), (1, 3, 2.0), (2, 1, 0.5))
     assert {tuple(type(v) for v in e) for e in g.entries} == {(int, int, float)}
     assert LayerGraph(3, ()).entries == ()
-
-
-def _tableau(n=5, t=3, **flags):
-    vector = np.random.default_rng(4).uniform(0.5, 1.5, n * t)
-    good = tableau_from_vector(vector, n, t, 1.0, 1.0)
-    fields = {name: np.array(getattr(good, name)) for name in ("W", "x", "x_hat", "Z", "Z_hat")}
-    return fields, lambda **f: CentralityTableau(lambda_max=1.0, omega=1.0, **{**f, **flags})
-
-
-@pytest.mark.parametrize("name, index, message", [
-    ("Z", (slice(None), 1), "conditional centralities of layer 2 do not sum to 1"),
-    ("Z_hat", (3, slice(None)), "conditional centralities of node 4 do not sum to 1"),
-])
-def test_tableau_validate_names_the_first_bad_conditional(name, index, message):
-    fields, build = _tableau()
-    fields[name][index] *= 1.5
-    fields[name][(slice(None), 2) if name == "Z" else (4, slice(None))] *= 1.5
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        build(**fields).validate()
-
-
-def test_tableau_validate_checks_zero_mass_flags():
-    fields, build = _tableau(zero_mass_layers=(3,), zero_mass_nodes=(2,))
-    with pytest.raises(ValueError, match="^layer 3 flagged zero-mass but Z is not NaN$"):
-        build(**fields).validate()
-    fields["Z"][:, 2] = np.nan
-    with pytest.raises(ValueError, match="^node 2 flagged zero-mass but Z_hat is not NaN$"):
-        build(**fields).validate()
-    fields["Z_hat"][1, :] = np.nan
-    build(**fields).validate()
