@@ -135,7 +135,7 @@ def _parse_grid(spec: str):
 
 def _solve(problem: SupraProblem, tol: float, max_iter: int):
     op = SupraOperator(problem)
-    report = check_preconditions(problem, op.layers)
+    report = check_preconditions(problem)
     if not report.both_ok:
         print(
             "warning: uniqueness preconditions not satisfied "
@@ -190,13 +190,13 @@ def _run_sweep(args):
         max_iter=args.max_iter,
         warm_start=not getattr(args, "no_warm_start", False),
     )
-    return net, result
+    return result
 
 
 def _cmd_sweep(args) -> int:
     check_prominence_fraction(args.prominence)
-    net, result = _run_sweep(args)
-    fileio.write_sweep_csv(result, net, args.out)
+    result = _run_sweep(args)
+    fileio.write_sweep_csv(result, args.out)
     for index, message in result.failures:
         print(f"warning: grid point {index + 1} failed: {message}", file=sys.stderr)
     if len(result.grid) >= 4:
@@ -253,8 +253,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    net, result = _run_sweep(args)
-    rows = correlate_with_degrees(result, net, reference_layer=args.reference_layer)
+    rows = correlate_with_degrees(_run_sweep(args), reference_layer=args.reference_layer)
     columns = ("omega", "intralayer_vs_conditional", "total_vs_conditional_sum",
                "reference_vs_conditional_sum")
     fileio.write_csv(
@@ -266,7 +265,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    net, result = _run_sweep(args)
+    result = _run_sweep(args)
+    net = result.problem.network
     ranks = rank_trajectory(result, args.node)
     fileio.write_csv(
         args.out,

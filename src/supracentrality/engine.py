@@ -27,7 +27,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .centrality import build_centrality_matrix
 from .types import CentralityTableau, SupraProblem
 
 __all__ = [
@@ -181,10 +180,7 @@ class SupraOperator:
         shift: float | None = None,
     ):
         self.problem = problem
-        self.layers = tuple(
-            build_centrality_matrix(layer, problem.kind)
-            for layer in problem.network.layers
-        )
+        self.layers = problem.layer_matrices
         self.interlayer = problem.interlayer.values
         self.omega = problem.omega
         if shift is None:

@@ -354,13 +354,14 @@ def write_summary_json(
     write_json(path, payload)
 
 
-def write_sweep_csv(result: SweepResult, net: MultiplexNetwork, path) -> None:
+def write_sweep_csv(result: SweepResult, path) -> None:
     """One row per coupling strength: omega, eigenvalue, both sensitivities,
     then the T marginal layer centralities and N marginal node centralities.
 
     The first row's sensitivities (no previous point) and any failed points
     are written as nan.
     """
+    net = result.problem.network
     header = ["omega", "lambda_max", "w_sensitivity", "z_sensitivity"]
     header += [f"mlc_{net.layer_label(t)}" for t in range(1, net.n_layers + 1)]
     header += [f"mnc_{net.node_label(i)}" for i in range(1, net.n_nodes + 1)]

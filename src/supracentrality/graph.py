@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .centrality import LayerCentralityMatrix, build_centrality_matrix
+from .centrality import LayerCentralityMatrix
 from .types import LayerGraph, MultiplexNetwork, SupraProblem
 
 __all__ = [
@@ -109,24 +109,17 @@ class PreconditionReport:
         return self.interlayer_ok and self.layer_sum_ok
 
 
-def check_preconditions(
-    problem: SupraProblem,
-    layer_matrices: tuple[LayerCentralityMatrix, ...] | None = None,
-) -> PreconditionReport:
-    """Check that the interlayer matrix is strongly connected and the summed
-    layer centrality matrices are irreducible.
+def check_preconditions(problem: SupraProblem) -> PreconditionReport:
+    """Check that the interlayer matrix is strongly connected and the sum of
+    ``problem.layer_matrices`` is irreducible.
 
     Report-style: callers decide whether to refuse.  When both flags hold,
     the coupled operator has a unique positive dominant eigenvector for
     every omega > 0.
     """
-    if layer_matrices is None:
-        layer_matrices = tuple(
-            build_centrality_matrix(layer, problem.kind) for layer in problem.network.layers
-        )
     return PreconditionReport(
         interlayer_ok=strongly_connected(problem.interlayer.values),
-        layer_sum_ok=layer_sum_irreducible(layer_matrices),
+        layer_sum_ok=layer_sum_irreducible(problem.layer_matrices),
     )
 
 
@@ -167,15 +160,15 @@ def aggregate_layers(net: MultiplexNetwork) -> LayerGraph:
 def pearson(x, y) -> float:
     """Sample Pearson correlation coefficient.
 
-    Raises ConstantInputError when either input has zero variance (the
-    coefficient is undefined there).
+    Raises ConstantInputError when either input has zero variance, fewer
+    than two samples included (the coefficient is undefined there).
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("inputs must be 1-D with equal length")
-    if xa.size < 2:
-        raise ValueError("need at least two samples")
+    if xa.size < 2:  # one sample has zero variance
+        raise ConstantInputError("need at least two samples")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sx = float(xc @ xc)

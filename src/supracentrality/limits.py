@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .centrality import LayerCentralityMatrix, build_centrality_matrix
+from .centrality import LayerCentralityMatrix
 from .engine import (
     NonConvergenceError,
     _fix_sign,
@@ -34,7 +34,7 @@ from .engine import (
 )
 from .graph import layer_sum_components, strongly_connected
 from .interlayer import all_to_all, chain_undirected
-from .types import CentralityKind, CentralityTableau, MultiplexNetwork, SupraProblem
+from .types import CentralityTableau, SupraProblem
 
 __all__ = [
     "LimitPreconditionError",
@@ -232,13 +232,12 @@ def _max_abs_entry(mat: LayerCentralityMatrix) -> float:
 
 
 def layer_eigendata(
-    net: MultiplexNetwork,
-    kind: CentralityKind,
+    problem: SupraProblem,
     *,
     tol: float = 1e-12,
     max_iter: int = 100_000,
 ) -> LayerEigendata:
-    """Dominant right/left eigenpair of every layer's centrality matrix.
+    """Dominant right/left eigenpair of every matrix in ``problem.layer_matrices``.
 
     Each layer goes through ``_perron_pairs``, the structural gap guard and
     the shifted power iteration that accepts the coupled engine's solves.
@@ -247,8 +246,8 @@ def layer_eigendata(
     convergence.
     """
     solved = [
-        _perron_pairs(build_centrality_matrix(g, kind), f"layer {t + 1}", tol, max_iter)
-        for t, g in enumerate(net.layers)
+        _perron_pairs(mat, f"layer {t}", tol, max_iter)
+        for t, mat in enumerate(problem.layer_matrices, start=1)
     ]
     return LayerEigendata(
         spectral_radii=np.array([right.eigenvalue for _, right, _ in solved]),
@@ -258,13 +257,13 @@ def layer_eigendata(
     )
 
 
-def layer_spectral_radii(net: MultiplexNetwork, kind: CentralityKind) -> np.ndarray:
-    """Spectral radius of every layer's centrality matrix: the largest of its
-    strong component block radii (the gap guard's block solves), with no left
-    iteration and no gap required, so a tied dominant eigenvalue is no error."""
+def layer_spectral_radii(problem: SupraProblem) -> np.ndarray:
+    """Spectral radius of every matrix in ``problem.layer_matrices``: the
+    largest of its strong component block radii (the gap guard's block
+    solves), with no left iteration and no gap required, so a tied dominant
+    eigenvalue is no error."""
     radii = []
-    for t, g in enumerate(net.layers, start=1):
-        mat = build_centrality_matrix(g, kind)
+    for t, mat in enumerate(problem.layer_matrices, start=1):
         try:
             radii.append(_block_radii(mat, *layer_sum_components((mat,)), 1e-12, 100_000).max())
         except NonConvergenceError as err:
@@ -300,7 +299,7 @@ def weak_limit(
     """
     check_rel_tol_dominating(rel_tol_dominating)
     net = problem.network
-    data = layer_eigendata(net, problem.kind, tol=tol, max_iter=max_iter)
+    data = layer_eigendata(problem, tol=tol, max_iter=max_iter)
     radii = data.spectral_radii
     lam0 = float(radii.max())
     dominating = np.flatnonzero(radii >= (1.0 - rel_tol_dominating) * lam0)
@@ -377,8 +376,7 @@ def strong_limit(
     """
     net = problem.network
     mu1, v_tilde, u_tilde, weights = _interlayer_weights(problem.interlayer.values)
-    mats = tuple(build_centrality_matrix(g, problem.kind) for g in net.layers)
-    aggregate = _weighted_sum(mats, weights)
+    aggregate = _weighted_sum(problem.layer_matrices, weights)
     _, res_r, res_l = _perron_pairs(aggregate, "strong-limit aggregate", tol, max_iter)
 
     vector = np.outer(res_r.vector, v_tilde).flatten(order="F")
@@ -463,12 +461,12 @@ def corollary_crosscheck(problem: SupraProblem) -> CorollaryCheck:
         mu_formula = 1.0
         weights = w * w
 
-    mats = tuple(build_centrality_matrix(g, problem.kind) for g in problem.network.layers)
+    difference = _weighted_sum(problem.layer_matrices, weights_general - weights)
     return CorollaryCheck(
         shape=shape,
         mu1_computed=mu1,
         mu1_closed_form=mu_formula,
         mu1_discrepancy=abs(mu1 - mu_formula),
-        x_max_discrepancy=_max_abs_entry(_weighted_sum(mats, weights_general - weights)),
+        x_max_discrepancy=_max_abs_entry(difference),
         weights_closed_form=weights,
     )

@@ -89,7 +89,9 @@ class SweepResult:
     the change in W and Z between grid points s and s+1 (length one less
     than the grid); NaN where either endpoint failed to converge.
     ``failures`` records (grid index, message) for non-converged points,
-    whose tableau slots hold None.
+    whose tableau slots hold None.  ``problem`` is the swept problem at the
+    grid's first coupling strength; every grid point used its
+    ``layer_matrices``.
     """
 
     grid: OmegaGrid
@@ -97,9 +99,7 @@ class SweepResult:
     w_sensitivity: np.ndarray
     z_sensitivity: np.ndarray
     failures: tuple[tuple[int, str], ...]
-    network: MultiplexNetwork
-    kind: CentralityKind
-    interlayer: InterlayerMatrix
+    problem: SupraProblem
 
 
 def sweep(
@@ -155,9 +155,7 @@ def sweep(
         w_sensitivity=w_sens,
         z_sensitivity=z_sens,
         failures=tuple(failures),
-        network=network,
-        kind=kind,
-        interlayer=interlayer,
+        problem=base.problem,
     )
 
 
@@ -276,9 +274,9 @@ def rank_trajectory(result: SweepResult, node: int) -> np.ndarray:
     to the lower node index.  ``node`` is 1-based.  Rows for failed grid
     points are 0.
     """
-    n = result.network.n_nodes
+    n = result.problem.network.n_nodes
     check_in_range("node", node, n)
-    t_count = result.network.n_layers
+    t_count = result.problem.network.n_layers
     out = np.zeros((len(result.grid), t_count), dtype=int)
     order_tiebreak = np.arange(n)
     for s, tab in enumerate(result.tableaus):
@@ -316,18 +314,14 @@ def _safe_pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
         return float("nan"), True
 
 
-def reference_layer_by_spectral_radius(
-    network: MultiplexNetwork, kind: CentralityKind
-) -> int:
+def reference_layer_by_spectral_radius(problem: SupraProblem) -> int:
     """1-based index of the layer whose centrality matrix has the largest
     spectral radius (ties go to the lowest index)."""
-    return int(np.argmax(layer_spectral_radii(network, kind))) + 1
+    return int(np.argmax(layer_spectral_radii(problem))) + 1
 
 
 def correlate_with_degrees(
-    result: SweepResult,
-    network: MultiplexNetwork | None = None,
-    reference_layer: int | None = None,
+    result: SweepResult, reference_layer: int | None = None
 ) -> tuple[DegreeCorrelation, ...]:
     """Degree/centrality correlations at every grid point.
 
@@ -335,12 +329,12 @@ def correlate_with_degrees(
     centralities over all node-layer pairs (flattened layer-major);
     (b) total degrees against the per-node sum of conditional centralities;
     (c) one reference layer's degrees against that same sum.  The reference
-    defaults to the layer with the largest spectral radius.  Failed grid
-    points yield all-NaN rows.
+    defaults to the layer whose matrix in ``result.problem.layer_matrices``
+    has the largest spectral radius.  Failed grid points yield all-NaN rows.
     """
-    net = network if network is not None else result.network
+    net = result.problem.network
     if reference_layer is None:
-        reference_layer = reference_layer_by_spectral_radius(net, result.kind)
+        reference_layer = reference_layer_by_spectral_radius(result.problem)
     check_in_range("reference layer", reference_layer, net.n_layers)
     degrees = intralayer_degrees(net)
     deg_flat = degrees.flatten(order="F")

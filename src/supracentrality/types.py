@@ -14,9 +14,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
+
+if TYPE_CHECKING:
+    from .centrality import LayerCentralityMatrix
 
 __all__ = [
     "LayerGraph",
@@ -267,7 +271,9 @@ class SupraProblem:
     """A network, a centrality kind, an interlayer matrix, and a coupling strength.
 
     Defines the coupled block operator whose dominant eigenvector carries the
-    joint centralities.
+    joint centralities.  ``layer_matrices`` holds the per-layer centrality
+    matrices C_t, built on first access and shared by the operator, the
+    precondition checks and both coupling limits.
     """
 
     network: MultiplexNetwork
@@ -286,6 +292,13 @@ class SupraProblem:
             raise ValueError(f"omega must be finite, got {self.omega}")
         if self.omega < 0:
             raise ValueError(f"omega must be nonnegative, got {self.omega}")
+
+    @cached_property
+    def layer_matrices(self) -> tuple[LayerCentralityMatrix, ...]:
+        """The centrality matrix of every layer, in layer order."""
+        from . import centrality  # centrality imports this module
+
+        return tuple(centrality.build_centrality_matrix(g, self.kind) for g in self.network.layers)
 
 
 @dataclass(frozen=True, eq=False)

@@ -193,6 +193,50 @@ def test_correlate_default_reference_layer_skips_a_dag_layer(tmp_path):
     assert default.read_bytes() == layer2.read_bytes()
 
 
+def test_correlate_on_one_node_writes_nan_correlations(tmp_path):
+    # one node: every series has fewer than two samples or none that vary
+    net = tmp_path / "one.edges"
+    net.write_text("1 1 1 1\n2 1 1 2\n", encoding="utf-8")
+    base = ["correlate", "--network", str(net), "--kind", "eigenvector",
+            "--interlayer", "alltoall", "--grid", "-1,1,1"]
+    for extra in ([], ["--reference-layer", "1"]):
+        out = tmp_path / "corr.csv"
+        assert dispatch([*base, *extra, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(row[1:] == ["nan", "nan", "nan"] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["limit", "--which", "weak"], ["limit", "--which", "strong"],
+     ["correlate", "--grid", "-1,1,1"]],
+    ids=["limit_weak", "limit_strong", "correlate"],
+)
+def test_each_layer_matrix_is_built_once_per_command(six_layer_net, tmp_path, monkeypatch,
+                                                     command):
+    from supracentrality import centrality
+
+    original = centrality.build_centrality_matrix
+    built = []
+
+    def counted(graph, kind):
+        built.append(graph)
+        return original(graph, kind)
+
+    # patch every module binding of the name, not only the defining module
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "supracentrality" and \
+                getattr(module, "build_centrality_matrix", None) is original:
+            monkeypatch.setattr(module, "build_centrality_matrix", counted)
+    code = dispatch(
+        [*command, "--network", str(six_layer_net), "--kind", "eigenvector",
+         "--interlayer", "chain", "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    assert len(built) == 6 and len(set(map(id, built))) == 6
+
+
 def test_versatility_output(six_layer_net, tmp_path):
     out = tmp_path / "vers.csv"
     code = dispatch(

@@ -226,7 +226,7 @@ def test_sweep_csv_shape(tmp_path):
     grid = log_grid(-2, 4, 0.2)
     result = sweep(net, Eigenvector(), inter, grid)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(result, net, path)
+    write_sweep_csv(result, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 32  # header + 31 grid points
     header = lines[0].split(",")

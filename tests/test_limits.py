@@ -53,30 +53,35 @@ def _problem(net, inter, kind=Eigenvector(), omega=1.0):
     return SupraProblem(network=net, kind=kind, interlayer=inter, omega=omega)
 
 
+def _layers(net, kind=Eigenvector()):
+    """A problem whose layer matrices the per-layer routines read."""
+    return _problem(net, all_to_all(net.n_layers), kind)
+
+
 def test_layer_eigendata_pagerank_radii_are_one():
     net, _ = random_instance(42, kind=PageRank())
-    data = layer_eigendata(net, PageRank())
+    data = layer_eigendata(_layers(net, PageRank()))
     assert np.abs(data.spectral_radii - 1.0).max() <= 1e-10
     assert all(data.irreducible)
 
 
 def test_layer_eigendata_triangle():
     net = MultiplexNetwork(3, (TRIANGLE,))
-    data = layer_eigendata(net, Eigenvector())
+    data = layer_eigendata(_layers(net))
     assert data.spectral_radii[0] == pytest.approx(2.0, abs=1e-10)
     assert np.abs(data.right[0] - 1 / math.sqrt(3)).max() <= 1e-9
 
 
 def test_layer_eigendata_paw():
     net = MultiplexNetwork(4, (PAW,))
-    data = layer_eigendata(net, Eigenvector())
+    data = layer_eigendata(_layers(net))
     assert data.spectral_radii[0] == pytest.approx(2.170086486626034, abs=1e-9)
 
 
 def test_layer_eigendata_flags_reducible_layer():
     lonely = LayerGraph(3, ((1, 2, 1.0), (2, 1, 1.0)))  # node 3 isolated
     net = MultiplexNetwork(3, (TRIANGLE, lonely))
-    data = layer_eigendata(net, Eigenvector())
+    data = layer_eigendata(_layers(net))
     assert data.irreducible == (True, False)
 
 
@@ -97,32 +102,32 @@ def _undirected(n, edges):
 def test_layer_gap_guard_rejects_repeated_dominant_eigenvalue(layer, radius):
     net = MultiplexNetwork(layer.n_nodes, (layer,))
     with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
-        layer_eigendata(net, Eigenvector())
+        layer_eigendata(_layers(net))
     # the radius alone needs no gap: the largest block radius
-    assert layer_spectral_radii(net, Eigenvector())[0] == pytest.approx(radius, abs=1e-10)
+    assert layer_spectral_radii(_layers(net))[0] == pytest.approx(radius, abs=1e-10)
 
 
 def test_layer_gap_guard_accepts_bipartite_path(monkeypatch):
     # spectrum symmetric about 0: only the shift separates +sqrt(3) from -sqrt(3)
     path = _undirected(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
     net = MultiplexNetwork(5, (path,))
-    data = layer_eigendata(net, Eigenvector())
+    data = layer_eigendata(_layers(net))
     assert data.spectral_radii[0] == pytest.approx(math.sqrt(3.0), abs=1e-10)
-    assert layer_spectral_radii(net, Eigenvector())[0] == pytest.approx(math.sqrt(3.0), abs=1e-10)
+    assert layer_spectral_radii(_layers(net))[0] == pytest.approx(math.sqrt(3.0), abs=1e-10)
 
     def stalled(*args, **kwargs):
         raise NonConvergenceError(100_000, 1.0)
 
     monkeypatch.setattr(limits, "shifted_power_iteration", stalled)
     with pytest.raises(NonConvergenceError, match=r"\(layer 1\)$"):
-        layer_spectral_radii(net, Eigenvector())
+        layer_spectral_radii(_layers(net))
 
 
 def test_layer_gap_guard_rejects_dag_layer_before_iterating():
     # every block is one node with a zero diagonal: eigenvalue 0, twice
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0),)),))
     with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
-        layer_eigendata(net, Eigenvector(), max_iter=1)
+        layer_eigendata(_layers(net), max_iter=1)
 
 
 def test_weak_limit_pagerank_dominating_set_is_everything():

@@ -24,9 +24,11 @@ from supracentrality import (
     Eigenvector,
     LayerGraph,
     MultiplexNetwork,
+    SupraProblem,
     layer_eigendata,
 )
 from supracentrality.engine import default_shift
+from supracentrality.interlayer import all_to_all
 from supracentrality.limits import LAYER_GAP_FLOOR
 
 _radius = st.sampled_from([1.0, 2.0, 3.0])
@@ -86,11 +88,11 @@ def test_layer_gap_guard_matches_dense_spectrum(blocks, couplings, perm):
         return
     rows, cols = np.nonzero(m)
     layer = LayerGraph(n, tuple((int(i) + 1, int(j) + 1, float(m[i, j])) for i, j in zip(rows, cols)))
-    net = MultiplexNetwork(n, (layer,))
+    problem = SupraProblem(MultiplexNetwork(n, (layer,)), Eigenvector(), all_to_all(1), 1.0)
     if _dense_rejects(m):
         with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
-            layer_eigendata(net, Eigenvector())
+            layer_eigendata(problem)
     else:
-        data = layer_eigendata(net, Eigenvector())
+        data = layer_eigendata(problem)
         assert data.spectral_radii[0] == pytest.approx(np.abs(np.linalg.eigvals(m)).max(),
                                                        abs=1e-9)

@@ -229,7 +229,7 @@ def test_correlation_flags_constant_degrees():
     net = MultiplexNetwork(3, (TRIANGLE,))
     inter = InterlayerMatrix(np.array([[1.0]]))
     res = sweep(net, Eigenvector(), inter, log_grid(0, 0, 1))
-    rows = correlate_with_degrees(res, net)
+    rows = correlate_with_degrees(res)
     assert rows[0].intralayer_constant
     assert math.isnan(rows[0].intralayer_vs_conditional)
 
