@@ -211,7 +211,7 @@ class SupraOperator:
         """The same operator at coupling strength ``omega``, sharing the
         layer blocks and the shift, so a sweep builds them once."""
         out = copy.copy(self)
-        out.problem = dataclasses.replace(self.problem, omega=omega)
+        out.problem = self.problem.with_omega(omega)
         out.omega = out.problem.omega
         return out
 

@@ -26,15 +26,18 @@ import math
 import re
 import warnings
 from array import array
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import EigenpairResult
-from .graph import PreconditionReport
 from .interlayer import from_triplets
-from .sweeps import SweepResult
 from .types import (CentralityTableau, InterlayerMatrix, LayerGraph, MultiplexNetwork,
                     in_lex_order, validate_network)
+
+if TYPE_CHECKING:  # the solver modules, which parsing and writing never call
+    from .engine import EigenpairResult
+    from .graph import PreconditionReport
+    from .sweeps import SweepResult
 
 __all__ = [
     "ParseError",
@@ -132,10 +135,14 @@ def load_labels(path, count: int) -> tuple[str, ...]:
 
 
 def _sorted_edges(path, layer, i, j, w, lines=None):
-    """The edge columns stably sorted by (layer, i, j): the one sort and
-    repeated-key test of both parse paths.  A repeated key gives None, or,
+    """The edge columns stably sorted by (layer, i, j), as contiguous arrays:
+    the one sort and repeated-key test of both parse paths.  Columns already
+    in strict order are copied, not sorted, so no strided view keeps the
+    parse's whole buffer alive.  A repeated key gives None, or,
     with ``lines``, a ParseError at the earliest line that repeats a key; its
     first line sorts right before it."""
+    if in_lex_order(layer, i, j, strict=True):
+        return layer.copy(), i.copy(), j.copy(), w.copy()
     order = np.lexsort((j, i, layer))
     layer, i, j = layer[order], i[order], j[order]
     if in_lex_order(layer, i, j, strict=True):
@@ -195,8 +202,22 @@ def _scan_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 # bytes a clean edge list holds outside its comment lines
 _EDGE_BYTES = b"0123456789+-.eE \t\n"
-_COMMENT_LINE = re.compile(rb"^[ \t]*#[^\r\n]*", re.MULTILINE)
+_COMMENT = re.compile(rb"#[^\r\n]*")
 _FIRST_LINE = re.compile(rb"\S[^\n]*")
+
+
+def _strip_comment_lines(data: bytes) -> bytes | None:
+    """``data`` without its full-line comments (spaces or tabs, '#', then up
+    to a CR or LF), or None where a '#' follows data on its line."""
+    kept, pos = [], 0
+    for comment in _COMMENT.finditer(data):
+        start = data.rfind(b"\n", 0, comment.start()) + 1
+        if data[start:comment.start()].strip(b" \t"):
+            return None
+        kept.append(data[pos:start])
+        pos = comment.end()
+    kept.append(data[pos:])
+    return b"".join(kept)
 
 
 def _parse_edges_whole(path):
@@ -216,8 +237,8 @@ def _parse_edges_whole(path):
         data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    body = _COMMENT_LINE.sub(b"", data.replace(b"\r\n", b"\n"))
-    if body.translate(None, _EDGE_BYTES):
+    body = _strip_comment_lines(data.replace(b"\r\n", b"\n"))
+    if body is None or body.translate(None, _EDGE_BYTES):
         return None
     first = _FIRST_LINE.search(body)
     columns = len(first.group().split()) if first else 0

@@ -11,7 +11,7 @@ view ``entries`` is built only when asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -299,6 +299,14 @@ class SupraProblem:
         from . import centrality  # centrality imports this module
 
         return tuple(centrality.build_centrality_matrix(g, self.kind) for g in self.network.layers)
+
+    def with_omega(self, omega: float) -> SupraProblem:
+        """The same problem at coupling strength ``omega``; layer matrices
+        already built are shared, not built again."""
+        out = replace(self, omega=omega)
+        if "layer_matrices" in self.__dict__:
+            out.__dict__["layer_matrices"] = self.layer_matrices
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -400,6 +400,32 @@ def test_package_import_leaves_scipy_signal_unloaded(six_layer_net, tmp_path):
     assert loaded == {name: [0, []] for name in loaded}
 
 
+_PARSE_AND_BUILD_CHILD = """
+import json, sys
+from supracentrality import fileio
+from supracentrality.centrality import build_centrality_matrix
+from supracentrality.types import Authority, Eigenvector, Hub, PageRank
+net = fileio.load_multiplex(sys.argv[1])
+for kind in (Eigenvector(), Hub(), Authority(), PageRank()):
+    for layer in net.layers:
+        build_centrality_matrix(layer, kind)
+solvers = ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg",
+           "supracentrality.engine")
+print(json.dumps([net.n_layers, [m for m in solvers if m in sys.modules]]))
+"""
+
+
+def test_parsing_and_building_layer_matrices_load_no_solver(six_layer_net):
+    # every command starts by parsing and building C_t; that stage needs only
+    # numpy and scipy.sparse, not ARPACK, csgraph or dense linear algebra
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSE_AND_BUILD_CHILD, str(six_layer_net)],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [6, []]
+
+
 @pytest.mark.parametrize("preset, expected", [({}, "None 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 2")])
 def test_cli_import_pins_one_blas_thread_unless_set(preset, expected):
     # using the library (a submodule reached as a package attribute, which

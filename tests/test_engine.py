@@ -265,6 +265,8 @@ def test_with_omega_matches_a_fresh_operator_and_shares_blocks():
     moved = base.with_omega(3.0)
     fresh = SupraOperator(_problem(net, inter, 3.0, kind=PageRank()))
     assert moved._block_diag is base._block_diag
+    # the moved problem keeps the built layer matrices, so reading them builds none
+    assert moved.problem.layer_matrices is base.layers
     assert moved.shift == fresh.shift and base.omega == 0.5 and moved.omega == 3.0
     x = np.random.default_rng(61).standard_normal(base.dim)
     assert np.array_equal(moved.apply(x), fresh.apply(x))

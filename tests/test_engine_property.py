@@ -1,8 +1,10 @@
-"""Relabelling equivariance of the coupled solve.
+"""Relabelling and scaling equivariance of the coupled solve.
 
 Renumbering the nodes permutes the rows of the joint centralities W, and
 reordering the layers (with the interlayer matrix conjugated to match)
-permutes its columns.  Instances come from ``random_instance`` with the
+permutes its columns.  For the eigenvector kind, scaling every edge weight
+and omega by c > 0 scales the coupled matrix, so lambda scales by c and W
+stays the same.  Instances come from ``random_instance`` with the
 spectral gap the engine-versus-oracle test asks for, and results are
 compared at that test's tolerances.
 """
@@ -67,3 +69,15 @@ def test_reordering_layers_permutes_the_columns_of_w(seed, kind, omega, data):
     lam, W = _solve(net, kind, inter, omega)
     lam_r, W_r = _solve(reordered, kind, conjugated, omega)
     _assert_same_solution(lam_r, W_r, lam, W[:, rho])
+
+
+@_settings
+@given(st.integers(0, 10_000), st.floats(0.1, 5.0), st.floats(1e-3, 1e3))
+def test_scaling_weights_and_omega_scales_lambda_and_keeps_w(seed, omega, c):
+    kind = Eigenvector()
+    net, inter = random_instance(seed, kind=kind, omega=omega, min_gap=5e-3)
+    scaled = MultiplexNetwork(net.n_nodes, tuple(
+        LayerGraph.from_arrays(net.n_nodes, g.rows, g.cols, c * g.weights) for g in net.layers))
+    lam, W = _solve(net, kind, inter, omega)
+    lam_c, W_c = _solve(scaled, kind, inter, c * omega)
+    _assert_same_solution(lam_c, W_c, c * lam, W)

@@ -62,6 +62,9 @@ def test_load_duplicate_edge_rejected(tmp_path):
         ("1 1 2\n1 2 1\n1 x 1\n1 2 2\n1 1 2\n", 3, "bad integer field in '1 x 1'"),
         ("1 1 1\n2 1 2\n1 1 3\n2 1 2\n1 1 1\n2 1 2\n", 4,
          "duplicate edge (2, 1, 2) (first seen on line 2)"),
+        # an ordered file whose repeat is the line right after its first
+        ("1 1 2\n1 2 1\n2 1 1\n2 1 2\n2 1 2\n3 1 1\n", 5,
+         "duplicate edge (2, 1, 2) (first seen on line 4)"),
     ]:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as err:
@@ -255,7 +258,8 @@ def test_clean_files_skip_the_line_scan(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fileio, "_scan_edges", no_scan)
     path = tmp_path / "net.edges"
-    path.write_bytes(b"# layers 2 and 7\r\n  2\t3 +1 0.5 \r\n\r\n7 1 2 1e-1\r\n 2 1 3 2.\r\n")
+    path.write_bytes(b"# layers 2 and 7\r\n  2\t3 +1 0.5 \r\n\r\n7 1 2 1e-1\r\n \t# indented\r\n"
+                     b" 2 1 3 2.\r\n# last line, no newline")
     net = load_multiplex(path)
     assert net.n_nodes == 3 and net.n_layers == 2
     assert net.layers[0].entries == ((1, 3, 2.0), (3, 1, 0.5))
@@ -301,3 +305,21 @@ def test_loading_and_building_matrices_makes_no_edge_tuples(tmp_path):
                 build_centrality_matrix(layer, kind)
         assert net.n_layers == 3 and sum(layer.rows.size for layer in net.layers) == 400
         assert not any("entries" in vars(layer) for layer in net.layers)
+
+
+def test_ordered_and_shuffled_files_parse_the_same(tmp_path):
+    ordered, shuffled = tmp_path / "ordered.edges", tmp_path / "shuffled.edges"
+    _write_random_edges(shuffled, 30, 400, layers=3)
+    lines = shuffled.read_text().splitlines(keepends=True)
+    ordered.write_text("".join(sorted(lines, key=lambda line: tuple(map(int, line.split()[:3])))))
+    nets = {}
+    for path in (ordered, shuffled):
+        with pytest.MonkeyPatch.context() as patch:
+            if path == ordered:  # an ordered file is not sorted again
+                patch.setattr(np, "lexsort", None)
+            columns = fileio._parse_edges_whole(path)
+            nets[path.name] = load_multiplex(path, n_nodes=30)
+        assert all(column.flags.c_contiguous for column in columns)
+    assert nets["ordered.edges"] == nets["shuffled.edges"]
+    for layer in nets["ordered.edges"].layers:
+        assert all(a.flags.c_contiguous for a in (layer.rows, layer.cols, layer.weights))

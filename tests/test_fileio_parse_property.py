@@ -6,7 +6,7 @@ import os
 import tempfile
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supracentrality import fileio
@@ -97,6 +97,11 @@ def _assert_same_as_line_scan(data: bytes, n_nodes=None):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_edge_files(), st.sampled_from([None, None, 3, 6]))
+@example(b" \t# indented\n1 1 2\n", None)  # comment lines
+@example(b"1 1 2\r\n# crlf\r\n1 2 1\r\n", None)
+@example(b"1 1 2\n1 2 1 # inline\n", None)
+@example(b"1 1 2\n# last line, no newline", None)
+@example(b"1 1 2\n# note\r1 2 1\n", None)  # a lone CR ends the comment's line
 def test_whole_file_parse_matches_line_scan(data, n_nodes):
     _assert_same_as_line_scan(data, n_nodes)
 
