@@ -14,8 +14,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "centrality": ("LayerCentralityMatrix", "build_authority_matrix", "build_centrality_matrix",
                    "build_eigenvector_matrix", "build_hub_matrix", "build_pagerank_matrix"),
-    "engine": ("EigenpairResult", "NonConvergenceError", "SupraOperator", "dominant_eigenpair",
-               "shifted_power_iteration", "stride_permutation", "tableau_from_vector"),
+    "engine": ("EigenpairResult", "NegativeEigenvectorError", "NonConvergenceError",
+               "SupraOperator", "dominant_eigenpair", "shifted_power_iteration",
+               "stride_permutation", "tableau_from_vector"),
     "graph": ("ConstantInputError", "PreconditionReport", "aggregate_layers",
               "check_preconditions", "intralayer_degrees", "k_path_counts", "pearson",
               "strongly_connected", "total_degrees"),

@@ -1,10 +1,11 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 usage error, 2 validation or precondition failure
-(unparsable or non-finite input, or a coupling limit whose uniqueness
-precondition fails), 3 eigensolver non-convergence.  All subcommands are
-deterministic: repeat runs with the same inputs produce byte-identical
-output files.
+(unparsable or non-finite input, a coupling limit whose uniqueness
+precondition fails, or a solver vector that is not nonnegative where the
+uniqueness preconditions fail), 3 eigensolver failure (non-convergence, or
+such a vector where they hold).  All subcommands are deterministic: repeat
+runs with the same inputs produce byte-identical output files.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
 is already set, so the CLI runs OpenBLAS on one thread: the second thread
@@ -28,7 +29,8 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fileio
-from .engine import NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector
+from .engine import (NegativeEigenvectorError, NonConvergenceError, SupraOperator,
+                     dominant_eigenpair, tableau_from_vector)
 from .graph import check_preconditions
 from .interlayer import all_to_all, block_communities, chain_teleport, chain_undirected
 from .limits import (
@@ -65,6 +67,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
+
+
+class _PreconditionFailure(RuntimeError):
+    """A solver failure that the failed uniqueness preconditions explain."""
 
 
 def _build_kind(args):
@@ -143,7 +149,12 @@ def _solve(problem: SupraProblem, tol: float, max_iter: int):
             "computing anyway",
             file=sys.stderr,
         )
-    pair = dominant_eigenpair(op, tol=tol, max_iter=max_iter)
+    try:
+        pair = dominant_eigenpair(op, tol=tol, max_iter=max_iter)
+    except NegativeEigenvectorError as err:
+        if report.both_ok:
+            raise
+        raise _PreconditionFailure(f"{err}; uniqueness preconditions not satisfied") from err
     net = problem.network
     tableau = tableau_from_vector(
         pair.vector, net.n_nodes, net.n_layers, pair.eigenvalue, problem.omega
@@ -410,7 +421,8 @@ def dispatch(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (fileio.ParseError, fileio.ValidationError, LimitPreconditionError, OSError) as err:
+    except (fileio.ParseError, fileio.ValidationError, LimitPreconditionError,
+            _PreconditionFailure, OSError) as err:
         code, error = EXIT_VALIDATION, err
     except NonConvergenceError as err:
         code, error = EXIT_NO_CONVERGENCE, err

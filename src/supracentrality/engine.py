@@ -31,6 +31,7 @@ from .types import CentralityTableau, SupraProblem
 
 __all__ = [
     "NonConvergenceError",
+    "NegativeEigenvectorError",
     "EigenpairResult",
     "default_shift",
     "SupraOperator",
@@ -57,6 +58,21 @@ class NonConvergenceError(RuntimeError):
         super().__init__(
             f"no convergence after {iterations} iterations, residual {residual:.3e}{detail}"
         )
+
+
+class NegativeEigenvectorError(NonConvergenceError):
+    """The solve met its tolerance at a vector with materially negative
+    entries, which no Perron vector of a nonnegative operator has.  The
+    dominant eigenvalue is then not simple, as when the uniqueness
+    preconditions fail, so the solver found no unique joint centrality.
+    """
+
+    def __init__(self, iterations: int, residual: float):
+        super().__init__(iterations, residual, "eigenvector has materially negative entries")
+
+
+# entries of a unit eigenvector below -_NEGATIVE_FLOOR are material
+_NEGATIVE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +305,9 @@ def dominant_eigenpair(
     ``max_iter``.  When ARPACK fails (for instance does not converge within
     its own limits), or the operator is too small for it (dim < 3), power
     iteration runs alone from ``start``.  Warm starts: pass the previous
-    solution as ``start`` when sweeping over coupling strengths.
+    solution as ``start`` when sweeping over coupling strengths.  A vector
+    that is not nonnegative (an entry below -1e-9) raises
+    :class:`NegativeEigenvectorError`, a :class:`NonConvergenceError`.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -322,6 +340,8 @@ def dominant_eigenpair(
         )
     except NonConvergenceError as err:
         raise NonConvergenceError(err.iterations + spent, err.residual, err.context) from err
+    if pair.vector.min(initial=0.0) < -_NEGATIVE_FLOOR:
+        raise NegativeEigenvectorError(pair.iterations + spent, pair.residual)
     return dataclasses.replace(pair, iterations=pair.iterations + spent)
 
 
@@ -342,7 +362,7 @@ def tableau_from_vector(
     v = np.asarray(vector, dtype=float)
     if v.shape != (n_nodes * n_layers,):
         raise ValueError(f"expected a vector of length {n_nodes * n_layers}, got {v.shape}")
-    if float(v.min(initial=0.0)) < -1e-9:
+    if float(v.min(initial=0.0)) < -_NEGATIVE_FLOOR:
         raise ValueError("eigenvector has materially negative entries")
     v = np.where(v < 0, 0.0, v)
     nrm = float(np.linalg.norm(v))

@@ -274,7 +274,9 @@ def load_multiplex(
     first bad line, a repeated (layer, i, j) key included, by number.  Both
     paths share one sort and duplicate test.  The node count is the largest
     node index seen unless ``n_nodes`` overrides it.  Structural violations
-    raise; the layer re-index mapping is logged when layers are not 1..T.
+    raise :class:`ValidationError`; an index above ``n_nodes`` stops the
+    load at the first such edge of the first layer that has one.  The layer
+    re-index mapping is logged when layers are not 1..T.
     """
     parsed = _parse_edges_whole(path)
     layer, i, j, w = parsed if parsed is not None else _scan_edges(path)
@@ -290,11 +292,14 @@ def load_multiplex(
         load_labels(layer_labels_path, len(layer_ids)) if layer_labels_path else None
     )
     per_layer = zip(*(np.split(a, starts[1:]) for a in (i, j, w)))
+    layers = []
+    for t, arrays in enumerate(per_layer, start=1):
+        try:
+            layers.append(LayerGraph.from_arrays(count, *arrays))
+        except ValueError as err:  # the first edge out of range
+            raise ValidationError([f"layer {t}: {err}"]) from None
     net = MultiplexNetwork(
-        n_nodes=count,
-        layers=tuple(LayerGraph.from_arrays(count, *arrays) for arrays in per_layer),
-        node_labels=node_labels,
-        layer_labels=layer_labels,
+        n_nodes=count, layers=tuple(layers), node_labels=node_labels, layer_labels=layer_labels
     )
     violations = validate_network(net)
     if violations:

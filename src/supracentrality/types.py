@@ -3,10 +3,10 @@
 Node and layer indices are 1-based wherever a user sees them (edge lists,
 labels, CLI flags, violation reports); array positions are 0-based
 internally.  All types are immutable after construction and safe to share
-across concurrent computations.  A :class:`LayerGraph` holds its edges as
-sorted, read-only index and weight arrays; parsing, validation,
-aggregation and the CSR matrix all work on those arrays, and the tuple
-view ``entries`` is built only when asked for.
+across concurrent computations.  A :class:`LayerGraph` holds its edges in
+one read-only CSR matrix, built straight from the sorted parse arrays;
+validation and every layer matrix work on it, and the 1-based index
+arrays and the tuple view ``entries`` are derived from it when asked for.
 """
 from __future__ import annotations
 
@@ -52,21 +52,24 @@ def in_lex_order(*keys: np.ndarray, strict: bool = False) -> bool:
 class LayerGraph:
     """One network layer: a weighted directed graph on nodes 1..n_nodes.
 
-    ``rows`` and ``cols`` (int64, 1-based node indices) and ``weights``
-    (float64) are read-only arrays in sorted (i, j, weight) order.
-    ``LayerGraph(n, triples)`` takes (i, j, weight) triples and
-    :meth:`from_arrays` the three arrays; ``entries`` is the edges as a
-    tuple of triples, built on first access.  Two layers are equal when
-    their node counts and arrays are.  Construction is permissive apart
-    from requiring int64 node indices (a larger one raises
-    ``OverflowError``); run :func:`validate_network` on the enclosing
+    ``csr`` is the layer's only stored copy of its edges: an n_nodes x
+    n_nodes CSR matrix with 0-based, sorted indices and read-only arrays,
+    whose index dtype depends only on the sizes, so equal layers store
+    equal bytes.  ``LayerGraph(n, triples)`` takes (i, j, weight) triples
+    and :meth:`from_arrays` 1-based index arrays and weights; both sort the
+    edges by (i, j, weight) and build ``csr`` from them.  ``rows`` and
+    ``cols`` (int64, 1-based) and ``weights`` (float64, ``csr.data``) are
+    views of ``csr`` in that order, and ``entries`` is the edges as a tuple
+    of triples, built on first access.  Two layers are equal when their
+    node counts and CSR arrays are.  Construction raises ``ValueError`` for
+    the first edge, in sorted order, with an index outside 1..n_nodes, and
+    ``OverflowError`` for an index beyond int64; a stored duplicate or a
+    bad weight is kept, so run :func:`validate_network` on the enclosing
     network to get a violation report before feeding it into numerical code.
     """
 
     n_nodes: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
+    csr: sparse.csr_matrix
 
     def __init__(self, n_nodes: int, entries):
         triples = [(int(i), int(j), float(w)) for i, j, w in entries]
@@ -80,6 +83,7 @@ class LayerGraph:
         return graph
 
     def _set_arrays(self, n_nodes, rows, cols, weights) -> None:
+        n = int(n_nodes)
         rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
         weights = np.array(weights, dtype=np.float64)
         if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
@@ -87,10 +91,34 @@ class LayerGraph:
         if not in_lex_order(rows, cols, weights):
             order = np.lexsort((weights, cols, rows))
             rows, cols, weights = rows[order], cols[order], weights[order]
-        object.__setattr__(self, "n_nodes", int(n_nodes))
-        for name, values in (("rows", rows), ("cols", cols), ("weights", weights)):
+        out_of_range = (np.minimum(rows, cols) < 1) | (np.maximum(rows, cols) > n)
+        if out_of_range.any():
+            k = int(np.argmax(out_of_range))
+            raise ValueError(f"edge ({rows[k]}, {cols[k]}) index out of range")
+        index = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(rows, np.arange(1, n + 2)).astype(index)
+        cols -= 1  # 0-based column indices
+        csr = sparse.csr_matrix((weights, cols.astype(index), indptr), shape=(n, n))
+        for values in (csr.indptr, csr.indices, csr.data):
             values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        csr.has_sorted_indices = True
+        object.__setattr__(self, "n_nodes", n)
+        object.__setattr__(self, "csr", csr)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The 1-based row index of every stored edge (int64)."""
+        return np.repeat(np.arange(1, self.n_nodes + 1, dtype=np.int64), np.diff(self.csr.indptr))
+
+    @property
+    def cols(self) -> np.ndarray:
+        """The 1-based column index of every stored edge (int64)."""
+        return self.csr.indices.astype(np.int64) + 1
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight of every stored edge: ``csr.data``, read-only."""
+        return self.csr.data
 
     @cached_property
     def entries(self) -> tuple[tuple[int, int, float], ...]:
@@ -100,18 +128,12 @@ class LayerGraph:
     def __eq__(self, other):
         if not isinstance(other, LayerGraph):
             return NotImplemented
+        a, b = self.csr, other.csr
         return self is other or self.n_nodes == other.n_nodes and all(
-            map(np.array_equal, (self.rows, self.cols, self.weights),
-                (other.rows, other.cols, other.weights)))
+            map(np.array_equal, (a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data)))
 
-    def __hash__(self):  # equal layers have equal index arrays
-        return hash((self.n_nodes, self.rows.tobytes(), self.cols.tobytes()))
-
-    @cached_property
-    def csr(self) -> sparse.csr_matrix:
-        """Adjacency matrix as CSR.  Requires in-range, duplicate-free entries."""
-        n = self.n_nodes
-        return sparse.csr_matrix((self.weights, (self.rows - 1, self.cols - 1)), shape=(n, n))
+    def __hash__(self):  # equal layers have equal index arrays of one dtype
+        return hash((self.n_nodes, self.csr.indptr.tobytes(), self.csr.indices.tobytes()))
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -159,10 +181,12 @@ class MultiplexNetwork:
 def validate_network(net: MultiplexNetwork) -> list[str]:
     """Return a list of invariant violations; an empty list means valid.
 
-    Reported violations: layer size mismatch, index out of range, negative,
-    zero or non-finite stored weights, duplicate (i, j) pairs, label-count
-    mismatch.  Edge checks are array masks; only offending edges are
-    visited, in sorted order, each reported in that order.
+    Reported violations: layer size mismatch, negative, zero or non-finite
+    stored weights, duplicate (i, j) pairs, label-count mismatch.  (An
+    index out of range cannot be stored: :class:`LayerGraph` refuses it.)
+    Edge checks are array masks over each layer's CSR arrays; only
+    offending edges are visited, in sorted order, each reported in that
+    order.
     """
     problems: list[str] = []
     if net.n_nodes < 1:
@@ -182,16 +206,16 @@ def validate_network(net: MultiplexNetwork) -> list[str]:
             problems.append(
                 f"layer {t}: has {layer.n_nodes} nodes, network declares {net.n_nodes}"
             )
-        rows, cols, weights = layer.rows, layer.cols, layer.weights
-        out_of_range = (np.minimum(rows, cols) < 1) | (np.maximum(rows, cols) > net.n_nodes)
-        # sorted by (i, j), so a repeated pair sits next to its first copy
-        duplicate = np.zeros(rows.size, dtype=bool)
-        duplicate[1:] = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-        bad = out_of_range | duplicate | ~(weights > 0) | np.isinf(weights)
+        indptr, indices, weights = layer.csr.indptr, layer.csr.indices, layer.csr.data
+        # sorted by (i, j), so a repeated pair sits next to its first copy in
+        # its row; one slot past the end lets every row start be marked
+        duplicate = np.zeros(indices.size + 1, dtype=bool)
+        duplicate[1:-1] = indices[1:] == indices[:-1]
+        duplicate[indptr] = False
+        bad = duplicate[:-1] | ~(weights > 0) | np.isinf(weights)
         for k in np.flatnonzero(bad).tolist():
-            i, j, w = int(rows[k]), int(cols[k]), float(weights[k])
-            if out_of_range[k]:
-                problems.append(f"layer {t}: edge ({i}, {j}) index out of range")
+            i = int(np.searchsorted(indptr, k, side="right"))
+            j, w = int(indices[k]) + 1, float(weights[k])
             if not math.isfinite(w):
                 problems.append(f"layer {t}: edge ({i}, {j}) has non-finite weight {w}")
             elif w < 0:

@@ -42,7 +42,7 @@ def pagerank_versatility(
     n, t = net.n_nodes, net.n_layers
     supra = sparse.block_diag([g.csr for g in net.layers], format="csr")
     if omega:
-        supra = (supra + omega * sparse.kron(interlayer.values, sparse.identity(n))).tocsr()
+        supra = supra + sparse.kron(omega * interlayer.values, sparse.identity(n), format="csr")
     # the matrix is positive (teleport), so the iteration needs no shift
     mat = pagerank_from_adjacency(supra, PageRank(sigma, dangling))
     pair = shifted_power_iteration(mat.apply, n * t, shift=0.0, tol=tol, max_iter=max_iter)

@@ -8,7 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+from supracentrality import (
+    Eigenvector,
+    correlate_with_degrees,
+    log_grid,
+    rank_trajectory,
+    sweep,
+)
+from supracentrality import cli
 from supracentrality.cli import dispatch
+from supracentrality.fileio import load_multiplex
+from supracentrality.interlayer import all_to_all
 
 from _oracles import random_layer
 
@@ -609,3 +619,81 @@ def test_index_beyond_int64_is_a_parse_error(tmp_path, capsys, line, nodes):
             "--kind", "eigenvector", *nodes]
     assert dispatch(argv) == 2
     assert f"{path}:2: index above the int64 limit" in capsys.readouterr().err
+
+
+@pytest.fixture
+def signed_vector_net(tmp_path):
+    # the layer sum is reducible (no edge 1 -> 2), and at omega = 0.001 the
+    # solver's dominant vector has materially negative entries
+    path = tmp_path / "signed.edges"
+    path.write_text("1 2 2 0.5\n2 2 1 2.0\n3 1 1 2.0\n3 2 2 2.0\n", encoding="utf-8")
+    return path
+
+
+def test_centrality_signed_vector_is_a_solver_failure(signed_vector_net, two_cycle_net,
+                                                      tmp_path, capsys, monkeypatch):
+    out = tmp_path / "joint.csv"
+    argv = ["--kind", "eigenvector", "--interlayer", "alltoall", "--omega", "0.001",
+            "--out", str(out)]
+    assert dispatch(["centrality", "--network", str(signed_vector_net), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "eigenvector has materially negative entries" in err
+    assert err.endswith("; uniqueness preconditions not satisfied\n")
+    assert err.count("error:") == 1 and not out.exists()
+
+    # where the preconditions hold, the same failure is the solver's alone
+    def signed(*args, **kwargs):
+        raise cli.NegativeEigenvectorError(7, 1e-12)
+
+    monkeypatch.setattr(cli, "dominant_eigenpair", signed)
+    assert dispatch(["centrality", "--network", str(two_cycle_net), *argv]) == 3
+    assert capsys.readouterr().err == (
+        "error: no convergence after 7 iterations, residual 1.000e-12 "
+        "(eigenvector has materially negative entries)\n")
+
+
+def test_sweep_records_a_signed_vector_as_a_failed_point(signed_vector_net, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--network", str(signed_vector_net), "--kind", "eigenvector",
+            "--interlayer", "alltoall", "--grid=-3,0,1", "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert "warning: grid point 1 failed: no convergence after" in capsys.readouterr().err
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0] == ["0.001"] + ["nan"] * 8
+    assert all(math.isfinite(float(row[1])) for row in rows[1:])
+
+
+def _reparsed(path) -> np.ndarray:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+
+
+def test_sweep_trajectory_and_correlate_csvs_reparse_exactly(signed_vector_net, tmp_path):
+    argv = ["--network", str(signed_vector_net), "--kind", "eigenvector",
+            "--interlayer", "alltoall", "--grid=-3,0,0.5"]
+    paths = {name: tmp_path / f"{name}.csv" for name in ("sweep", "trajectory", "correlate")}
+    assert dispatch(["sweep", *argv, "--out", str(paths["sweep"])]) == 0
+    assert dispatch(["trajectory", "--node", "2", *argv,
+                     "--out", str(paths["trajectory"])]) == 0
+    assert dispatch(["correlate", *argv, "--out", str(paths["correlate"])]) == 0
+
+    net = load_multiplex(signed_vector_net)
+    result = sweep(net, Eigenvector(), all_to_all(3, include_self=True), log_grid(-3, 0, 0.5))
+    assert result.failures  # so nan rows are part of the round trip
+    nan_row = [math.nan] * (net.n_layers + net.n_nodes)
+    expected = {"sweep": [], "trajectory": [], "correlate": []}
+    for s, (omega, tab) in enumerate(zip(result.grid.values, result.tableaus)):
+        w_s, z_s = (result.w_sensitivity[s - 1], result.z_sensitivity[s - 1]) if s else (
+            math.nan, math.nan)
+        values = [tab.lambda_max, *tab.mlc, *tab.mnc] if tab else [math.nan, *nan_row]
+        expected["sweep"].append([omega, values[0], w_s, z_s, *values[1:]])
+    for omega, ranks in zip(result.grid.values, rank_trajectory(result, 2)):
+        expected["trajectory"].append([omega, *ranks])
+    for row in correlate_with_degrees(result):
+        expected["correlate"].append([row.omega, row.intralayer_vs_conditional,
+                                      row.total_vs_conditional_sum,
+                                      row.reference_vs_conditional_sum])
+    for name, path in paths.items():
+        # exact equality, nan matching nan
+        np.testing.assert_array_equal(_reparsed(path), np.array(expected[name]), err_msg=name)

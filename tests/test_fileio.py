@@ -106,6 +106,15 @@ def test_load_nodes_override(tmp_path):
         load_multiplex(path, n_nodes=1)
 
 
+def test_load_out_of_range_names_the_first_edge(tmp_path):
+    path = tmp_path / "net.edges"
+    path.write_text("1 1 2 1.0\n1 2 1 1.0\n2 1 3 1.0\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_multiplex(path, n_nodes=1)
+    assert err.value.violations == ["layer 1: edge (1, 2) index out of range"]
+    assert str(err.value) == "invalid network:\n  layer 1: edge (1, 2) index out of range"
+
+
 def test_load_labels(tmp_path):
     path = tmp_path / "labels.tsv"
     path.write_text("1\tParis CDG\n3\tZürich\n", encoding="utf-8")
@@ -305,6 +314,31 @@ def test_loading_and_building_matrices_makes_no_edge_tuples(tmp_path):
                 build_centrality_matrix(layer, kind)
         assert net.n_layers == 3 and sum(layer.rows.size for layer in net.layers) == 400
         assert not any("entries" in vars(layer) for layer in net.layers)
+
+
+def test_loaded_network_holds_one_edge_copy(tmp_path):
+    # the layers' CSR arrays are the only per-edge data a loaded network and
+    # its eigenvector layer matrices keep; index columns beside them would
+    # take the total past twice the CSR bytes
+    path = tmp_path / "net.edges"
+    _write_random_edges(path, 20_000, 90_000, layers=3)
+
+    def load():
+        net = load_multiplex(path)
+        problem = SupraProblem(net, Eigenvector(), all_to_all(net.n_layers), omega=1.0)
+        return net, problem.layer_matrices
+
+    load()  # first-use imports and caches are not edge data
+    tracemalloc.start()
+    try:
+        net, matrices = load()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    csr_bytes = sum(a.nbytes for layer in net.layers
+                    for a in (layer.csr.indptr, layer.csr.indices, layer.csr.data))
+    assert all(m.sparse is layer.csr for m, layer in zip(matrices, net.layers))
+    assert current <= 1.25 * csr_bytes, (current, csr_bytes)
 
 
 def test_ordered_and_shuffled_files_parse_the_same(tmp_path):

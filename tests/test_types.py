@@ -11,6 +11,7 @@ from supracentrality import (
     PageRank,
     SupraProblem,
     Eigenvector,
+    aggregate_layers,
     tableau_from_vector,
     validate_network,
 )
@@ -23,10 +24,8 @@ def test_minimal_network_is_valid():
 
 
 def test_out_of_range_edge_reported():
-    net = MultiplexNetwork(4, (LayerGraph(4, ((1, 5, 1.0),)),))
-    report = validate_network(net)
-    assert len(report) == 1
-    assert "index out of range" in report[0]
+    with pytest.raises(ValueError, match=r"edge \(1, 4\) index out of range"):
+        LayerGraph(3, ((1, 4, 1.0),))
 
 
 def test_negative_weight_reported():
@@ -142,17 +141,17 @@ def test_interlayer_and_omega_reject_non_finite(value):
 
 
 def test_validate_network_reports_every_edge_violation_in_sorted_order():
-    layer = LayerGraph(3, (
-        (3, 3, float("inf")), (1, 4, 2.0), (2, 1, float("nan")), (1, 2, 5.0),
-        (3, 1, 0.0), (0, 1, -1.0), (1, 2, 1.0), (2, 3, -2.0), (1, 4, 1.0), (2, 2, 1.0),
-    ))
+    triples = (
+        (3, 3, float("inf")), (1, 3, 2.0), (2, 1, float("nan")), (1, 2, 5.0),
+        (3, 1, 0.0), (1, 1, -1.0), (1, 2, 1.0), (2, 3, -2.0), (1, 3, 1.0), (2, 2, 1.0),
+    )
+    with pytest.raises(ValueError, match=r"edge \(1, 4\) index out of range"):
+        LayerGraph(3, triples + ((1, 4, 2.0), (1, 4, 1.0)))
+    layer = LayerGraph(3, triples)
     assert validate_network(MultiplexNetwork(3, (layer,))) == [
-        "layer 1: edge (0, 1) index out of range",
-        "layer 1: edge (0, 1) has negative weight -1.0",
+        "layer 1: edge (1, 1) has negative weight -1.0",
         "layer 1: duplicate edge (1, 2)",
-        "layer 1: edge (1, 4) index out of range",
-        "layer 1: edge (1, 4) index out of range",
-        "layer 1: duplicate edge (1, 4)",
+        "layer 1: duplicate edge (1, 3)",
         "layer 1: edge (2, 1) has non-finite weight nan",
         "layer 1: edge (2, 3) has negative weight -2.0",
         "layer 1: edge (3, 1) stores zero weight",
@@ -169,6 +168,23 @@ def test_layer_graph_equality_and_hash_follow_the_arrays():
     assert (a == changed) is False and (a != changed) is True
     assert LayerGraph(4, a.entries) != a
     assert len({a, b, changed}) == 2
+
+
+def test_layers_built_three_ways_are_equal_and_hash_alike():
+    triples = ((2, 1, 1.5), (1, 3, 2.0), (3, 3, 0.5))
+    direct = LayerGraph(3, triples)
+    arrays = LayerGraph.from_arrays(3, np.array([3, 2, 1]), np.array([3, 1, 3]),
+                                    np.array([0.5, 1.5, 2.0]))
+    summed = aggregate_layers(MultiplexNetwork(3, (LayerGraph(3, triples[:2]),
+                                                   LayerGraph(3, triples[2:]))))
+    assert direct == arrays == summed
+    assert hash(direct) == hash(arrays) == hash(summed)
+    assert vars(direct).keys() == {"n_nodes", "csr"}
+    assert direct.entries == ((1, 3, 2.0), (2, 1, 1.5), (3, 3, 0.5))
+    assert vars(direct).keys() == {"n_nodes", "csr", "entries"}
+    csr = direct.csr
+    assert csr.has_sorted_indices and csr.indices.tolist() == [2, 0, 2]
+    assert not any(a.flags.writeable for a in (csr.indptr, csr.indices, csr.data))
 
 
 def test_layer_graph_arrays_are_sorted_read_only_copies():
@@ -192,3 +208,9 @@ def test_entries_of_unsorted_numpy_scalar_triples_are_python_numbers():
     assert g.entries == ((1, 2, 0.75), (1, 2, 1.25), (1, 3, 2.0), (2, 1, 0.5))
     assert {tuple(type(v) for v in e) for e in g.entries} == {(int, int, float)}
     assert LayerGraph(3, ()).entries == ()
+
+
+def test_validate_network_sees_no_duplicate_across_rows():
+    # each row starts with the column the row before it ends with
+    layer = LayerGraph(4, ((1, 2, 1.0), (2, 2, 1.0), (4, 2, 1.0), (4, 3, 1.0), (4, 3, 2.0)))
+    assert validate_network(MultiplexNetwork(4, (layer,))) == ["layer 1: duplicate edge (4, 3)"]
