@@ -3,9 +3,8 @@
 Each layer's adjacency matrix A is turned into a nonnegative matrix whose
 dominant eigenvector defines a centrality: the adjacency itself, the hub
 product A A^T, the authority product A^T A, or the column-stochastic
-PageRank matrix.  PageRank's rank-one teleportation term is kept implicit
-(a coefficient plus a teleport vector) so applying the matrix stays
-O(edges).
+PageRank matrix.  PageRank's uniform teleportation term is kept implicit
+(one coefficient) so applying the matrix stays O(edges).
 """
 from __future__ import annotations
 
@@ -42,49 +41,36 @@ DENSE_PRODUCT_WARN_NNZ = 10_000_000
 
 @dataclass(frozen=True, eq=False)
 class LayerCentralityMatrix:
-    """A nonnegative N x N matrix stored as ``sparse + coeff * u 1^T``.
+    """A nonnegative N x N matrix stored as ``sparse + (teleport_coeff / n) 1 1^T``.
 
-    The rank-one term is only present for PageRank (coeff = 1 - sigma,
-    u the teleportation distribution); for the other kinds coeff is 0.
+    The uniform rank-one term is only present for PageRank (teleport_coeff
+    = 1 - sigma); for the other kinds teleport_coeff is 0, so the term adds
+    nothing.  Each uniform entry is computed as ``teleport_coeff * (1.0 / n)``.
     """
 
     n: int
     kind: CentralityKind
     sparse: sparse.csr_matrix
     teleport_coeff: float = 0.0
-    teleport: np.ndarray | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product C @ x."""
-        y = self.sparse @ x
-        if self.teleport_coeff:
-            y = y + (self.teleport_coeff * float(x.sum())) * self.teleport
-        return y
+        return self.sparse @ x + (self.teleport_coeff * float(x.sum())) * (1.0 / self.n)
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product C.T @ x."""
-        y = self.sparse.T @ x
-        if self.teleport_coeff:
-            y = y + self.teleport_coeff * float(self.teleport @ x)
-        return y
+        """Matrix-vector product C.T @ x (1 1^T is symmetric)."""
+        return self.sparse.T @ x + (self.teleport_coeff * float(x.sum())) * (1.0 / self.n)
 
     def to_dense(self) -> np.ndarray:
-        dense = self.sparse.toarray()
-        if self.teleport_coeff:
-            dense = dense + self.teleport_coeff * np.outer(self.teleport, np.ones(self.n))
-        return dense
+        return self.sparse.toarray() + self.teleport_coeff * (1.0 / self.n)
 
     def max_row_sum(self) -> float:
         rows = np.asarray(self.sparse.sum(axis=1)).ravel()
-        if self.teleport_coeff:
-            rows = rows + self.teleport_coeff * self.teleport * self.n
+        rows = rows + self.teleport_coeff * (1.0 / self.n) * self.n
         return float(rows.max()) if rows.size else 0.0
 
     def column_sums(self) -> np.ndarray:
-        cols = np.asarray(self.sparse.sum(axis=0)).ravel()
-        if self.teleport_coeff:
-            cols = cols + self.teleport_coeff * float(self.teleport.sum())
-        return cols
+        return np.asarray(self.sparse.sum(axis=0)).ravel() + self.teleport_coeff
 
 
 def build_eigenvector_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
@@ -120,17 +106,13 @@ def build_authority_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
     return LayerCentralityMatrix(n=graph.n_nodes, kind=Authority(), sparse=product)
 
 
-def pagerank_from_adjacency(
-    a: sparse.csr_matrix, kind: PageRank, teleport: np.ndarray | None = None
-) -> LayerCentralityMatrix:
-    """Column-stochastic PageRank matrix sigma (D^-1 A')^T + (1-sigma) u 1^T
-    of the square adjacency ``a``.
+def pagerank_from_adjacency(a: sparse.csr_matrix, kind: PageRank) -> LayerCentralityMatrix:
+    """Column-stochastic PageRank matrix sigma (D^-1 A')^T + (1-sigma)/N 1 1^T
+    of the square adjacency ``a``, with uniform teleportation.
 
     A' is ``a`` after the dangling policy has added unit self-edges (to
     dangling nodes only, or to every node), and D is the diagonal of A' row
-    sums.  ``teleport`` is an optional biased teleportation distribution; it
-    defaults to uniform and is normalized to sum to 1.  ``a`` is not
-    modified.
+    sums.  ``a`` is not modified.
     """
     n = a.shape[0]
     row_sums = np.asarray(a.sum(axis=1)).ravel()
@@ -152,21 +134,8 @@ def pagerank_from_adjacency(
     stochastic = sparse.csr_matrix((scaled, a.indices, a.indptr), shape=a.shape).T.tocsr()
     del scaled
 
-    if teleport is None:
-        u = np.full(n, 1.0 / n)
-    else:
-        u = np.array(teleport, dtype=float)
-        if u.shape != (n,):
-            raise ValueError(f"teleport vector must have length {n}")
-        if u.min() < 0 or u.sum() <= 0:
-            raise ValueError("teleport vector must be nonnegative with positive sum")
-        u = u / u.sum()
     return LayerCentralityMatrix(
-        n=n,
-        kind=kind,
-        sparse=stochastic,
-        teleport_coeff=1.0 - kind.sigma,
-        teleport=u,
+        n=n, kind=kind, sparse=stochastic, teleport_coeff=1.0 - kind.sigma
     )
 
 
@@ -174,10 +143,9 @@ def build_pagerank_matrix(
     graph: LayerGraph,
     sigma: float = 0.85,
     dangling: DanglingPolicy = DanglingPolicy.DANGLING_ONLY,
-    teleport: np.ndarray | None = None,
 ) -> LayerCentralityMatrix:
     """The layer's PageRank matrix; see :func:`pagerank_from_adjacency`."""
-    return pagerank_from_adjacency(graph.csr, PageRank(sigma, dangling), teleport)
+    return pagerank_from_adjacency(graph.csr, PageRank(sigma, dangling))
 
 
 def build_centrality_matrix(graph: LayerGraph, kind: CentralityKind) -> LayerCentralityMatrix:

@@ -210,18 +210,8 @@ class SupraOperator:
         self._block_diag = sparse.block_diag(
             [m.sparse for m in self.layers], format="csr"
         )
-        n = self.n_nodes
-        self._tele_coeffs = np.array([m.teleport_coeff for m in self.layers])
-        self._has_teleport = bool(np.any(self._tele_coeffs > 0))
-        if self._has_teleport:
-            self._tele_vectors = np.vstack(
-                [
-                    m.teleport if m.teleport is not None else np.zeros(n)
-                    for m in self.layers
-                ]
-            )
-        else:
-            self._tele_vectors = None
+        coeffs = np.array([m.teleport_coeff for m in self.layers])
+        self._tele_coeffs = coeffs if coeffs.any() else None  # None: no PageRank term
 
     def with_omega(self, omega: float) -> SupraOperator:
         """The same operator at coupling strength ``omega``, sharing the
@@ -253,8 +243,8 @@ class SupraOperator:
         x = np.asarray(x, dtype=float)
         blocks = self._blocks(x)
         out = (self._block_diag @ x).reshape(blocks.shape)
-        if self._has_teleport:
-            out += (self._tele_coeffs * blocks.sum(axis=1))[:, None] * self._tele_vectors
+        if self._tele_coeffs is not None:
+            out += ((self._tele_coeffs * blocks.sum(axis=1)) * (1.0 / self.n_nodes))[:, None]
         if self.omega:
             out += self.omega * (self.interlayer @ blocks)
         return out.ravel()
@@ -264,9 +254,8 @@ class SupraOperator:
         x = np.asarray(x, dtype=float)
         blocks = self._blocks(x)
         out = (self._block_diag.T @ x).reshape(blocks.shape)
-        if self._has_teleport:
-            dots = np.einsum("tn,tn->t", self._tele_vectors, blocks)
-            out += (self._tele_coeffs * dots)[:, None]
+        if self._tele_coeffs is not None:  # the PageRank term (c_t / N) 1 1^T is symmetric
+            out += ((self._tele_coeffs * blocks.sum(axis=1)) * (1.0 / self.n_nodes))[:, None]
         if self.omega:
             out += self.omega * (self.interlayer.T @ blocks)
         return out.ravel()

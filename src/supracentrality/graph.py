@@ -76,19 +76,11 @@ def layer_sum_components(
     layer_matrices: tuple[LayerCentralityMatrix, ...],
 ) -> tuple[int, np.ndarray]:
     """Strong components (Frobenius normal form blocks) of the entrywise sum
-    of the layer matrices.  A teleport term c u 1^T becomes a hub node h with
-    edges i -> h (i in supp(u)) and h -> j (all j), in supp(u)'s component."""
-    n = layer_matrices[0].n
-    teleported = [m for m in layer_matrices if m.teleport_coeff > 0]
-    if any(m.teleport.min() > 0 for m in teleported):  # the sum is positive
-        return 1, np.zeros(n, dtype=np.int32)
-    total = sum(m.sparse for m in layer_matrices)
-    if not teleported:
-        return _strong_components(total)
-    into_hub = sparse.csr_matrix(sum(m.teleport for m in teleported)[:, None])
-    hub = sparse.bmat([[total, into_hub], [sparse.csr_matrix(np.ones((1, n))), None]])
-    count, labels = _strong_components(hub)
-    return count, labels[:n]
+    of the layer matrices.  A PageRank term (c / N) 1 1^T with c > 0 makes
+    the sum positive: one component."""
+    if any(m.teleport_coeff > 0 for m in layer_matrices):
+        return 1, np.zeros(layer_matrices[0].n, dtype=np.int32)
+    return _strong_components(sum(m.sparse for m in layer_matrices))
 
 
 def layer_sum_irreducible(layer_matrices: tuple[LayerCentralityMatrix, ...]) -> bool:
@@ -110,15 +102,16 @@ class PreconditionReport:
 
 
 def check_preconditions(problem: SupraProblem) -> PreconditionReport:
-    """Check that the interlayer matrix is strongly connected and the sum of
-    ``problem.layer_matrices`` is irreducible.
+    """Check that the coupling omega * interlayer is strongly connected and
+    the sum of ``problem.layer_matrices`` is irreducible.
 
     Report-style: callers decide whether to refuse.  When both flags hold,
-    the coupled operator has a unique positive dominant eigenvector for
-    every omega > 0.
+    the coupled operator has a unique positive dominant eigenvector.  At
+    omega = 0 the coupling of two or more layers is not strongly connected:
+    the operator is block diagonal.  A single layer's 1 x 1 coupling counts.
     """
     return PreconditionReport(
-        interlayer_ok=strongly_connected(problem.interlayer.values),
+        interlayer_ok=strongly_connected(problem.omega * problem.interlayer.values),
         layer_sum_ok=layer_sum_irreducible(problem.layer_matrices),
     )
 

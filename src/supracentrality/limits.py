@@ -48,6 +48,7 @@ __all__ = [
     "CorollaryCheck",
     "layer_eigendata",
     "layer_spectral_radii",
+    "dominating_layers",
     "weak_limit",
     "strong_limit",
     "corollary_crosscheck",
@@ -57,6 +58,8 @@ __all__ = [
 LAYER_GAP_FLOOR = 1e-6
 INTERLAYER_GAP_FLOOR = 1e-8
 DENSE_CLAMP = 1e-12  # dense Perron vector entries in (-DENSE_CLAMP, 0) become 0
+# Spectral radii within this relative distance of the largest tie with it.
+REL_TOL_DOMINATING = 1e-9
 
 
 class LimitPreconditionError(RuntimeError):
@@ -160,16 +163,16 @@ class StrongLimitResult:
 def _block_radii(mat, count: int, labels: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Spectral radius of each strong component block of a layer: a single
     node's diagonal entry, else one shifted power iteration on the block."""
-    rank_one = mat.teleport_coeff * mat.teleport if mat.teleport_coeff else 0.0
-    diagonal = mat.sparse.diagonal() + rank_one
+    diagonal = mat.sparse.diagonal() + mat.teleport_coeff * (1.0 / mat.n)
     sizes = np.bincount(labels, minlength=count)
     radii = np.zeros(count)
     radii[labels] = diagonal  # exact for single-node blocks, overwritten below
     order = np.argsort(labels, kind="stable")
     for block, end in zip(np.flatnonzero(sizes > 1), np.cumsum(sizes)[sizes > 1]):
         nodes = order[end - sizes[block]:end]
+        # the same uniform entries c / n; a block of every node keeps c exactly
         sub = replace(mat, n=nodes.size, sparse=mat.sparse[nodes][:, nodes],
-                      teleport=None if mat.teleport is None else mat.teleport[nodes])
+                      teleport_coeff=mat.teleport_coeff * (nodes.size / mat.n))
         radii[block] = shifted_power_iteration(
             sub.apply, sub.n, shift=default_shift(sub.max_row_sum()), tol=tol, max_iter=max_iter
         ).eigenvalue
@@ -211,24 +214,24 @@ def _dense_perron(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndar
 
 
 def _weighted_sum(mats: tuple[LayerCentralityMatrix, ...], weights) -> LayerCentralityMatrix:
-    """sum_t weights[t] * mats[t], the PageRank teleport terms folded into
-    one rank-one term (coefficient 1, vector sum_t weights[t] c_t u_t)."""
+    """sum_t weights[t] * mats[t]; the uniform PageRank terms add up to one
+    with coefficient sum_t weights[t] c_t."""
     pairs = tuple(zip(weights, mats))
-    teleports = [w * m.teleport_coeff * m.teleport for w, m in pairs if m.teleport_coeff]
     return LayerCentralityMatrix(
         n=mats[0].n, kind=mats[0].kind, sparse=sum(w * m.sparse for w, m in pairs),
-        teleport_coeff=1.0 if teleports else 0.0, teleport=sum(teleports) if teleports else None,
+        teleport_coeff=sum(w * m.teleport_coeff for w, m in pairs),
     )
 
 
 def _max_abs_entry(mat: LayerCentralityMatrix) -> float:
-    """Largest |entry| of ``mat`` in O(nnz + N): every stored entry plus its
-    row's rank-one term, and that term alone in rows with a structural zero.
-    Needs duplicate-free CSR, as built layer matrices and their sums are."""
-    row_term = mat.teleport_coeff * mat.teleport if mat.teleport_coeff else np.zeros(mat.n)
-    counts = np.diff(mat.sparse.indptr)
-    stored = np.abs(mat.sparse.data + np.repeat(row_term, counts))
-    return float(max(stored.max(initial=0.0), np.abs(row_term[counts < mat.n]).max(initial=0.0)))
+    """Largest |entry| of ``mat`` in O(nnz): each stored entry plus the
+    uniform term, and that term alone if a structural zero exists (nnz < n^2
+    in duplicate-free CSR, as built layer matrices and their sums are)."""
+    term = mat.teleport_coeff * (1.0 / mat.n)
+    largest = float(np.abs(mat.sparse.data + term).max(initial=0.0))
+    if mat.sparse.nnz < mat.n * mat.n:
+        largest = max(largest, abs(float(term)))
+    return largest
 
 
 def layer_eigendata(
@@ -280,9 +283,15 @@ def check_rel_tol_dominating(rel_tol_dominating: float) -> None:
         )
 
 
+def dominating_layers(radii: np.ndarray, rel_tol_dominating: float) -> np.ndarray:
+    """0-based indices, ascending, of the layers whose spectral radius is
+    within ``rel_tol_dominating`` (relative) of the largest."""
+    return np.flatnonzero(radii >= (1.0 - rel_tol_dominating) * radii.max())
+
+
 def weak_limit(
     problem: SupraProblem,
-    rel_tol_dominating: float = 1e-9,
+    rel_tol_dominating: float = REL_TOL_DOMINATING,
     *,
     tol: float = 1e-12,
     max_iter: int = 100_000,
@@ -302,7 +311,7 @@ def weak_limit(
     data = layer_eigendata(problem, tol=tol, max_iter=max_iter)
     radii = data.spectral_radii
     lam0 = float(radii.max())
-    dominating = np.flatnonzero(radii >= (1.0 - rel_tol_dominating) * lam0)
+    dominating = dominating_layers(radii, rel_tol_dominating)
     tset = tuple(int(t) + 1 for t in dominating)
 
     atil = problem.interlayer.values

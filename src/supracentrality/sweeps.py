@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector
 from .graph import ConstantInputError, intralayer_degrees, pearson, total_degrees
-from .limits import layer_spectral_radii
+from .limits import REL_TOL_DOMINATING, dominating_layers, layer_spectral_radii
 from .types import (
     CentralityKind,
     CentralityTableau,
@@ -316,8 +316,9 @@ def _safe_pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
 
 def reference_layer_by_spectral_radius(problem: SupraProblem) -> int:
     """1-based index of the layer whose centrality matrix has the largest
-    spectral radius (ties go to the lowest index)."""
-    return int(np.argmax(layer_spectral_radii(problem))) + 1
+    spectral radius; radii tie as in the weak limit's dominating set, and a
+    tie goes to the lowest index."""
+    return int(dominating_layers(layer_spectral_radii(problem), REL_TOL_DOMINATING)[0]) + 1
 
 
 def correlate_with_degrees(

@@ -93,16 +93,6 @@ def test_pagerank_sigma_guard():
         build_pagerank_matrix(TWO_CYCLE, sigma=1.0)
 
 
-def test_pagerank_biased_teleport():
-    u = np.array([0.8, 0.2])
-    m = build_pagerank_matrix(TWO_CYCLE, sigma=0.5, teleport=u)
-    dense = m.to_dense()
-    assert np.allclose(dense.sum(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(dense[:, 0], [0.4, 0.6], atol=1e-15)
-    with pytest.raises(ValueError):
-        build_pagerank_matrix(TWO_CYCLE, sigma=0.5, teleport=np.array([-1.0, 2.0]))
-
-
 def test_pagerank_columns_stochastic_random_graphs():
     rng = np.random.default_rng(7)
     for trial in range(20):

@@ -203,6 +203,18 @@ def test_correlate_default_reference_layer_skips_a_dag_layer(tmp_path):
     assert default.read_bytes() == layer2.read_bytes()
 
 
+def test_correlate_default_reference_layer_of_pagerank_layers_is_layer_1(six_layer_net,
+                                                                          tmp_path):
+    # every PageRank layer has spectral radius 1; the computed radii differ
+    # only by round-off, which used to make layer 5 the default here
+    base = ["correlate", "--network", str(six_layer_net), "--kind", "pagerank",
+            "--interlayer", "alltoall", "--grid", "-1,1,1"]
+    default, layer1 = tmp_path / "default.csv", tmp_path / "layer1.csv"
+    assert dispatch([*base, "--out", str(default)]) == 0
+    assert dispatch([*base, "--reference-layer", "1", "--out", str(layer1)]) == 0
+    assert default.read_bytes() == layer1.read_bytes()
+
+
 def test_correlate_on_one_node_writes_nan_correlations(tmp_path):
     # one node: every series has fewer than two samples or none that vary
     net = tmp_path / "one.edges"
@@ -662,6 +674,33 @@ def test_sweep_records_a_signed_vector_as_a_failed_point(signed_vector_net, tmp_
         rows = list(csv.reader(fh))[1:]
     assert rows[0] == ["0.001"] + ["nan"] * 8
     assert all(math.isfinite(float(row[1])) for row in rows[1:])
+
+
+def test_centrality_at_omega_zero_fails_the_interlayer_precondition(tmp_path, capsys):
+    # omega * interlayer = 0 leaves the operator block diagonal: its dominant
+    # eigenvector (0, 0, 1, 1) / sqrt(2) lives on layer 2 alone and is not positive
+    net = tmp_path / "net.edges"
+    net.write_text("1 1 2 1\n1 2 1 1\n2 1 2 2\n2 2 1 2\n", encoding="utf-8")
+    out, summary = tmp_path / "joint.csv", tmp_path / "run.json"
+    assert dispatch(["centrality", "--network", str(net), "--kind", "eigenvector",
+                     "--interlayer", "alltoall", "--omega", "0", "--out", str(out),
+                     "--summary", str(summary)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: uniqueness preconditions not satisfied (interlayer_ok=False, "
+        "layer_sum_ok=True); computing anyway\n")
+    assert json.loads(summary.read_text(encoding="utf-8"))["preconditions"] == {
+        "interlayer_ok": False, "layer_sum_ok": True}
+
+
+def test_signed_vector_at_omega_zero_is_a_precondition_failure(tmp_path, capsys):
+    # at sigma = 0 every layer matrix is the uniform 1/2 J; at omega = 0 the
+    # solver's unit vector of the tied eigenspace has materially negative entries
+    net = tmp_path / "net.edges"
+    net.write_text("1 1 2\n1 2 1\n2 1 2\n", encoding="utf-8")
+    assert dispatch(["centrality", "--network", str(net), "--kind", "pagerank", "--sigma", "0",
+                     "--interlayer", "chain", "--omega", "0",
+                     "--out", str(tmp_path / "joint.csv")]) == 2
+    assert capsys.readouterr().err.endswith("; uniqueness preconditions not satisfied\n")
 
 
 def _reparsed(path) -> np.ndarray:

@@ -7,12 +7,12 @@ from scipy import sparse
 from supracentrality import (
     ConstantInputError,
     Eigenvector,
+    LayerCentralityMatrix,
     LayerGraph,
     MultiplexNetwork,
     PageRank,
     SupraProblem,
     aggregate_layers,
-    build_pagerank_matrix,
     check_preconditions,
     intralayer_degrees,
     k_path_counts,
@@ -21,7 +21,7 @@ from supracentrality import (
     total_degrees,
 )
 from supracentrality.graph import layer_sum_irreducible
-from supracentrality.interlayer import chain_teleport
+from supracentrality.interlayer import all_to_all, chain_teleport
 
 from _oracles import dense_adjacency, oracle_strongly_connected
 
@@ -69,21 +69,11 @@ def test_strongly_connected_vs_oracle_exhaustive_n_le_3():
 
 
 def test_layer_sum_stored_zero_is_not_an_edge():
-    # sigma = 0 stores the zero link matrix next to a teleport term u 1^T
-    two_cycle = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
-    only_teleport = build_pagerank_matrix(two_cycle, sigma=0.0, teleport=np.array([1.0, 0.0]))
-    assert only_teleport.sparse.nnz > 0
-    assert not layer_sum_irreducible((only_teleport,))
-
-
-@pytest.mark.parametrize("teleport, expected", [([1.0, 0.0], True), ([0.0, 1.0], False)])
-def test_layer_sum_irreducible_partial_teleport(teleport, expected):
-    # u 1^T links supp(u) to every node; reading it the other way round flips both answers
-    m = build_pagerank_matrix(
-        LayerGraph(2, ((1, 2, 1.0),)), sigma=0.5, teleport=np.array(teleport)
-    )
-    assert layer_sum_irreducible((m,)) is expected
-    assert strongly_connected(m.to_dense()) is expected
+    # a two-cycle whose two entries are stored zeros
+    stored_zeros = sparse.csr_matrix((np.zeros(2), [1, 0], [0, 1, 2]), shape=(2, 2))
+    mat = LayerCentralityMatrix(n=2, kind=Eigenvector(), sparse=stored_zeros)
+    assert mat.sparse.nnz == 2
+    assert not layer_sum_irreducible((mat,))
 
 
 def test_self_loops_do_not_affect_strong_connectivity():
@@ -130,6 +120,18 @@ def test_precondition_pagerank_layer_sum_always_ok():
         network=net, kind=PageRank(), interlayer=chain_teleport(2, 0.1), omega=1.0
     )
     assert check_preconditions(problem).layer_sum_ok
+
+
+@pytest.mark.parametrize("n_layers, omega, expected", [(1, 0.0, True), (2, 0.0, False),
+                                                      (2, 1e-12, True)])
+def test_precondition_interlayer_reads_the_coupling_omega_times_interlayer(n_layers, omega,
+                                                                           expected):
+    # a 1 x 1 coupling counts as strongly connected, even when it is zero
+    net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0))),) * n_layers)
+    problem = SupraProblem(
+        network=net, kind=Eigenvector(), interlayer=all_to_all(n_layers), omega=omega
+    )
+    assert check_preconditions(problem).interlayer_ok is expected
 
 
 def test_intralayer_degrees_examples():

@@ -360,9 +360,9 @@ def test_max_abs_entry_of_signed_weighted_sum_matches_dense(kind, seed):
 
 
 def test_max_abs_entry_reads_rank_one_term_at_structural_zeros():
-    # row 1: stored -0.5 + 0.4 = -0.1, structural zero 0.4; row 2 is empty
+    # uniform term 0.8 / 2 = 0.4: stored -0.5 + 0.4 = -0.1, structural zeros 0.4
     mat = LayerCentralityMatrix(
         n=2, kind=PageRank(), sparse=sparse.csr_matrix(np.array([[-0.5, 0.0], [0.0, 0.0]])),
-        teleport_coeff=1.0, teleport=np.array([0.4, 0.0]),
+        teleport_coeff=0.8,
     )
     assert limits._max_abs_entry(mat) == np.abs(mat.to_dense()).max() == 0.4
