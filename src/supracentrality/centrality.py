@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -46,12 +47,26 @@ class LayerCentralityMatrix:
     The uniform rank-one term is only present for PageRank (teleport_coeff
     = 1 - sigma); for the other kinds teleport_coeff is 0, so the term adds
     nothing.  Each uniform entry is computed as ``teleport_coeff * (1.0 / n)``.
+    It is an ``engine.Operator``: the eigensolvers take it as it is.
     """
 
     n: int
     kind: CentralityKind
     sparse: sparse.csr_matrix
     teleport_coeff: float = 0.0
+
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    @cached_property
+    def shift(self) -> float:
+        """The one shift rule of every eigensolve: 0 if the uniform term
+        makes the matrix positive (so aperiodic), else 0.1 * (1 + max row
+        sum), enough to make the shifted spectrum aperiodic."""
+        if self.teleport_coeff > 0:
+            return 0.0
+        return 0.1 * (1.0 + self.max_row_sum())
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product C @ x."""

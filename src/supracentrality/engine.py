@@ -1,4 +1,4 @@
-"""Matrix-free coupled operator and its dominant eigenpair.
+"""Matrix-free coupled operator, and every dominant eigensolve.
 
 The coupled operator on length-N*T vectors is
 
@@ -9,11 +9,13 @@ omega-scaled identity couplings off the diagonal.  It is applied blockwise
 and never materialized.  Vectors are ordered node-major within layer: entry
 N*(t-1) + i holds node i of layer t (both 1-based).
 
-The dominant eigenvector comes from ARPACK's implicitly restarted Arnoldi
-method (Perron root = eigenvalue of largest real part) and is accepted by
-power iteration on the shifted operator C + c*I.  Any c > 0 makes the
-spectrum aperiodic (bipartite-like layers would otherwise cycle) without
-changing eigenvectors; the reported eigenvalue has the shift removed.
+Every solver takes an :class:`Operator` (a :class:`SupraOperator`, or one
+``LayerCentralityMatrix``), which owns its shift c >= 0 by the one rule of
+``LayerCentralityMatrix.shift``.  Power iteration runs on C + c*I, which is
+aperiodic when c > 0, and reports the eigenvalue with the shift removed.
+ARPACK, or one dense ``eig`` below dimension 3, finds the dominant
+eigenvector that power iteration then accepts; the T x T matrices of the
+coupling limits take the dense ``eig``, :func:`dense_perron`, alone.
 """
 from __future__ import annotations
 
@@ -21,9 +23,10 @@ import copy
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal, Protocol
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
@@ -33,10 +36,10 @@ __all__ = [
     "NonConvergenceError",
     "NegativeEigenvectorError",
     "EigenpairResult",
-    "default_shift",
     "SupraOperator",
     "shifted_power_iteration",
     "dominant_eigenpair",
+    "dense_perron",
     "tableau_from_vector",
     "stride_permutation",
 ]
@@ -73,6 +76,7 @@ class NegativeEigenvectorError(NonConvergenceError):
 
 # entries of a unit eigenvector below -_NEGATIVE_FLOOR are material
 _NEGATIVE_FLOOR = 1e-9
+DENSE_CLAMP = 1e-12  # dense Perron vector entries in (-DENSE_CLAMP, 0) become 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +87,6 @@ class EigenpairResult:
     vector: np.ndarray
     iterations: int
     residual: float
-
-
-def default_shift(max_row_sum: float) -> float:
-    """The power-iteration shift 0.1 * (1 + max row sum) of a nonnegative operator.
-
-    Large enough to make the shifted spectrum aperiodic, small enough not to
-    slow convergence.  Callers sum the rows themselves: the summation order
-    sets the last bit, and with it every digit the solver writes.
-    """
-    return 0.1 * (1.0 + max_row_sum)
 
 
 def _fix_sign(x: np.ndarray, tol: float) -> np.ndarray:
@@ -127,20 +121,36 @@ def _unit_start(dim: int, start: np.ndarray | None) -> np.ndarray:
     return x / nrm
 
 
+class Operator(Protocol):
+    """What every eigensolve reads: a square nonnegative operator and its shift."""
+
+    dim: int
+    shift: float
+
+    def apply(self, x: np.ndarray) -> np.ndarray: ...
+    def apply_transpose(self, x: np.ndarray) -> np.ndarray: ...
+
+
+def _matvec(op: Operator, side: str):
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    return op.apply if side == "right" else op.apply_transpose
+
+
 def shifted_power_iteration(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    dim: int,
+    op: Operator,
+    side: Literal["right", "left"] = "right",
     *,
-    shift: float = 0.0,
     tol: float = 1e-10,
     max_iter: int = 100_000,
     start: np.ndarray | None = None,
 ) -> EigenpairResult:
-    """Dominant eigenpair of the operator behind ``matvec`` by power iteration.
+    """Dominant right or left eigenpair of ``op`` by power iteration.
 
-    Iterates x -> matvec(x) + shift*x from the (positive) all-ones direction
-    unless ``start`` is given.  Converged when the residual and the change in
-    the Rayleigh quotient both fall below tol relative to the eigenvalue;
+    Iterates x -> C x + c x, with C the operator (its transpose for the left
+    pair) and c = ``op.shift``, from the (positive) all-ones direction
+    unless ``start`` is given.  Converged when the residual and the change
+    in the Rayleigh quotient both fall below tol relative to the eigenvalue;
     the reported eigenvalue has the shift subtracted.  After convergence the
     vector's sign is fixed so its largest-magnitude entry is positive and
     entries in (-tol, 0) are clamped to 0.
@@ -148,8 +158,10 @@ def shifted_power_iteration(
     Raises NonConvergenceError after ``max_iter`` iterations, or as soon as
     an iterate is not finite.
     """
+    matvec = _matvec(op, side)
+    shift = op.shift
     _check_budget(tol, max_iter)
-    x = _unit_start(dim, start)
+    x = _unit_start(op.dim, start)
     lam_prev = None
     residual = np.inf
     for iteration in range(1, max_iter + 1):
@@ -184,38 +196,28 @@ def shifted_power_iteration(
 class SupraOperator:
     """The coupled operator for one problem, applied blockwise.
 
-    ``shift`` defaults to :func:`default_shift` of the largest row sum over
-    the diagonal layer blocks; pass shift=0.0 to iterate the raw operator.
     ``apply``/``apply_transpose``/``to_dense`` are the unshifted operator;
-    only the eigensolver adds the shift.
+    only the eigensolver adds ``shift``, the largest of the layer matrices'
+    shifts: where every layer is positive (PageRank) the coupled operator
+    has a positive diagonal and needs none.
     """
 
-    def __init__(
-        self,
-        problem: SupraProblem,
-        shift: float | None = None,
-    ):
+    def __init__(self, problem: SupraProblem):
         self.problem = problem
         self.layers = problem.layer_matrices
         self.interlayer = problem.interlayer.values
         self.omega = problem.omega
-        if shift is None:
-            shift = default_shift(max(m.max_row_sum() for m in self.layers))
-        if shift < 0:
-            raise ValueError(f"shift must be nonnegative, got {shift}")
-        self.shift = float(shift)
+        self.shift = max(m.shift for m in self.layers)
 
         # one block-diagonal sparse matrix for all layers keeps apply() at a
         # single matvec instead of a Python loop over layers
-        self._block_diag = sparse.block_diag(
-            [m.sparse for m in self.layers], format="csr"
-        )
+        self._block_diag = sparse.block_diag([m.sparse for m in self.layers], format="csr")
         coeffs = np.array([m.teleport_coeff for m in self.layers])
         self._tele_coeffs = coeffs if coeffs.any() else None  # None: no PageRank term
 
     def with_omega(self, omega: float) -> SupraOperator:
         """The same operator at coupling strength ``omega``, sharing the
-        layer blocks and the shift, so a sweep builds them once."""
+        layer blocks, so a sweep builds them once."""
         out = copy.copy(self)
         out.problem = self.problem.with_omega(omega)
         out.omega = out.problem.omega
@@ -233,31 +235,24 @@ class SupraOperator:
     def dim(self) -> int:
         return self.n_nodes * self.n_layers
 
-    def _blocks(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}, got {x.shape}")
-        return x.reshape(self.n_layers, self.n_nodes)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Blockwise product: C_t x_t + omega * sum_t' A~[t,t'] x_t'."""
-        x = np.asarray(x, dtype=float)
-        blocks = self._blocks(x)
-        out = (self._block_diag @ x).reshape(blocks.shape)
-        if self._tele_coeffs is not None:
-            out += ((self._tele_coeffs * blocks.sum(axis=1)) * (1.0 / self.n_nodes))[:, None]
-        if self.omega:
-            out += self.omega * (self.interlayer @ blocks)
-        return out.ravel()
+        return self._product(x, self._block_diag, self.interlayer)
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         """Product with the transposed operator."""
+        return self._product(x, self._block_diag.T, self.interlayer.T)
+
+    def _product(self, x: np.ndarray, block_diag, interlayer: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        blocks = self._blocks(x)
-        out = (self._block_diag.T @ x).reshape(blocks.shape)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected a vector of length {self.dim}, got {x.shape}")
+        blocks = x.reshape(self.n_layers, self.n_nodes)
+        out = (block_diag @ x).reshape(blocks.shape)
         if self._tele_coeffs is not None:  # the PageRank term (c_t / N) 1 1^T is symmetric
             out += ((self._tele_coeffs * blocks.sum(axis=1)) * (1.0 / self.n_nodes))[:, None]
         if self.omega:
-            out += self.omega * (self.interlayer.T @ blocks)
+            out += self.omega * (interlayer @ blocks)
         return out.ravel()
 
     def to_dense(self) -> np.ndarray:
@@ -276,62 +271,72 @@ class _BudgetSpent(Exception):
 
 
 def dominant_eigenpair(
-    op: SupraOperator,
+    op: Operator,
     side: Literal["right", "left"] = "right",
     *,
     tol: float = 1e-10,
     max_iter: int = 100_000,
     start: np.ndarray | None = None,
 ) -> EigenpairResult:
-    """Dominant right or left eigenpair of the coupled operator.
+    """Dominant right or left eigenpair of the operator ``op``.
 
     ARPACK (``eigs`` with k=1, which="LR", machine-precision tolerance)
     finds the eigenvector of ``op`` (or its transpose for the left pair)
-    from ``start``, or from the uniform vector; power iteration on the
-    operator shifted by ``op.shift`` then accepts it, and its residual and
-    stopping rule are the reported ones.  The eigenvalue has the shift
-    removed.  ``iterations`` counts the matvecs of both steps, which share
-    ``max_iter``.  When ARPACK fails (for instance does not converge within
-    its own limits), or the operator is too small for it (dim < 3), power
+    from ``start``, or from the uniform vector; below dimension 3
+    :func:`dense_perron` finds it, one matvec per column.
+    :func:`shifted_power_iteration` then accepts it, and its residual and
+    stopping rule are the reported ones.  ``iterations`` counts the matvecs
+    of both steps, which share ``max_iter``.  When ARPACK fails, power
     iteration runs alone from ``start``.  Warm starts: pass the previous
     solution as ``start`` when sweeping over coupling strengths.  A vector
     that is not nonnegative (an entry below -1e-9) raises
     :class:`NegativeEigenvectorError`, a :class:`NonConvergenceError`.
     """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    matvec = _matvec(op, side)
     _check_budget(tol, max_iter)
-    matvec = op.apply if side == "right" else op.apply_transpose
     dim = op.dim
     v0 = _unit_start(dim, start)
     spent = 0
-    if dim >= 3:
-        def counted(x: np.ndarray) -> np.ndarray:
-            nonlocal spent
-            if spent == max_iter:
-                raise _BudgetSpent
-            spent += 1
-            return matvec(x)
 
-        try:
+    def counted(x: np.ndarray) -> np.ndarray:
+        nonlocal spent
+        if spent == max_iter:
+            raise _BudgetSpent
+        spent += 1
+        return matvec(x)
+
+    try:
+        if dim >= 3:
             _, vecs = eigs(
                 LinearOperator((dim, dim), matvec=counted, dtype=float),
                 k=1, which="LR", v0=v0, tol=0.0,
             )
             start = _fix_sign(vecs[:, 0].real, tol)
-        except (ArpackError, _BudgetSpent):
-            pass
-        if spent == max_iter:
-            raise NonConvergenceError(spent, math.inf, "iteration budget spent in ARPACK")
+        else:
+            dense = np.column_stack([counted(e) for e in np.eye(dim)])
+            if np.isfinite(dense).all():  # else power iteration stops at once
+                start = dense_perron(dense)[2]
+    except (ArpackError, _BudgetSpent):
+        pass
+    if spent == max_iter:
+        raise NonConvergenceError(spent, math.inf, "budget spent before power iteration")
     try:
-        pair = shifted_power_iteration(
-            matvec, dim, shift=op.shift, tol=tol, max_iter=max_iter - spent, start=start
-        )
+        pair = shifted_power_iteration(op, side, tol=tol, max_iter=max_iter - spent, start=start)
     except NonConvergenceError as err:
         raise NonConvergenceError(err.iterations + spent, err.residual, err.context) from err
     if pair.vector.min(initial=0.0) < -_NEGATIVE_FLOOR:
         raise NegativeEigenvectorError(pair.iterations + spent, pair.residual)
     return dataclasses.replace(pair, iterations=pair.iterations + spent)
+
+
+def dense_perron(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Spectrum of the small dense matrix ``a``, its eigenvalue of largest
+    real part (the Perron root when ``a`` is nonnegative), and that
+    eigenvalue's sign-fixed unit right and left eigenvectors."""
+    values, left, right = scipy.linalg.eig(a, left=True)
+    k = int(np.argmax(values.real))
+    return (values, float(values[k].real),
+            _fix_sign(right[:, k].real, DENSE_CLAMP), _fix_sign(left[:, k].real, DENSE_CLAMP))
 
 
 def tableau_from_vector(

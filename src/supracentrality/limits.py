@@ -13,7 +13,7 @@ Both solvers are independent of the iterative engine's path through the
 full coupled operator, so they double as cross-checks for it.  N x N
 matrices (each layer, the aggregate) go through one gap-guarded power
 iteration, ``_perron_pairs``; T x T ones (interlayer, X) through one dense
-``eig``, ``_dense_perron``.  No dense N x N array is built unless
+``eig``, ``engine.dense_perron``.  No dense N x N array is built unless
 ``StrongLimitResult.X_tilde`` is read.
 """
 from __future__ import annotations
@@ -22,16 +22,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .centrality import LayerCentralityMatrix
-from .engine import (
-    NonConvergenceError,
-    _fix_sign,
-    default_shift,
-    shifted_power_iteration,
-    tableau_from_vector,
-)
+from .engine import NonConvergenceError, dense_perron, shifted_power_iteration, tableau_from_vector
 from .graph import layer_sum_components, strongly_connected
 from .interlayer import all_to_all, chain_undirected
 from .types import CentralityTableau, SupraProblem
@@ -57,7 +50,6 @@ __all__ = [
 # Relative eigen-gap below which a dominant eigenvalue is treated as degenerate.
 LAYER_GAP_FLOOR = 1e-6
 INTERLAYER_GAP_FLOOR = 1e-8
-DENSE_CLAMP = 1e-12  # dense Perron vector entries in (-DENSE_CLAMP, 0) become 0
 # Spectral radii within this relative distance of the largest tie with it.
 REL_TOL_DOMINATING = 1e-9
 
@@ -173,9 +165,7 @@ def _block_radii(mat, count: int, labels: np.ndarray, tol: float, max_iter: int)
         # the same uniform entries c / n; a block of every node keeps c exactly
         sub = replace(mat, n=nodes.size, sparse=mat.sparse[nodes][:, nodes],
                       teleport_coeff=mat.teleport_coeff * (nodes.size / mat.n))
-        radii[block] = shifted_power_iteration(
-            sub.apply, sub.n, shift=default_shift(sub.max_row_sum()), tol=tol, max_iter=max_iter
-        ).eigenvalue
+        radii[block] = shifted_power_iteration(sub, tol=tol, max_iter=max_iter).eigenvalue
     return radii
 
 
@@ -189,28 +179,17 @@ def _perron_pairs(mat: LayerCentralityMatrix, where: str, tol: float, max_iter: 
     1975).  Errors name ``where``.
     """
     count, labels = layer_sum_components((mat,))
-    shift = default_shift(mat.max_row_sum())
     try:
         if count > 1:
             second, top = np.sort(_block_radii(mat, count, labels, tol, max_iter))[-2:]
-            if second + shift >= (1.0 - LAYER_GAP_FLOOR) * (top + shift):
+            if second + mat.shift >= (1.0 - LAYER_GAP_FLOOR) * (top + mat.shift):
                 raise DegenerateLayerEigenvalueError(where, top, second)
-        right, left = [shifted_power_iteration(f, mat.n, shift=shift, tol=tol, max_iter=max_iter)
-                       for f in (mat.apply, mat.apply_transpose)]
+        right, left = [shifted_power_iteration(mat, side, tol=tol, max_iter=max_iter)
+                       for side in ("right", "left")]
     except NonConvergenceError as err:
         context = f"{where}: {err.context}" if err.context else where
         raise NonConvergenceError(err.iterations, err.residual, context) from err
     return count == 1, right, left
-
-
-def _dense_perron(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Spectrum of the small dense matrix ``a``, its eigenvalue of largest
-    real part (the Perron root when ``a`` is nonnegative), and that
-    eigenvalue's sign-fixed unit right and left eigenvectors."""
-    eigs, left, right = scipy.linalg.eig(a, left=True)
-    k = int(np.argmax(eigs.real))
-    return (eigs, float(eigs[k].real),
-            _fix_sign(right[:, k].real, DENSE_CLAMP), _fix_sign(left[:, k].real, DENSE_CLAMP))
 
 
 def _weighted_sum(mats: tuple[LayerCentralityMatrix, ...], weights) -> LayerCentralityMatrix:
@@ -330,7 +309,7 @@ def weak_limit(
             "is not strongly connected; the limit mixing weights are not unique"
         )
 
-    _, lambda1, alpha, beta = _dense_perron(X)
+    _, lambda1, alpha, beta = dense_perron(X)
 
     W = np.zeros((net.n_nodes, net.n_layers))
     for a, ta in enumerate(dominating):
@@ -351,7 +330,7 @@ def weak_limit(
 def _interlayer_weights(atil: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Dominant eigenvalue mu1 (required simple) and right/left eigenvectors
     of the interlayer matrix, and the aggregation weights u_t v_t / <u, v>."""
-    eigs, mu1, v, u = _dense_perron(atil)
+    eigs, mu1, v, u = dense_perron(atil)
     near = np.abs(eigs - mu1) <= INTERLAYER_GAP_FLOOR * max(abs(mu1), 1.0)
     if int(near.sum()) > 1:
         raise DegenerateInterlayerEigenvalueError(

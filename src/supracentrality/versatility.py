@@ -43,9 +43,8 @@ def pagerank_versatility(
     supra = sparse.block_diag([g.csr for g in net.layers], format="csr")
     if omega:
         supra = supra + sparse.kron(omega * interlayer.values, sparse.identity(n), format="csr")
-    # the matrix is positive (teleport), so the iteration needs no shift
     mat = pagerank_from_adjacency(supra, PageRank(sigma, dangling))
-    pair = shifted_power_iteration(mat.apply, n * t, shift=0.0, tol=tol, max_iter=max_iter)
+    pair = shifted_power_iteration(mat, tol=tol, max_iter=max_iter)
     vec = pair.vector
     total = float(vec.sum())
     if total <= 0:

@@ -692,6 +692,25 @@ def test_centrality_at_omega_zero_fails_the_interlayer_precondition(tmp_path, ca
         "interlayer_ok": False, "layer_sum_ok": True}
 
 
+@pytest.mark.parametrize("nodes", ["2", "3"])
+def test_strongly_coupled_small_operator_takes_a_handful_of_matvecs(tmp_path, nodes):
+    # C = A + 1000 I: eigenvalues 1001 and 999.5 (and 1000 for an isolated
+    # third node), a ratio power iteration alone crawls through; below
+    # dimension 3 a dense eig finds the vector that it then accepts
+    net = tmp_path / "net.edges"
+    net.write_text("1 1 2 0.5\n1 2 1 1.0\n1 2 2 0.5\n", encoding="utf-8")
+    out, summary = tmp_path / "joint.csv", tmp_path / "run.json"
+    assert dispatch(["centrality", "--network", str(net), "--nodes", nodes, "--kind",
+                     "eigenvector", "--interlayer", "alltoall", "--omega", "1000",
+                     "--out", str(out), "--summary", str(summary)]) == 0
+    payload = json.loads(summary.read_text(encoding="utf-8"))
+    assert payload["iterations"] <= 10
+    assert payload["lambda_max"] == pytest.approx(1001.0, rel=1e-12)
+    with open(out, encoding="utf-8", newline="") as fh:
+        joint = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+    assert np.allclose(joint[:2], np.array([1.0, 2.0]) / math.sqrt(5.0), rtol=0, atol=1e-12)
+
+
 def test_signed_vector_at_omega_zero_is_a_precondition_failure(tmp_path, capsys):
     # at sigma = 0 every layer matrix is the uniform 1/2 J; at omega = 0 the
     # solver's unit vector of the tied eigenspace has materially negative entries

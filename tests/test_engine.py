@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,19 @@ def _problem(net, inter, omega, kind=Eigenvector()):
     return SupraProblem(network=net, kind=kind, interlayer=inter, omega=omega)
 
 
+def _operator(dim, shift, apply, apply_transpose=None):
+    """A stand-in with the four members every eigensolve reads."""
+    return SimpleNamespace(dim=dim, shift=shift, apply=apply,
+                           apply_transpose=apply_transpose or apply)
+
+
+def _with_shift(op, shift):
+    return _operator(op.dim, shift, op.apply, op.apply_transpose)
+
+
 def test_apply_decoupled_at_zero_omega():
     net = MultiplexNetwork(2, (TWO_CYCLE, LayerGraph(2, ((1, 2, 2.0),))))
-    op = SupraOperator(_problem(net, chain_undirected(2), 0.0), shift=0.0)
+    op = SupraOperator(_problem(net, chain_undirected(2), 0.0))
     x = np.array([1.0, 2.0, 3.0, 4.0])
     expected = np.array([2.0, 1.0, 8.0, 0.0])  # blockwise C_t x_t
     assert np.allclose(op.apply(x), expected, atol=1e-15)
@@ -41,9 +53,7 @@ def test_apply_decoupled_at_zero_omega():
 
 def test_apply_pure_coupling():
     net = MultiplexNetwork(1, (LayerGraph(1, ()), LayerGraph(1, ())))
-    op = SupraOperator(
-        _problem(net, InterlayerMatrix(np.eye(2)), 2.0), shift=0.0
-    )
+    op = SupraOperator(_problem(net, InterlayerMatrix(np.eye(2)), 2.0))
     x = np.ones(2)
     assert np.allclose(op.apply(x), 2.0 * x, atol=1e-15)
 
@@ -51,7 +61,7 @@ def test_apply_pure_coupling():
 def test_apply_two_block_hand_example():
     net = MultiplexNetwork(1, (LayerGraph(1, ((1, 1, 3.0),)), LayerGraph(1, ((1, 1, 5.0),))))
     inter = InterlayerMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    op = SupraOperator(_problem(net, inter, 1.0), shift=0.0)
+    op = SupraOperator(_problem(net, inter, 1.0))
     assert np.allclose(op.apply(np.ones(2)), [4.0, 6.0], atol=1e-15)
     dense = op.to_dense()
     assert np.allclose(dense, [[3.0, 1.0], [1.0, 5.0]], atol=1e-15)
@@ -85,12 +95,22 @@ def test_apply_matches_densified(kind):
 
 def test_single_layer_two_cycle_with_explicit_shift():
     net = MultiplexNetwork(2, (TWO_CYCLE,))
-    op = SupraOperator(
-        _problem(net, InterlayerMatrix(np.zeros((1, 1))), 0.0), shift=0.5
-    )
-    pair = dominant_eigenpair(op)
+    op = SupraOperator(_problem(net, InterlayerMatrix(np.zeros((1, 1))), 0.0))
+    pair = dominant_eigenpair(_with_shift(op, 0.5))
     assert pair.eigenvalue == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(pair.vector, np.full(2, 1 / np.sqrt(2)), atol=1e-9)
+
+
+def test_two_row_operator_starts_from_a_dense_eig_on_either_side():
+    # A + 1000 I with A = [[0, 0.5], [1, 0.5]]: eigenvalues 1001 and 999.5,
+    # right vector (1, 2) / sqrt(5), left vector (1, 1) / sqrt(2)
+    net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 0.5), (2, 1, 1.0), (2, 2, 0.5))),))
+    op = SupraOperator(_problem(net, InterlayerMatrix(np.eye(1)), 1000.0))
+    for side, vector in (("right", [1.0, 2.0]), ("left", [1.0, 1.0])):
+        pair = dominant_eigenpair(op, side, tol=1e-12)
+        assert pair.iterations <= 10
+        assert pair.eigenvalue == pytest.approx(1001.0, rel=1e-12)
+        assert np.allclose(pair.vector, vector / np.linalg.norm(vector), rtol=0, atol=1e-12)
 
 
 def test_pagerank_layers_eigenvalue_near_one_at_tiny_omega():
@@ -138,21 +158,19 @@ def _periodic_three_cycle_operator():
     # weighted directed 3-cycle: three eigenvalues of equal magnitude
     cyc = LayerGraph(3, ((1, 2, 2.0), (2, 3, 1.0), (3, 1, 1.0)))
     net = MultiplexNetwork(3, (cyc,))
-    return SupraOperator(
-        _problem(net, InterlayerMatrix(np.zeros((1, 1))), 0.0), shift=0.0
-    )
+    return SupraOperator(_problem(net, InterlayerMatrix(np.zeros((1, 1))), 0.0))
 
 
 def test_nonconvergence_on_periodic_operator_without_shift():
-    op = _periodic_three_cycle_operator()
+    op = _with_shift(_periodic_three_cycle_operator(), 0.0)
     with pytest.raises(NonConvergenceError) as err:
-        shifted_power_iteration(op.apply, op.dim, shift=0.0, max_iter=500)
+        shifted_power_iteration(op, max_iter=500)
     assert err.value.iterations == 500
 
 
 def test_dominant_eigenpair_solves_periodic_operator_without_shift():
     op = _periodic_three_cycle_operator()
-    pair = dominant_eigenpair(op, max_iter=500)
+    pair = dominant_eigenpair(_with_shift(op, 0.0), max_iter=500)
     vals, vecs = np.linalg.eig(op.to_dense())
     perron = vecs[:, np.argmax(vals.real)].real
     perron *= np.sign(perron.sum())
@@ -250,12 +268,12 @@ def test_stride_conjugation_identity():
 @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
 def test_tol_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tol"):
-        shifted_power_iteration(lambda x: x, 2, tol=tol)
+        shifted_power_iteration(_operator(2, 0.0, lambda x: x), tol=tol)
 
 
 def test_non_finite_iterate_fails_on_first_iteration():
     with pytest.raises(NonConvergenceError) as err:
-        shifted_power_iteration(lambda x: np.full_like(x, np.nan), 3, shift=0.5)
+        shifted_power_iteration(_operator(3, 0.5, lambda x: np.full_like(x, np.nan)))
     assert err.value.iterations == 1
 
 

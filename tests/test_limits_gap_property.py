@@ -18,16 +18,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from supracentrality import (
     DegenerateLayerEigenvalueError,
     Eigenvector,
+    LayerCentralityMatrix,
     LayerGraph,
     MultiplexNetwork,
     SupraProblem,
     layer_eigendata,
 )
-from supracentrality.engine import default_shift
 from supracentrality.interlayer import all_to_all
 from supracentrality.limits import LAYER_GAP_FLOOR
 
@@ -69,7 +70,7 @@ def _top_tied_at_most_twice(blocks) -> bool:
 
 
 def _dense_rejects(m: np.ndarray) -> bool:
-    shift = default_shift(float(m.sum(axis=1).max()))
+    shift = LayerCentralityMatrix(m.shape[0], Eigenvector(), sparse.csr_matrix(m)).shift
     mags = np.sort(np.abs(np.linalg.eigvals(m + shift * np.eye(m.shape[0]))))
     return bool(mags[-2] >= (1.0 - LAYER_GAP_FLOOR) * mags[-1])
 
