@@ -15,8 +15,8 @@ _EXPORTS = {
     "centrality": ("LayerCentralityMatrix", "build_authority_matrix", "build_centrality_matrix",
                    "build_eigenvector_matrix", "build_hub_matrix", "build_pagerank_matrix"),
     "engine": ("EigenpairResult", "NegativeEigenvectorError", "NonConvergenceError",
-               "SupraOperator", "dominant_eigenpair", "shifted_power_iteration",
-               "stride_permutation", "tableau_from_vector"),
+               "OperatorOverflowError", "SupraOperator", "dominant_eigenpair",
+               "shifted_power_iteration", "stride_permutation", "tableau_from_vector"),
     "graph": ("ConstantInputError", "PreconditionReport", "aggregate_layers",
               "check_preconditions", "intralayer_degrees", "k_path_counts", "pearson",
               "strongly_connected", "total_degrees"),

@@ -1,11 +1,12 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 usage error, 2 validation or precondition failure
-(unparsable or non-finite input, a coupling limit whose uniqueness
-precondition fails, or a solver vector that is not nonnegative where the
-uniqueness preconditions fail), 3 eigensolver failure (non-convergence, or
-such a vector where they hold).  All subcommands are deterministic: repeat
-runs with the same inputs produce byte-identical output files.
+(unparsable or non-finite input, a coupled operator whose scale overflows,
+a coupling limit whose uniqueness precondition fails, or a solver vector
+that is not nonnegative where the uniqueness preconditions fail), 3
+eigensolver failure (non-convergence, or such a vector where they hold).
+All subcommands are deterministic: repeat runs with the same inputs produce
+byte-identical output files.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
 is already set, so the CLI runs OpenBLAS on one thread: the second thread
@@ -29,8 +30,8 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fileio
-from .engine import (NegativeEigenvectorError, NonConvergenceError, SupraOperator,
-                     dominant_eigenpair, tableau_from_vector)
+from .engine import (NegativeEigenvectorError, NonConvergenceError, OperatorOverflowError,
+                     SupraOperator, dominant_eigenpair, tableau_from_vector)
 from .graph import check_preconditions
 from .interlayer import all_to_all, block_communities, chain_teleport, chain_undirected
 from .limits import (
@@ -422,7 +423,7 @@ def dispatch(argv) -> int:
     try:
         return args.func(args)
     except (fileio.ParseError, fileio.ValidationError, LimitPreconditionError,
-            _PreconditionFailure, OSError) as err:
+            OperatorOverflowError, _PreconditionFailure, OSError) as err:
         code, error = EXIT_VALIDATION, err
     except NonConvergenceError as err:
         code, error = EXIT_NO_CONVERGENCE, err

@@ -35,6 +35,7 @@ from .types import CentralityTableau, SupraProblem
 __all__ = [
     "NonConvergenceError",
     "NegativeEigenvectorError",
+    "OperatorOverflowError",
     "EigenpairResult",
     "SupraOperator",
     "shifted_power_iteration",
@@ -74,8 +75,18 @@ class NegativeEigenvectorError(NonConvergenceError):
         super().__init__(iterations, residual, "eigenvector has materially negative entries")
 
 
+class OperatorOverflowError(ValueError):
+    """The coupled operator's products could overflow: with r the largest
+    absolute row or column sum of C(omega) + cI, ``dim * r**2``, which
+    bounds the squared norm of the product with a unit vector, is not finite.
+    """
+
+
 # entries of a unit eigenvector below -_NEGATIVE_FLOOR are material
 _NEGATIVE_FLOOR = 1e-9
+# ARPACK stops at tol / _ARPACK_TOL_RATIO, so the acceptance power iteration
+# at tol takes few steps; ratios of 10 and 1 moved W by 6.8e-11 and 2.6e-9
+_ARPACK_TOL_RATIO = 100
 DENSE_CLAMP = 1e-12  # dense Perron vector entries in (-DENSE_CLAMP, 0) become 0
 
 
@@ -199,7 +210,9 @@ class SupraOperator:
     ``apply``/``apply_transpose``/``to_dense`` are the unshifted operator;
     only the eigensolver adds ``shift``, the largest of the layer matrices'
     shifts: where every layer is positive (PageRank) the coupled operator
-    has a positive diagonal and needs none.
+    has a positive diagonal and needs none.  Construction and ``with_omega``
+    raise :class:`OperatorOverflowError` for an operator whose products
+    could overflow, before any of them is computed.
     """
 
     def __init__(self, problem: SupraProblem):
@@ -207,7 +220,16 @@ class SupraOperator:
         self.layers = problem.layer_matrices
         self.interlayer = problem.interlayer.values
         self.omega = problem.omega
-        self.shift = max(m.shift for m in self.layers)
+        # a sum past the float range is refused by _check_scale, not warned about
+        with np.errstate(over="ignore"):
+            self.shift = max(m.shift for m in self.layers)
+            # largest row or column sum of each C_t and of A~ (all are nonnegative)
+            self._layer_sums = np.array(
+                [max(m.max_row_sum(), float(m.column_sums().max(initial=0.0)))
+                 for m in self.layers]
+            )
+        self._coupling_sums = np.maximum(self.interlayer.sum(axis=0), self.interlayer.sum(axis=1))
+        self._check_scale()
 
         # one block-diagonal sparse matrix for all layers keeps apply() at a
         # single matvec instead of a Python loop over layers
@@ -215,12 +237,25 @@ class SupraOperator:
         coeffs = np.array([m.teleport_coeff for m in self.layers])
         self._tele_coeffs = coeffs if coeffs.any() else None  # None: no PageRank term
 
+    def _check_scale(self) -> None:
+        """Raise :class:`OperatorOverflowError` unless ``dim * r**2`` is
+        finite, r bounding |((C + cI) x)_i| for a unit x on either side."""
+        with np.errstate(over="ignore"):
+            sums = self._layer_sums + self.omega * self._coupling_sums
+        scale = float(sums.max()) + self.shift
+        if not math.isfinite(self.dim * scale * scale):
+            raise OperatorOverflowError(
+                f"the coupled operator overflows at omega {self.omega!r}: its largest absolute "
+                f"row or column sum {scale:.6g} squared, times dimension {self.dim}, is not finite"
+            )
+
     def with_omega(self, omega: float) -> SupraOperator:
         """The same operator at coupling strength ``omega``, sharing the
         layer blocks, so a sweep builds them once."""
         out = copy.copy(self)
         out.problem = self.problem.with_omega(omega)
         out.omega = out.problem.omega
+        out._check_scale()
         return out
 
     @property
@@ -280,17 +315,17 @@ def dominant_eigenpair(
 ) -> EigenpairResult:
     """Dominant right or left eigenpair of the operator ``op``.
 
-    ARPACK (``eigs`` with k=1, which="LR", machine-precision tolerance)
+    ARPACK (``eigs`` with k=1, which="LR" and tolerance ``tol / 100``)
     finds the eigenvector of ``op`` (or its transpose for the left pair)
     from ``start``, or from the uniform vector; below dimension 3
     :func:`dense_perron` finds it, one matvec per column.
-    :func:`shifted_power_iteration` then accepts it, and its residual and
-    stopping rule are the reported ones.  ``iterations`` counts the matvecs
-    of both steps, which share ``max_iter``.  When ARPACK fails, power
-    iteration runs alone from ``start``.  Warm starts: pass the previous
-    solution as ``start`` when sweeping over coupling strengths.  A vector
-    that is not nonnegative (an entry below -1e-9) raises
-    :class:`NegativeEigenvectorError`, a :class:`NonConvergenceError`.
+    :func:`shifted_power_iteration` then accepts it at ``tol``, and its
+    residual and stopping rule are the reported ones.  ``iterations``
+    counts the matvecs of both steps, which share ``max_iter``.  When
+    ARPACK fails, power iteration runs alone from ``start``.  Warm starts:
+    pass the previous solution as ``start`` when sweeping over coupling
+    strengths.  A vector that is not nonnegative (an entry below -1e-9)
+    raises :class:`NegativeEigenvectorError`, a :class:`NonConvergenceError`.
     """
     matvec = _matvec(op, side)
     _check_budget(tol, max_iter)
@@ -309,7 +344,7 @@ def dominant_eigenpair(
         if dim >= 3:
             _, vecs = eigs(
                 LinearOperator((dim, dim), matvec=counted, dtype=float),
-                k=1, which="LR", v0=v0, tol=0.0,
+                k=1, which="LR", v0=v0, tol=tol / _ARPACK_TOL_RATIO,
             )
             start = _fix_sign(vecs[:, 0].real, tol)
         else:

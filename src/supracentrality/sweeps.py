@@ -118,11 +118,14 @@ def sweep(
     eigenvector, which saves matvecs where the dominant eigenvalue cluster
     is nearly degenerate (strong coupling).  A failed point is
     recorded and the sweep continues; the next solve falls back to the
-    default start.
+    default start.  An operator that overflows at the largest grid value
+    raises :class:`~supracentrality.engine.OperatorOverflowError` before the
+    first solve.
     """
     base = SupraOperator(
         SupraProblem(network=network, kind=kind, interlayer=interlayer, omega=grid.values[0])
     )
+    base.with_omega(float(grid.values[-1]))  # an overflowing grid fails before any solve
     count = len(grid)
     w_sens = np.full(max(count - 1, 0), np.nan)
     z_sens = np.full(max(count - 1, 0), np.nan)

@@ -15,7 +15,7 @@ from supracentrality import (
     rank_trajectory,
     sweep,
 )
-from supracentrality import cli
+from supracentrality import cli, sweeps
 from supracentrality.cli import dispatch
 from supracentrality.fileio import load_multiplex
 from supracentrality.interlayer import all_to_all
@@ -755,3 +755,38 @@ def test_sweep_trajectory_and_correlate_csvs_reparse_exactly(signed_vector_net, 
     for name, path in paths.items():
         # exact equality, nan matching nan
         np.testing.assert_array_equal(_reparsed(path), np.array(expected[name]), err_msg=name)
+
+
+def test_operator_whose_scale_overflows_exits_2_before_any_solve(tmp_path, capsys,
+                                                                  monkeypatch):
+    # pytest turns a RuntimeWarning into an error, so none may be raised on the way
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "dominant_eigenpair", no_solve)
+    monkeypatch.setattr(sweeps, "dominant_eigenpair", no_solve)
+    huge = tmp_path / "huge.edges"
+    huge.write_text("1 1 1 1e308\n1 2 2 1.0\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = ["--network", str(huge), "--kind", "eigenvector", "--interlayer", "alltoall",
+            "--out", str(out)]
+    for omega in ("1e308", "1"):
+        assert dispatch(["centrality", *argv, "--omega", omega]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the coupled operator overflows at omega {float(omega)!r}")
+        assert err.count("\n") == 1
+    # a row sum past the float range is refused the same way
+    huge.write_text("1 1 2 1e308\n1 1 3 1e308\n1 2 1 1\n1 3 1 1\n", encoding="utf-8")
+    assert dispatch(["centrality", *argv, "--omega", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the coupled operator overflows at omega 1.0: its largest "
+                          "absolute row or column sum inf")
+    assert err.count("\n") == 1
+    # a sweep refuses its largest omega before the first grid point's solve
+    cycle = tmp_path / "cycle.edges"
+    cycle.write_text("1 1 2\n1 2 1\n", encoding="utf-8")
+    argv[1] = str(cycle)
+    assert dispatch(["sweep", *argv, "--grid", "0,308,154"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the coupled operator overflows at omega 1e+308")
+    assert not out.exists()

@@ -9,6 +9,7 @@ from supracentrality import (
     LayerGraph,
     MultiplexNetwork,
     NonConvergenceError,
+    OperatorOverflowError,
     PageRank,
     SupraOperator,
     SupraProblem,
@@ -20,6 +21,7 @@ from supracentrality import (
 from supracentrality.interlayer import chain_undirected
 
 from _oracles import (
+    blocks_instance,
     cosine,
     dense_dominant_eigenpair,
     dense_supra_matrix,
@@ -291,3 +293,38 @@ def test_with_omega_matches_a_fresh_operator_and_shares_blocks():
     assert np.array_equal(moved.apply_transpose(x), fresh.apply_transpose(x))
     with pytest.raises(ValueError, match="finite"):
         base.with_omega(float("nan"))
+
+
+def test_arpack_stops_at_the_callers_tol():
+    # at omega = 1e4 the top two eigenvalues are about 2e-4 apart, relative;
+    # with ARPACK run to machine precision both counts were 83
+    net, inter = blocks_instance(0)
+    op = SupraOperator(_problem(net, inter, 1e4))
+    loose = dominant_eigenpair(op, tol=1e-6)
+    tight = dominant_eigenpair(op, tol=1e-10)
+    assert loose.iterations < tight.iterations  # 33 and 53 matvecs
+
+
+def _scaled(net, factor):
+    return MultiplexNetwork(net.n_nodes, tuple(
+        LayerGraph(g.n_nodes, tuple((i, j, w * factor) for i, j, w in g.entries))
+        for g in net.layers))
+
+
+def test_huge_weights_solve_to_the_unscaled_vector():
+    # C(omega) scaled by 1e100 has the same eigenvector; dim * r**2 stays finite
+    net, inter = random_instance(23, kind=Eigenvector(), min_gap=5e-3)
+    pair = dominant_eigenpair(SupraOperator(_problem(net, inter, 1.5)))
+    huge = dominant_eigenpair(SupraOperator(_problem(_scaled(net, 1e100), inter, 1.5e100)))
+    assert huge.eigenvalue == pytest.approx(1e100 * pair.eigenvalue, rel=1e-9)
+    assert np.allclose(huge.vector, pair.vector, rtol=0, atol=1e-9)
+
+
+def test_operator_whose_scale_overflows_is_refused():
+    net = MultiplexNetwork(2, (LayerGraph(2, ((1, 1, 1e308), (2, 2, 1.0))),))
+    with pytest.raises(OperatorOverflowError, match="omega 1.0"):
+        SupraOperator(_problem(net, InterlayerMatrix(np.eye(1)), 1.0))
+    # at omega = 0, r = 1.1e153 (the shift adds a tenth) and 2 * r**2 is finite
+    base = SupraOperator(_problem(_scaled(net, 1e-155), InterlayerMatrix(np.eye(1)), 0.0))
+    with pytest.raises(OperatorOverflowError, match="omega 1e\\+155"):
+        base.with_omega(1e155)

@@ -24,7 +24,16 @@ from supracentrality import (
 from supracentrality.interlayer import all_to_all, block_communities
 from supracentrality.sweeps import _prominent_peaks
 
-from _oracles import cosine, engine_ladder, ladder_omegas, random_instance, random_layer
+from _oracles import (
+    blocks_instance,
+    cosine,
+    dense_supra_matrix,
+    dense_symmetric_dominant,
+    engine_ladder,
+    ladder_omegas,
+    random_instance,
+    random_layer,
+)
 
 TRIANGLE = LayerGraph(
     3, tuple((i, j, 1.0) for i, j in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)])
@@ -274,3 +283,18 @@ def test_grid_rejects_non_finite_values():
             log_grid(lo, hi, step)
     with pytest.raises(ValueError, match="finite"):
         OmegaGrid(np.array([1.0, nan]))
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_sweep_matches_the_dense_oracle_at_near_degenerate_points(seed):
+    # vector error scales with residual over gap, and the relative gap of the
+    # two-community instance falls to about 2e-4; the largest error measured
+    # on seeds 0-4 is 3.4e-11 (2.2e-12 with ARPACK run to machine precision)
+    net, inter = blocks_instance(seed)
+    grid = log_grid(-2, 4, 0.2)
+    result = sweep(net, Eigenvector(), inter, grid)
+    assert not result.failures
+    for omega, tab in zip(grid.values, result.tableaus):
+        _, vector = dense_symmetric_dominant(dense_supra_matrix(net, Eigenvector(), inter, omega))
+        W = vector.reshape(net.n_layers, net.n_nodes).T
+        assert np.abs(tab.W - W).max() <= 1e-9, omega
