@@ -17,9 +17,8 @@ _EXPORTS = {
     "engine": ("EigenpairResult", "NegativeEigenvectorError", "NonConvergenceError",
                "OperatorOverflowError", "SupraOperator", "dominant_eigenpair",
                "shifted_power_iteration", "stride_permutation", "tableau_from_vector"),
-    "graph": ("ConstantInputError", "PreconditionReport", "aggregate_layers",
-              "check_preconditions", "intralayer_degrees", "k_path_counts", "pearson",
-              "strongly_connected", "total_degrees"),
+    "graph": ("ConstantInputError", "PreconditionReport", "check_preconditions",
+              "intralayer_degrees", "pearson", "strongly_connected", "total_degrees"),
     "interlayer": ("all_to_all", "block_communities", "chain_teleport", "chain_undirected",
                    "from_triplets"),
     "limits": ("CorollaryCheck", "DegenerateInterlayerEigenvalueError",

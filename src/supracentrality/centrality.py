@@ -127,10 +127,13 @@ def pagerank_from_adjacency(a: sparse.csr_matrix, kind: PageRank) -> LayerCentra
 
     A' is ``a`` after the dangling policy has added unit self-edges (to
     dangling nodes only, or to every node), and D is the diagonal of A' row
-    sums.  ``a`` is not modified.
+    sums.  ``a`` is not modified.  A row of A' whose sum overflows is first
+    divided by its largest weight, which leaves its normalized row as it is
+    in exact arithmetic; every other row keeps its bits.
     """
     n = a.shape[0]
-    row_sums = np.asarray(a.sum(axis=1)).ravel()
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        row_sums = np.asarray(a.sum(axis=1)).ravel()
     if kind.dangling is DanglingPolicy.ALL_NODES:
         a = (a + sparse.identity(n, format="csr")).tocsr()
         row_sums = row_sums + 1.0
@@ -141,6 +144,13 @@ def pagerank_from_adjacency(a: sparse.csr_matrix, kind: PageRank) -> LayerCentra
             row_sums = row_sums + dangling
     if np.any(row_sums == 0):  # impossible by construction
         raise AssertionError("zero row sum survived the dangling policy")
+    overflowed = ~np.isfinite(row_sums)
+    if overflowed.any():
+        row_max = np.where(overflowed, a.max(axis=1).toarray().ravel(), 1.0)
+        a = sparse.csr_matrix(
+            (a.data / np.repeat(row_max, np.diff(a.indptr)), a.indices, a.indptr), shape=a.shape
+        )
+        row_sums = np.where(overflowed, np.asarray(a.sum(axis=1)).ravel(), row_sums)
 
     # one new data array over a's index arrays, then one transposing copy;
     # the row sums and the data array are freed as soon as they are spent

@@ -244,8 +244,12 @@ class SupraOperator:
             sums = self._layer_sums + self.omega * self._coupling_sums
         scale = float(sums.max()) + self.shift
         if not math.isfinite(self.dim * scale * scale):
+            layer_scale = float(self._layer_sums.max()) + self.shift
+            layers_alone = not math.isfinite(self.dim * layer_scale * layer_scale)
+            where = ("at every omega, from its layer matrices alone" if layers_alone
+                     else f"at omega {self.omega!r}")
             raise OperatorOverflowError(
-                f"the coupled operator overflows at omega {self.omega!r}: its largest absolute "
+                f"the coupled operator overflows {where}: its largest absolute "
                 f"row or column sum {scale:.6g} squared, times dimension {self.dim}, is not finite"
             )
 

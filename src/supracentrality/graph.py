@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .centrality import LayerCentralityMatrix
-from .types import LayerGraph, MultiplexNetwork, SupraProblem
+from .types import MultiplexNetwork, SupraProblem
 
 __all__ = [
     "ConstantInputError",
@@ -26,8 +26,6 @@ __all__ = [
     "check_preconditions",
     "intralayer_degrees",
     "total_degrees",
-    "k_path_counts",
-    "aggregate_layers",
     "pearson",
 ]
 
@@ -125,28 +123,6 @@ def intralayer_degrees(net: MultiplexNetwork) -> np.ndarray:
 def total_degrees(net: MultiplexNetwork) -> np.ndarray:
     """Per-node degree summed across all layers (length N)."""
     return intralayer_degrees(net).sum(axis=1)
-
-
-def k_path_counts(graph: LayerGraph, k: int) -> np.ndarray:
-    """Number of length-k paths leaving each node, computed as A^k applied to
-    the all-ones vector by k sparse products (A^k is never formed)."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    x = np.ones(graph.n_nodes)
-    a = graph.csr
-    for _ in range(k):
-        x = a @ x
-    return x
-
-
-def aggregate_layers(net: MultiplexNetwork) -> LayerGraph:
-    """Entrywise sum of all layer adjacency matrices, as a single layer.
-
-    The layers should pass :func:`validate_network`.  A sum of zero is not
-    stored, whether it is a stored zero weight or weights that cancel.
-    """
-    total = sum((layer.csr for layer in net.layers), sparse.csr_matrix((net.n_nodes,) * 2)).tocoo()
-    return LayerGraph.from_arrays(net.n_nodes, total.row + 1, total.col + 1, total.data)
 
 
 def pearson(x, y) -> float:

@@ -88,6 +88,18 @@ def test_pagerank_all_nodes_policy_adds_identity():
     assert np.allclose(m.to_dense(), expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_pagerank_row_whose_sum_overflows_is_rescaled_and_others_keep_their_bits(policy):
+    rest = ((2, 1, 0.3), (2, 3, 0.7), (3, 3, 2.5))
+    huge = LayerGraph(3, ((1, 2, 1e308), (1, 3, 1.5e308), *rest))
+    tame = LayerGraph(3, ((1, 2, 2.0), (1, 3, 3.0), *rest))
+    expected = build_pagerank_matrix(tame, dangling=policy).to_dense()
+    got = build_pagerank_matrix(huge, dangling=policy).to_dense()
+    assert np.array_equal(got[:, 1:], expected[:, 1:])  # column j holds row j of D^-1 A'
+    # a unit self-edge next to 2.5e308 weighs nothing
+    assert np.allclose(got[:, 0], 0.85 * np.array([0.0, 0.4, 0.6]) + 0.05, rtol=1e-15, atol=0)
+
+
 def test_pagerank_sigma_guard():
     with pytest.raises(ValueError):
         build_pagerank_matrix(TWO_CYCLE, sigma=1.0)

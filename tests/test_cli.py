@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -462,6 +463,37 @@ def test_cli_import_pins_one_blas_thread_unless_set(preset, expected):
     assert proc.stdout.strip() == expected
 
 
+_MAIN_CHILD = """
+import gc, json, sys
+from supracentrality import cli
+imported = gc.get_freeze_count()
+try:
+    cli.main()
+except SystemExit as exc:
+    print(json.dumps([exc.code, imported, gc.get_freeze_count() > 0]))
+"""
+
+
+@pytest.mark.parametrize("interlayer, code", [("alltoall", 0), ("bogus", 1)])
+def test_main_freezes_the_import_time_heap(two_cycle_net, interlayer, code):
+    # the entry point of both the script and -m freezes what the imports
+    # made, whether the command succeeds or fails; importing the CLI does not
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_CHILD, "check", "--network", str(two_cycle_net),
+         "--kind", "eigenvector", "--interlayer", interlayer],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code, 0, True]
+
+
+def test_dispatch_leaves_the_garbage_collector_alone(two_cycle_net):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert dispatch(["check", "--network", str(two_cycle_net), "--kind", "eigenvector",
+                     "--interlayer", "alltoall"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
 def _write_random_directed_layers(path, n, n_layers, edges, seed):
     """About ``edges`` distinct off-diagonal unit-weight edges per layer."""
     rng = np.random.default_rng(seed)
@@ -770,17 +802,19 @@ def test_operator_whose_scale_overflows_exits_2_before_any_solve(tmp_path, capsy
     out = tmp_path / "out.csv"
     argv = ["--network", str(huge), "--kind", "eigenvector", "--interlayer", "alltoall",
             "--out", str(out)]
+    # the layer matrix alone overflows, so no omega is named
     for omega in ("1e308", "1"):
         assert dispatch(["centrality", *argv, "--omega", omega]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: the coupled operator overflows at omega {float(omega)!r}")
+        assert err.startswith("error: the coupled operator overflows at every omega, from its "
+                              "layer matrices alone")
         assert err.count("\n") == 1
     # a row sum past the float range is refused the same way
     huge.write_text("1 1 2 1e308\n1 1 3 1e308\n1 2 1 1\n1 3 1 1\n", encoding="utf-8")
     assert dispatch(["centrality", *argv, "--omega", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: the coupled operator overflows at omega 1.0: its largest "
-                          "absolute row or column sum inf")
+    assert err.startswith("error: the coupled operator overflows at every omega, from its "
+                          "layer matrices alone: its largest absolute row or column sum inf")
     assert err.count("\n") == 1
     # a sweep refuses its largest omega before the first grid point's solve
     cycle = tmp_path / "cycle.edges"
@@ -790,3 +824,22 @@ def test_operator_whose_scale_overflows_exits_2_before_any_solve(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: the coupled operator overflows at omega 1e+308")
     assert not out.exists()
+
+
+def test_pagerank_row_whose_sum_overflows_ranks_as_the_unscaled_row(tmp_path):
+    # PageRank does not change when a row is scaled; in process, so a
+    # RuntimeWarning on the way fails the test
+    joint = []
+    for name, weight in (("scaled", "1e308"), ("unscaled", "1")):
+        net = tmp_path / f"{name}.edges"
+        net.write_text(f"1 1 2 {weight}\n1 1 3 {weight}\n1 2 1 1\n1 3 1 1\n", encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        assert dispatch(["centrality", "--network", str(net), "--kind", "pagerank",
+                         "--interlayer", "alltoall", "--omega", "1", "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        joint.append((rows[0], [r[0] for r in rows[1:]],
+                      np.array([[float(v) for v in r[1:]] for r in rows[1:]])))
+    (header, nodes, scaled), (header_u, nodes_u, unscaled) = joint
+    assert (header, nodes) == (header_u, nodes_u)
+    assert np.abs(scaled - unscaled).max() <= 1e-12

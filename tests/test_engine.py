@@ -322,7 +322,7 @@ def test_huge_weights_solve_to_the_unscaled_vector():
 
 def test_operator_whose_scale_overflows_is_refused():
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 1, 1e308), (2, 2, 1.0))),))
-    with pytest.raises(OperatorOverflowError, match="omega 1.0"):
+    with pytest.raises(OperatorOverflowError, match="at every omega, from its layer matrices"):
         SupraOperator(_problem(net, InterlayerMatrix(np.eye(1)), 1.0))
     # at omega = 0, r = 1.1e153 (the shift adds a tenth) and 2 * r**2 is finite
     base = SupraOperator(_problem(_scaled(net, 1e-155), InterlayerMatrix(np.eye(1)), 0.0))

@@ -12,10 +12,8 @@ from supracentrality import (
     MultiplexNetwork,
     PageRank,
     SupraProblem,
-    aggregate_layers,
     check_preconditions,
     intralayer_degrees,
-    k_path_counts,
     pearson,
     strongly_connected,
     total_degrees,
@@ -23,7 +21,7 @@ from supracentrality import (
 from supracentrality.graph import layer_sum_irreducible
 from supracentrality.interlayer import all_to_all, chain_teleport
 
-from _oracles import dense_adjacency, oracle_strongly_connected
+from _oracles import oracle_strongly_connected
 
 PAW = LayerGraph(
     4,
@@ -157,56 +155,6 @@ def test_total_degrees():
     assert np.array_equal(total_degrees(net2), [6, 4, 4, 2])
     empty = MultiplexNetwork(3, (LayerGraph(3, ()),))
     assert np.array_equal(total_degrees(empty), [0, 0, 0])
-
-
-def test_k_path_counts_base_cases():
-    assert np.array_equal(k_path_counts(PAW, 0), np.ones(4))
-    assert np.array_equal(k_path_counts(PAW, 1), [3, 2, 2, 1])
-
-
-def test_k_path_counts_paw_two_steps():
-    assert np.array_equal(k_path_counts(PAW, 2), [5, 5, 5, 3])
-
-
-def test_k_path_counts_matches_dense_powers():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        n = int(rng.integers(2, 11))
-        mask = rng.random((n, n)) < 0.4
-        entries = tuple(
-            (i + 1, j + 1, float(rng.uniform(0.5, 2.0)))
-            for i in range(n)
-            for j in range(n)
-            if mask[i, j]
-        )
-        g = LayerGraph(n, entries)
-        a = dense_adjacency(g)
-        for k in range(7):
-            expected = np.linalg.matrix_power(a, k) @ np.ones(n)
-            got = k_path_counts(g, k)
-            denom = np.maximum(np.abs(expected), 1e-30)
-            assert (np.abs(got - expected) / denom).max() <= 1e-9
-
-
-def test_aggregate_layers():
-    single = MultiplexNetwork(4, (PAW,))
-    assert aggregate_layers(single).entries == PAW.entries
-
-    e1 = LayerGraph(3, ((1, 2, 1.0),))
-    e2 = LayerGraph(3, ((2, 3, 1.0),))
-    union = aggregate_layers(MultiplexNetwork(3, (e1, e2)))
-    assert union.entries == ((1, 2, 1.0), (2, 3, 1.0))
-
-    tripled = aggregate_layers(MultiplexNetwork(3, (e1, e1, e1)))
-    assert tripled.entries == ((1, 2, 3.0),)
-
-
-def test_aggregate_layers_drops_zero_sums_and_needs_valid_layers():
-    plus = LayerGraph(3, ((1, 2, 1.0), (2, 3, 0.0), (3, 1, 2.0)))
-    minus = LayerGraph(3, ((1, 2, -1.0),))
-    assert aggregate_layers(MultiplexNetwork(3, (plus, minus))).entries == ((3, 1, 2.0),)
-    with pytest.raises(ValueError, match=r"edge \(1, 4\) index out of range"):
-        LayerGraph(3, ((1, 4, 1.0),))
 
 
 def test_pearson_examples():
