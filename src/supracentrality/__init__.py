@@ -12,8 +12,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "centrality": ("LayerCentralityMatrix", "build_authority_matrix", "build_centrality_matrix",
-                   "build_eigenvector_matrix", "build_hub_matrix", "build_pagerank_matrix"),
+    "centrality": ("LayerCentralityMatrix", "build_centrality_matrix"),
     "engine": ("EigenpairResult", "NegativeEigenvectorError", "NonConvergenceError",
                "OperatorOverflowError", "SupraOperator", "dominant_eigenpair",
                "shifted_power_iteration", "stride_permutation", "tableau_from_vector"),

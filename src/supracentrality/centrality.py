@@ -3,8 +3,11 @@
 Each layer's adjacency matrix A is turned into a nonnegative matrix whose
 dominant eigenvector defines a centrality: the adjacency itself, the hub
 product A A^T, the authority product A^T A, or the column-stochastic
-PageRank matrix.  PageRank's uniform teleportation term is kept implicit
-(one coefficient) so applying the matrix stays O(edges).
+PageRank matrix.  :func:`build_centrality_matrix` is the one builder.
+PageRank's uniform teleportation term is kept implicit (one coefficient) so
+applying the matrix stays O(edges); :class:`LayerCentralityMatrix` owns that
+storage form, and every entry, block, sum or bound other modules need is
+read through its methods.
 """
 from __future__ import annotations
 
@@ -27,11 +30,7 @@ from .types import (
 
 __all__ = [
     "LayerCentralityMatrix",
-    "build_eigenvector_matrix",
-    "build_hub_matrix",
-    "build_authority_matrix",
     "pagerank_from_adjacency",
-    "build_pagerank_matrix",
     "build_centrality_matrix",
     "DENSE_PRODUCT_WARN_NNZ",
 ]
@@ -45,26 +44,44 @@ class LayerCentralityMatrix:
     """A nonnegative N x N matrix stored as ``sparse + (teleport_coeff / n) 1 1^T``.
 
     The uniform rank-one term is only present for PageRank (teleport_coeff
-    = 1 - sigma); for the other kinds teleport_coeff is 0, so the term adds
-    nothing.  Each uniform entry is computed as ``teleport_coeff * (1.0 / n)``.
+    = 1 - sigma) and for sums that include PageRank matrices; for the other
+    kinds teleport_coeff is 0, so the term adds nothing.  Each uniform entry
+    is computed as ``teleport_coeff * (1.0 / n)``.  Only this class reads
+    the coefficient; other modules ask it for entries, blocks and sums.
     It is an ``engine.Operator``: the eigensolvers take it as it is.
     """
 
     n: int
-    kind: CentralityKind
     sparse: sparse.csr_matrix
     teleport_coeff: float = 0.0
+
+    @classmethod
+    def weighted_sum(
+        cls, mats: tuple[LayerCentralityMatrix, ...], weights
+    ) -> LayerCentralityMatrix:
+        """sum_t weights[t] * mats[t]; the uniform PageRank terms add up to one
+        with coefficient sum_t weights[t] c_t."""
+        pairs = tuple(zip(weights, mats))
+        return cls(
+            n=mats[0].n, sparse=sum(w * m.sparse for w, m in pairs),
+            teleport_coeff=sum(w * m.teleport_coeff for w, m in pairs),
+        )
 
     @property
     def dim(self) -> int:
         return self.n
+
+    @property
+    def uniformly_positive(self) -> bool:
+        """True if the uniform term makes every entry positive (c > 0)."""
+        return self.teleport_coeff > 0
 
     @cached_property
     def shift(self) -> float:
         """The one shift rule of every eigensolve: 0 if the uniform term
         makes the matrix positive (so aperiodic), else 0.1 * (1 + max row
         sum), enough to make the shifted spectrum aperiodic."""
-        if self.teleport_coeff > 0:
+        if self.uniformly_positive:
             return 0.0
         return 0.1 * (1.0 + self.max_row_sum())
 
@@ -79,6 +96,16 @@ class LayerCentralityMatrix:
     def to_dense(self) -> np.ndarray:
         return self.sparse.toarray() + self.teleport_coeff * (1.0 / self.n)
 
+    def diagonal(self) -> np.ndarray:
+        """The diagonal entries, uniform term included."""
+        return self.sparse.diagonal() + self.teleport_coeff * (1.0 / self.n)
+
+    def principal_block(self, nodes: np.ndarray) -> LayerCentralityMatrix:
+        """The principal submatrix on the 0-based ``nodes``."""
+        # the same uniform entries c / n; a block of every node keeps c exactly
+        return LayerCentralityMatrix(n=nodes.size, sparse=self.sparse[nodes][:, nodes],
+                                     teleport_coeff=self.teleport_coeff * (nodes.size / self.n))
+
     def max_row_sum(self) -> float:
         rows = np.asarray(self.sparse.sum(axis=1)).ravel()
         rows = rows + self.teleport_coeff * (1.0 / self.n) * self.n
@@ -87,38 +114,15 @@ class LayerCentralityMatrix:
     def column_sums(self) -> np.ndarray:
         return np.asarray(self.sparse.sum(axis=0)).ravel() + self.teleport_coeff
 
-
-def build_eigenvector_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
-    """The adjacency matrix itself."""
-    return LayerCentralityMatrix(n=graph.n_nodes, kind=Eigenvector(), sparse=graph.csr)
-
-
-def _warn_if_dense(product: sparse.csr_matrix) -> None:
-    if product.nnz > DENSE_PRODUCT_WARN_NNZ:
-        warnings.warn(
-            f"hub/authority product has {product.nnz} stored entries; "
-            "expect heavy memory use",
-            ResourceWarning,
-            stacklevel=3,
-        )
-
-
-def build_hub_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
-    """Hub product A A^T (symmetric positive semidefinite)."""
-    a = graph.csr
-    product = (a @ a.T).tocsr()
-    product.sort_indices()
-    _warn_if_dense(product)
-    return LayerCentralityMatrix(n=graph.n_nodes, kind=Hub(), sparse=product)
-
-
-def build_authority_matrix(graph: LayerGraph) -> LayerCentralityMatrix:
-    """Authority product A^T A (symmetric positive semidefinite)."""
-    a = graph.csr
-    product = (a.T @ a).tocsr()
-    product.sort_indices()
-    _warn_if_dense(product)
-    return LayerCentralityMatrix(n=graph.n_nodes, kind=Authority(), sparse=product)
+    def max_abs_entry(self) -> float:
+        """Largest |entry| in O(nnz): each stored entry plus the uniform term,
+        and that term alone if a structural zero exists (nnz < n^2 in
+        duplicate-free CSR, as built layer matrices and their sums are)."""
+        term = self.teleport_coeff * (1.0 / self.n)
+        largest = float(np.abs(self.sparse.data + term).max(initial=0.0))
+        if self.sparse.nnz < self.n * self.n:
+            largest = max(largest, abs(float(term)))
+        return largest
 
 
 def pagerank_from_adjacency(a: sparse.csr_matrix, kind: PageRank) -> LayerCentralityMatrix:
@@ -159,28 +163,30 @@ def pagerank_from_adjacency(a: sparse.csr_matrix, kind: PageRank) -> LayerCentra
     stochastic = sparse.csr_matrix((scaled, a.indices, a.indptr), shape=a.shape).T.tocsr()
     del scaled
 
-    return LayerCentralityMatrix(
-        n=n, kind=kind, sparse=stochastic, teleport_coeff=1.0 - kind.sigma
-    )
-
-
-def build_pagerank_matrix(
-    graph: LayerGraph,
-    sigma: float = 0.85,
-    dangling: DanglingPolicy = DanglingPolicy.DANGLING_ONLY,
-) -> LayerCentralityMatrix:
-    """The layer's PageRank matrix; see :func:`pagerank_from_adjacency`."""
-    return pagerank_from_adjacency(graph.csr, PageRank(sigma, dangling))
+    return LayerCentralityMatrix(n=n, sparse=stochastic, teleport_coeff=1.0 - kind.sigma)
 
 
 def build_centrality_matrix(graph: LayerGraph, kind: CentralityKind) -> LayerCentralityMatrix:
-    """Build the layer matrix for ``kind`` (dispatch helper)."""
+    """The layer matrix of ``kind``: the adjacency A itself (Eigenvector),
+    the hub product A A^T (Hub) or the authority product A^T A (Authority),
+    both symmetric positive semidefinite, or the PageRank matrix (see
+    :func:`pagerank_from_adjacency`).  A hub or authority product with more
+    than ``DENSE_PRODUCT_WARN_NNZ`` stored entries warns with a
+    ``ResourceWarning`` attributed to the caller."""
+    a = graph.csr
     if isinstance(kind, Eigenvector):
-        return build_eigenvector_matrix(graph)
-    if isinstance(kind, Hub):
-        return build_hub_matrix(graph)
-    if isinstance(kind, Authority):
-        return build_authority_matrix(graph)
+        return LayerCentralityMatrix(n=graph.n_nodes, sparse=a)
+    if isinstance(kind, (Hub, Authority)):
+        product = (a @ a.T if isinstance(kind, Hub) else a.T @ a).tocsr()
+        product.sort_indices()
+        if product.nnz > DENSE_PRODUCT_WARN_NNZ:
+            warnings.warn(
+                f"hub/authority product has {product.nnz} stored entries; "
+                "expect heavy memory use",
+                ResourceWarning,
+                stacklevel=2,
+            )
+        return LayerCentralityMatrix(n=graph.n_nodes, sparse=product)
     if isinstance(kind, PageRank):
-        return pagerank_from_adjacency(graph.csr, kind)
+        return pagerank_from_adjacency(a, kind)
     raise TypeError(f"unknown centrality kind: {kind!r}")

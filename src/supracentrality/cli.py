@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 validation or precondition failure
 a coupling limit whose uniqueness precondition fails, or a solver vector
 that is not nonnegative where the uniqueness preconditions fail), 3
 eigensolver failure (non-convergence, or such a vector where they hold).
+Usage errors include a ``blocks:`` interlayer spec with a repeated or
+unknown field and a ``--grid`` of more than ``sweeps.MAX_GRID_POINTS``
+points, refused before any point is built.
 All subcommands are deterministic: repeat runs with the same inputs produce
 byte-identical output files.
 
@@ -124,14 +127,21 @@ def _build_interlayer(spec: str, n_layers: int) -> InterlayerMatrix:
 
 
 def _parse_blocks(body: str, n_layers: int) -> InterlayerMatrix:
-    # format: sizes=3,3;intra=1;inter=0.01
+    """Parse ``sizes=3,3;intra=1;inter=0.01``: each field exactly once, and
+    a repeated or unknown field raises ValueError naming it."""
+    names = ("sizes", "intra", "inter")
     fields = {}
     for item in body.split(";"):
         key, sep, value = item.partition("=")
+        key = key.strip()
         if not sep:
             raise ValueError(f"bad blocks field {item!r}")
-        fields[key.strip()] = value.strip()
-    missing = {"sizes", "intra", "inter"} - fields.keys()
+        if key not in names:
+            raise ValueError(f"unknown blocks field {key!r}")
+        if key in fields:
+            raise ValueError(f"repeated blocks field {key!r}")
+        fields[key] = value.strip()
+    missing = set(names) - fields.keys()
     if missing:
         raise ValueError(f"blocks spec missing {sorted(missing)}")
     sizes = tuple(int(s) for s in fields["sizes"].split(","))
@@ -202,16 +212,7 @@ def _run_sweep(args):
         check_in_range("node", args.node, net.n_nodes)
     if getattr(args, "reference_layer", None) is not None:
         check_in_range("reference layer", args.reference_layer, net.n_layers)
-    result = sweep(
-        net,
-        kind,
-        interlayer,
-        grid,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        warm_start=not getattr(args, "no_warm_start", False),
-    )
-    return result
+    return sweep(net, kind, interlayer, grid, tol=args.tol, max_iter=args.max_iter)
 
 
 def _cmd_sweep(args) -> int:
@@ -366,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="sweep a log-grid of coupling strengths")
     _add_kind_flags(p)
     p.add_argument("--grid", required=True, help="lo,hi,step (base-10 exponents)")
-    p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--prominence", type=float, default=0.01, help="peak prominence floor")
     _add_solver_flags(p)
     p.add_argument("--out", required=True, help="sweep CSV")

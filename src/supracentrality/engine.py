@@ -232,7 +232,9 @@ class SupraOperator:
         self._check_scale()
 
         # one block-diagonal sparse matrix for all layers keeps apply() at a
-        # single matvec instead of a Python loop over layers
+        # single matvec instead of a Python loop over layers; the uniform
+        # PageRank terms stay as their coefficients, so each product adds them
+        # as T scaled block sums instead of T dense N x N blocks
         self._block_diag = sparse.block_diag([m.sparse for m in self.layers], format="csr")
         coeffs = np.array([m.teleport_coeff for m in self.layers])
         self._tele_coeffs = coeffs if coeffs.any() else None  # None: no PageRank term

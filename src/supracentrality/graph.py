@@ -76,7 +76,7 @@ def layer_sum_components(
     """Strong components (Frobenius normal form blocks) of the entrywise sum
     of the layer matrices.  A PageRank term (c / N) 1 1^T with c > 0 makes
     the sum positive: one component."""
-    if any(m.teleport_coeff > 0 for m in layer_matrices):
+    if any(m.uniformly_positive for m in layer_matrices):
         return 1, np.zeros(layer_matrices[0].n, dtype=np.int32)
     return _strong_components(sum(m.sparse for m in layer_matrices))
 

@@ -19,7 +19,7 @@ iteration, ``_perron_pairs``; T x T ones (interlayer, X) through one dense
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,16 +155,13 @@ class StrongLimitResult:
 def _block_radii(mat, count: int, labels: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Spectral radius of each strong component block of a layer: a single
     node's diagonal entry, else one shifted power iteration on the block."""
-    diagonal = mat.sparse.diagonal() + mat.teleport_coeff * (1.0 / mat.n)
     sizes = np.bincount(labels, minlength=count)
     radii = np.zeros(count)
-    radii[labels] = diagonal  # exact for single-node blocks, overwritten below
+    radii[labels] = mat.diagonal()  # exact for single-node blocks, overwritten below
     order = np.argsort(labels, kind="stable")
     for block, end in zip(np.flatnonzero(sizes > 1), np.cumsum(sizes)[sizes > 1]):
         nodes = order[end - sizes[block]:end]
-        # the same uniform entries c / n; a block of every node keeps c exactly
-        sub = replace(mat, n=nodes.size, sparse=mat.sparse[nodes][:, nodes],
-                      teleport_coeff=mat.teleport_coeff * (nodes.size / mat.n))
+        sub = mat.principal_block(nodes)
         radii[block] = shifted_power_iteration(sub, tol=tol, max_iter=max_iter).eigenvalue
     return radii
 
@@ -190,27 +187,6 @@ def _perron_pairs(mat: LayerCentralityMatrix, where: str, tol: float, max_iter: 
         context = f"{where}: {err.context}" if err.context else where
         raise NonConvergenceError(err.iterations, err.residual, context) from err
     return count == 1, right, left
-
-
-def _weighted_sum(mats: tuple[LayerCentralityMatrix, ...], weights) -> LayerCentralityMatrix:
-    """sum_t weights[t] * mats[t]; the uniform PageRank terms add up to one
-    with coefficient sum_t weights[t] c_t."""
-    pairs = tuple(zip(weights, mats))
-    return LayerCentralityMatrix(
-        n=mats[0].n, kind=mats[0].kind, sparse=sum(w * m.sparse for w, m in pairs),
-        teleport_coeff=sum(w * m.teleport_coeff for w, m in pairs),
-    )
-
-
-def _max_abs_entry(mat: LayerCentralityMatrix) -> float:
-    """Largest |entry| of ``mat`` in O(nnz): each stored entry plus the
-    uniform term, and that term alone if a structural zero exists (nnz < n^2
-    in duplicate-free CSR, as built layer matrices and their sums are)."""
-    term = mat.teleport_coeff * (1.0 / mat.n)
-    largest = float(np.abs(mat.sparse.data + term).max(initial=0.0))
-    if mat.sparse.nnz < mat.n * mat.n:
-        largest = max(largest, abs(float(term)))
-    return largest
 
 
 def layer_eigendata(
@@ -364,7 +340,7 @@ def strong_limit(
     """
     net = problem.network
     mu1, v_tilde, u_tilde, weights = _interlayer_weights(problem.interlayer.values)
-    aggregate = _weighted_sum(problem.layer_matrices, weights)
+    aggregate = LayerCentralityMatrix.weighted_sum(problem.layer_matrices, weights)
     _, res_r, res_l = _perron_pairs(aggregate, "strong-limit aggregate", tol, max_iter)
 
     vector = np.outer(res_r.vector, v_tilde).flatten(order="F")
@@ -449,12 +425,14 @@ def corollary_crosscheck(problem: SupraProblem) -> CorollaryCheck:
         mu_formula = 1.0
         weights = w * w
 
-    difference = _weighted_sum(problem.layer_matrices, weights_general - weights)
+    difference = LayerCentralityMatrix.weighted_sum(
+        problem.layer_matrices, weights_general - weights
+    )
     return CorollaryCheck(
         shape=shape,
         mu1_computed=mu1,
         mu1_closed_form=mu_formula,
         mu1_discrepancy=abs(mu1 - mu_formula),
-        x_max_discrepancy=_max_abs_entry(difference),
+        x_max_discrepancy=difference.max_abs_entry(),
         weights_closed_form=weights,
     )

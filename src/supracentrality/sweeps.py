@@ -1,10 +1,11 @@
 """Coupling-strength sweeps: sensitivity curves, regimes, ranks, correlations.
 
 A sweep solves the coupled eigenproblem across an increasing grid of
-coupling strengths, warm-starting each solve from the previous
-eigenvector.  The stepwise Frobenius changes of the joint and conditional
-centralities trace out how sensitive the rankings are to the coupling
-strength; peaks in those curves separate qualitatively stable regimes.
+coupling strengths (at most ``MAX_GRID_POINTS``), warm-starting each
+solve from the previous eigenvector.  The stepwise Frobenius changes of the
+joint and conditional centralities trace out how sensitive the rankings are
+to the coupling strength; peaks in those curves separate qualitatively
+stable regimes.
 """
 from __future__ import annotations
 
@@ -37,6 +38,9 @@ __all__ = [
     "correlate_with_degrees",
 ]
 
+# log_grid refuses a grid of more points than this
+MAX_GRID_POINTS = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class OmegaGrid:
@@ -63,22 +67,31 @@ class OmegaGrid:
 
 def log_grid(exp_lo: float, exp_hi: float, step: float) -> OmegaGrid:
     """Grid 10**(exp_lo + k*step) for k = 0, 1, ... while the exponent stays
-    at or below exp_hi (a tiny slack absorbs float accumulation)."""
+    at or below exp_hi (a tiny slack absorbs float accumulation).  The points
+    are counted before any is built: more than ``MAX_GRID_POINTS`` raise
+    ValueError."""
     if not all(math.isfinite(v) for v in (exp_lo, exp_hi, step)):
         raise ValueError(f"grid bounds and step must be finite, got {exp_lo}, {exp_hi}, {step}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if exp_lo > exp_hi:
         raise ValueError(f"empty grid: exp_lo {exp_lo} exceeds exp_hi {exp_hi}")
-    exponents = []
-    k = 0
-    while True:
-        e = exp_lo + k * step
-        if e > exp_hi + 1e-12:
-            break
-        exponents.append(e)
-        k += 1
-    return OmegaGrid(np.power(10.0, np.array(exponents)))
+    top = exp_hi + 1e-12
+    too_many = ValueError(f"grid {exp_lo},{exp_hi},{step} has more than "
+                          f"{MAX_GRID_POINTS} points")
+    span = (top - exp_lo) / step
+    if not span <= MAX_GRID_POINTS + 1:
+        raise too_many
+    # the rounded quotient can put the last k one off the predicate
+    # exp_lo + k*step <= top; step the count onto it (k = 0 always holds)
+    count = math.floor(span) + 1
+    while count > 1 and exp_lo + (count - 1) * step > top:
+        count -= 1
+    while count <= MAX_GRID_POINTS and exp_lo + count * step <= top:
+        count += 1
+    if count > MAX_GRID_POINTS:
+        raise too_many
+    return OmegaGrid(np.power(10.0, np.array([exp_lo + k * step for k in range(count)])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,17 +123,16 @@ def sweep(
     *,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    warm_start: bool = True,
 ) -> SweepResult:
     """Solve the coupled eigenproblem at every grid point, in increasing order.
 
-    With ``warm_start`` each solve starts from the previous point's
-    eigenvector, which saves matvecs where the dominant eigenvalue cluster
-    is nearly degenerate (strong coupling).  A failed point is
-    recorded and the sweep continues; the next solve falls back to the
-    default start.  An operator that overflows at the largest grid value
-    raises :class:`~supracentrality.engine.OperatorOverflowError` before the
-    first solve.
+    Each solve starts from the previous point's eigenvector (the warm
+    start), which saves matvecs where the dominant eigenvalue cluster is
+    nearly degenerate (strong coupling).  A failed point is recorded and
+    the sweep continues; the next solve falls back to the default start.
+    An operator that overflows at the largest grid value raises
+    :class:`~supracentrality.engine.OperatorOverflowError` before the first
+    solve.
     """
     base = SupraOperator(
         SupraProblem(network=network, kind=kind, interlayer=interlayer, omega=grid.values[0])
@@ -151,7 +163,7 @@ def sweep(
             w_sens[s - 1] = float(np.linalg.norm(tab.W - previous[0]))
             z_sens[s - 1] = float(np.linalg.norm(Z - previous[1]))
         previous = tab.W, Z
-        start = pair.vector if warm_start else None
+        start = pair.vector
     return SweepResult(
         grid=grid,
         tableaus=tuple(tableaus),

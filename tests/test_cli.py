@@ -82,6 +82,22 @@ def test_usage_errors(two_cycle_net, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("extra, field", [
+    ("intra=5", "repeated blocks field 'intra'"),
+    ("sizes=2,4", "repeated blocks field 'sizes'"),
+    ("bogus=7", "unknown blocks field 'bogus'"),
+])
+def test_blocks_spec_refuses_a_repeated_or_unknown_field(six_layer_net, capsys, extra, field):
+    code = dispatch(
+        ["check", "--network", str(six_layer_net), "--kind", "eigenvector",
+         "--interlayer", f"blocks:sizes=3,3;intra=1;inter=0.01;{extra}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert field in captured.err
+
+
 def test_validation_exit_code(tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("1 1 2 1.0\n1 1 2 1.0\n", encoding="utf-8")

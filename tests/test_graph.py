@@ -69,7 +69,7 @@ def test_strongly_connected_vs_oracle_exhaustive_n_le_3():
 def test_layer_sum_stored_zero_is_not_an_edge():
     # a two-cycle whose two entries are stored zeros
     stored_zeros = sparse.csr_matrix((np.zeros(2), [1, 0], [0, 1, 2]), shape=(2, 2))
-    mat = LayerCentralityMatrix(n=2, kind=Eigenvector(), sparse=stored_zeros)
+    mat = LayerCentralityMatrix(n=2, sparse=stored_zeros)
     assert mat.sparse.nnz == 2
     assert not layer_sum_irreducible((mat,))
 

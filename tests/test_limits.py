@@ -355,14 +355,13 @@ def test_max_abs_entry_of_signed_weighted_sum_matches_dense(kind, seed):
     weights = np.random.default_rng(seed).uniform(-1.0, 1.0, net.n_layers)
     mats = tuple(build_centrality_matrix(g, kind) for g in net.layers)
     dense = sum(float(w) * dense_layer_matrix(g, kind) for w, g in zip(weights, net.layers))
-    got = limits._max_abs_entry(limits._weighted_sum(mats, weights))
+    got = LayerCentralityMatrix.weighted_sum(mats, weights).max_abs_entry()
     assert got == pytest.approx(np.abs(dense).max(), rel=1e-13)
 
 
 def test_max_abs_entry_reads_rank_one_term_at_structural_zeros():
     # uniform term 0.8 / 2 = 0.4: stored -0.5 + 0.4 = -0.1, structural zeros 0.4
     mat = LayerCentralityMatrix(
-        n=2, kind=PageRank(), sparse=sparse.csr_matrix(np.array([[-0.5, 0.0], [0.0, 0.0]])),
-        teleport_coeff=0.8,
+        n=2, sparse=sparse.csr_matrix(np.array([[-0.5, 0.0], [0.0, 0.0]])), teleport_coeff=0.8,
     )
-    assert limits._max_abs_entry(mat) == np.abs(mat.to_dense()).max() == 0.4
+    assert mat.max_abs_entry() == np.abs(mat.to_dense()).max() == 0.4

@@ -70,7 +70,7 @@ def _top_tied_at_most_twice(blocks) -> bool:
 
 
 def _dense_rejects(m: np.ndarray) -> bool:
-    shift = LayerCentralityMatrix(m.shape[0], Eigenvector(), sparse.csr_matrix(m)).shift
+    shift = LayerCentralityMatrix(m.shape[0], sparse.csr_matrix(m)).shift
     mags = np.sort(np.abs(np.linalg.eigvals(m + shift * np.eye(m.shape[0]))))
     return bool(mags[-2] >= (1.0 - LAYER_GAP_FLOOR) * mags[-1])
 

@@ -17,12 +17,14 @@ from supracentrality import (
     pearson,
     rank_trajectory,
     strong_limit,
+    SupraOperator,
     SupraProblem,
+    dominant_eigenpair,
     sweep,
     weak_limit,
 )
 from supracentrality.interlayer import all_to_all, block_communities
-from supracentrality.sweeps import _prominent_peaks
+from supracentrality.sweeps import MAX_GRID_POINTS, _prominent_peaks
 
 from _oracles import (
     blocks_instance,
@@ -45,6 +47,28 @@ def test_log_grid_reference():
     assert len(grid) == 31
     assert grid.values[0] == pytest.approx(0.01, rel=1e-12)
     assert grid.values[-1] == pytest.approx(10_000, rel=1e-12)
+
+
+def _loop_grid_exponents(exp_lo, exp_hi, step):
+    # the open-ended loop log_grid counted its points with before
+    exponents, k = [], 0
+    while exp_lo + k * step <= exp_hi + 1e-12:
+        exponents.append(exp_lo + k * step)
+        k += 1
+    return np.power(10.0, np.array(exponents))
+
+
+@pytest.mark.parametrize("bounds", [(-2, 4, 0.2), (0, 1, 0.1), (-1, 1, 0.3), (0, 3, 1 / 3),
+                                    (0.1, 0.7, 0.2), (0, 10_000 * 1e-3 - 1e-3, 1e-3)])
+def test_log_grid_counts_its_points_as_the_loop_did(bounds):
+    assert np.array_equal(log_grid(*bounds).values, _loop_grid_exponents(*bounds))
+
+
+@pytest.mark.parametrize("bounds", [(0, 1, 1e-17), (0, 1e9, 1e-3), (0, 10_000 * 1e-3, 1e-3),
+                                    (1e15, 1e15, 1e-10)])
+def test_log_grid_refuses_too_many_points_at_once(bounds):
+    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+        log_grid(*bounds)
 
 
 def test_log_grid_single_point_and_errors():
@@ -98,13 +122,15 @@ def test_sweep_holds_one_n_by_t_array_per_grid_point():
 
 
 def test_warm_and_cold_sweeps_agree():
+    # the warm-started sweep against a cold solve at each grid point
     net, inter = random_instance(41, kind=Eigenvector(), min_gap=5e-3)
     grid = log_grid(-2, 2, 0.5)
     warm = sweep(net, Eigenvector(), inter, grid, tol=1e-11)
-    cold = sweep(net, Eigenvector(), inter, grid, tol=1e-11, warm_start=False)
-    assert not warm.failures and not cold.failures
-    for a, b in zip(warm.tableaus, cold.tableaus):
-        assert cosine(a.W.flatten(), b.W.flatten()) >= 1 - 1e-8
+    assert not warm.failures
+    for tab, omega in zip(warm.tableaus, grid.values):
+        problem = SupraProblem(network=net, kind=Eigenvector(), interlayer=inter, omega=omega)
+        cold = dominant_eigenpair(SupraOperator(problem), tol=1e-11)
+        assert cosine(tab.W.flatten(order="F"), cold.vector) >= 1 - 1e-8
 
 
 def test_sweep_is_deterministic():

@@ -7,7 +7,8 @@ from supracentrality import (
     InterlayerMatrix,
     LayerGraph,
     MultiplexNetwork,
-    build_pagerank_matrix,
+    PageRank,
+    build_centrality_matrix,
     pagerank_versatility,
 )
 from supracentrality.engine import shifted_power_iteration
@@ -51,7 +52,7 @@ def test_single_layer_is_the_layer_pagerank_solve_exactly():
     g = LayerGraph(4, ((1, 2, 1.0), (2, 3, 2.0), (3, 1, 1.0), (3, 4, 0.5), (1, 3, 3.0)))
     net = MultiplexNetwork(4, (g,))
     got = pagerank_versatility(net, InterlayerMatrix(np.array([[1.0]])), omega=0.0)
-    mat = build_pagerank_matrix(g)
+    mat = build_centrality_matrix(g, PageRank())
     assert mat.shift == 0.0
     pair = shifted_power_iteration(mat, tol=1e-12)
     assert np.array_equal(got, pair.vector / pair.vector.sum())
