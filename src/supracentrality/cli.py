@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 usage error, 2 validation or precondition failure
 a coupling limit whose uniqueness precondition fails, or a solver vector
 that is not nonnegative where the uniqueness preconditions fail), 3
 eigensolver failure (non-convergence, or such a vector where they hold).
+``centrality``, ``sweep``, ``correlate`` and ``trajectory`` warn when the
+preconditions fail; the last three warn once per failed grid point too.
 Usage errors include a ``blocks:`` interlayer spec with a repeated or
 unknown field and a ``--grid`` of more than ``sweeps.MAX_GRID_POINTS``
-points, refused before any point is built.
+points, refused before any solve.
 All subcommands are deterministic: repeat runs with the same inputs produce
 byte-identical output files.
 
@@ -42,8 +44,7 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fileio
-from .engine import (NegativeEigenvectorError, NonConvergenceError, OperatorOverflowError,
-                     SupraOperator, dominant_eigenpair, tableau_from_vector)
+from .engine import NonConvergenceError, OperatorOverflowError, SupraOperator
 from .graph import check_preconditions
 from .interlayer import all_to_all, block_communities, chain_teleport, chain_undirected
 from .limits import (
@@ -55,12 +56,14 @@ from .limits import (
     weak_limit,
 )
 from .sweeps import (
+    PreconditionFailure,
     check_in_range,
     check_prominence_fraction,
     correlate_with_degrees,
     detect_regimes,
     log_grid,
     rank_trajectory,
+    solve_point,
     sweep,
 )
 from .types import (
@@ -80,10 +83,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-class _PreconditionFailure(RuntimeError):
-    """A solver failure that the failed uniqueness preconditions explain."""
 
 
 def _build_kind(args):
@@ -159,27 +158,14 @@ def _parse_grid(spec: str):
         raise ValueError(f"bad grid {spec!r}: {err}") from err
 
 
-def _solve(problem: SupraProblem, tol: float, max_iter: int):
-    op = SupraOperator(problem)
-    report = check_preconditions(problem)
+def _warn(report, failures=()) -> None:
+    """Warn on stderr of failed uniqueness preconditions, then of each failed grid point."""
     if not report.both_ok:
-        print(
-            "warning: uniqueness preconditions not satisfied "
-            f"(interlayer_ok={report.interlayer_ok}, layer_sum_ok={report.layer_sum_ok}); "
-            "computing anyway",
-            file=sys.stderr,
-        )
-    try:
-        pair = dominant_eigenpair(op, tol=tol, max_iter=max_iter)
-    except NegativeEigenvectorError as err:
-        if report.both_ok:
-            raise
-        raise _PreconditionFailure(f"{err}; uniqueness preconditions not satisfied") from err
-    net = problem.network
-    tableau = tableau_from_vector(
-        pair.vector, net.n_nodes, net.n_layers, pair.eigenvalue, problem.omega
-    )
-    return tableau, pair, report
+        print("warning: uniqueness preconditions not satisfied (interlayer_ok="
+              f"{report.interlayer_ok}, layer_sum_ok={report.layer_sum_ok}); computing anyway",
+              file=sys.stderr)
+    for index, message in failures:
+        print(f"warning: grid point {index + 1} failed: {message}", file=sys.stderr)
 
 
 def _cmd_check(args) -> int:
@@ -197,7 +183,10 @@ def _cmd_check(args) -> int:
 def _cmd_centrality(args) -> int:
     net, kind, interlayer = _load_inputs(args)
     problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=args.omega)
-    tableau, pair, report = _solve(problem, args.tol, args.max_iter)
+    op = SupraOperator(problem)
+    report = check_preconditions(problem)
+    _warn(report)
+    pair, tableau = solve_point(op, report, tol=args.tol, max_iter=args.max_iter)
     fileio.write_tableau_csv(tableau, net, args.out)
     if args.summary:
         fileio.write_summary_json(args.summary, tableau, pair, report)
@@ -212,15 +201,15 @@ def _run_sweep(args):
         check_in_range("node", args.node, net.n_nodes)
     if getattr(args, "reference_layer", None) is not None:
         check_in_range("reference layer", args.reference_layer, net.n_layers)
-    return sweep(net, kind, interlayer, grid, tol=args.tol, max_iter=args.max_iter)
+    result = sweep(net, kind, interlayer, grid, tol=args.tol, max_iter=args.max_iter)
+    _warn(result.preconditions, result.failures)
+    return result
 
 
 def _cmd_sweep(args) -> int:
     check_prominence_fraction(args.prominence)
     result = _run_sweep(args)
     fileio.write_sweep_csv(result, args.out)
-    for index, message in result.failures:
-        print(f"warning: grid point {index + 1} failed: {message}", file=sys.stderr)
     if len(result.grid) >= 4:
         report = detect_regimes(result.z_sensitivity, result.grid, args.prominence)
         print(f"z-sensitivity peaks: {len(report.peaks)}, regimes: {len(report.intervals)}")
@@ -432,7 +421,7 @@ def dispatch(argv) -> int:
     try:
         return args.func(args)
     except (fileio.ParseError, fileio.ValidationError, LimitPreconditionError,
-            OperatorOverflowError, _PreconditionFailure, OSError) as err:
+            OperatorOverflowError, PreconditionFailure, OSError) as err:
         code, error = EXIT_VALIDATION, err
     except NonConvergenceError as err:
         code, error = EXIT_NO_CONVERGENCE, err

@@ -22,7 +22,6 @@ __all__ = [
     "PreconditionReport",
     "strongly_connected",
     "layer_sum_components",
-    "layer_sum_irreducible",
     "check_preconditions",
     "intralayer_degrees",
     "total_degrees",
@@ -81,12 +80,6 @@ def layer_sum_components(
     return _strong_components(sum(m.sparse for m in layer_matrices))
 
 
-def layer_sum_irreducible(layer_matrices: tuple[LayerCentralityMatrix, ...]) -> bool:
-    """True iff the entrywise sum of the layer matrices, PageRank teleport
-    terms included, is irreducible."""
-    return layer_sum_components(layer_matrices)[0] == 1
-
-
 @dataclass(frozen=True)
 class PreconditionReport:
     """Outcome of the uniqueness precondition checks for a coupled problem."""
@@ -110,7 +103,7 @@ def check_preconditions(problem: SupraProblem) -> PreconditionReport:
     """
     return PreconditionReport(
         interlayer_ok=strongly_connected(problem.omega * problem.interlayer.values),
-        layer_sum_ok=layer_sum_irreducible(problem.layer_matrices),
+        layer_sum_ok=layer_sum_components(problem.layer_matrices)[0] == 1,
     )
 
 

@@ -1,11 +1,11 @@
 """Coupling-strength sweeps: sensitivity curves, regimes, ranks, correlations.
 
-A sweep solves the coupled eigenproblem across an increasing grid of
-coupling strengths (at most ``MAX_GRID_POINTS``), warm-starting each
-solve from the previous eigenvector.  The stepwise Frobenius changes of the
-joint and conditional centralities trace out how sensitive the rankings are
-to the coupling strength; peaks in those curves separate qualitatively
-stable regimes.
+A sweep runs :func:`solve_point`, the one coupled solve, across an
+increasing grid of coupling strengths (at most ``MAX_GRID_POINTS``),
+warm-starting each solve from the previous eigenvector.  The stepwise
+Frobenius changes of the joint and conditional centralities trace out how
+sensitive the rankings are to the coupling strength; peaks in those curves
+separate qualitatively stable regimes.
 """
 from __future__ import annotations
 
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector
-from .graph import ConstantInputError, intralayer_degrees, pearson, total_degrees
+from .engine import (EigenpairResult, NegativeEigenvectorError, NonConvergenceError,
+                     SupraOperator, dominant_eigenpair, tableau_from_vector)
+from .graph import (ConstantInputError, PreconditionReport, check_preconditions,
+                    intralayer_degrees, pearson, total_degrees)
 from .limits import REL_TOL_DOMINATING, dominating_layers, layer_spectral_radii
 from .types import (
     CentralityKind,
@@ -31,7 +33,9 @@ __all__ = [
     "RegimeInterval",
     "RegimeReport",
     "DegreeCorrelation",
+    "PreconditionFailure",
     "log_grid",
+    "solve_point",
     "sweep",
     "detect_regimes",
     "rank_trajectory",
@@ -67,31 +71,43 @@ class OmegaGrid:
 
 def log_grid(exp_lo: float, exp_hi: float, step: float) -> OmegaGrid:
     """Grid 10**(exp_lo + k*step) for k = 0, 1, ... while the exponent stays
-    at or below exp_hi (a tiny slack absorbs float accumulation).  The points
-    are counted before any is built: more than ``MAX_GRID_POINTS`` raise
-    ValueError."""
+    at or below exp_hi (a tiny slack absorbs float accumulation).  A
+    ``MAX_GRID_POINTS + 1``-th point raises ValueError."""
     if not all(math.isfinite(v) for v in (exp_lo, exp_hi, step)):
         raise ValueError(f"grid bounds and step must be finite, got {exp_lo}, {exp_hi}, {step}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if exp_lo > exp_hi:
         raise ValueError(f"empty grid: exp_lo {exp_lo} exceeds exp_hi {exp_hi}")
-    top = exp_hi + 1e-12
-    too_many = ValueError(f"grid {exp_lo},{exp_hi},{step} has more than "
-                          f"{MAX_GRID_POINTS} points")
-    span = (top - exp_lo) / step
-    if not span <= MAX_GRID_POINTS + 1:
-        raise too_many
-    # the rounded quotient can put the last k one off the predicate
-    # exp_lo + k*step <= top; step the count onto it (k = 0 always holds)
-    count = math.floor(span) + 1
-    while count > 1 and exp_lo + (count - 1) * step > top:
-        count -= 1
-    while count <= MAX_GRID_POINTS and exp_lo + count * step <= top:
-        count += 1
-    if count > MAX_GRID_POINTS:
-        raise too_many
-    return OmegaGrid(np.power(10.0, np.array([exp_lo + k * step for k in range(count)])))
+    exps: list[float] = []
+    while exp_lo + len(exps) * step <= exp_hi + 1e-12:
+        if len(exps) == MAX_GRID_POINTS:
+            raise ValueError(f"grid {exp_lo},{exp_hi},{step} has more than "
+                             f"{MAX_GRID_POINTS} points")
+        exps.append(exp_lo + len(exps) * step)
+    return OmegaGrid(np.power(10.0, np.array(exps)))
+
+
+class PreconditionFailure(RuntimeError):
+    """A solver failure that the failed uniqueness preconditions explain."""
+
+
+def solve_point(op: SupraOperator, report: PreconditionReport, *, tol: float, max_iter: int,
+                start: np.ndarray | None = None) -> tuple[EigenpairResult, CentralityTableau]:
+    """Dominant eigenpair of the coupled operator ``op`` and its tableau.
+
+    Where ``report``, the problem's precondition report, fails, a solver
+    vector with materially negative entries raises :class:`PreconditionFailure`
+    instead of :class:`~supracentrality.engine.NegativeEigenvectorError`.
+    """
+    try:
+        pair = dominant_eigenpair(op, tol=tol, max_iter=max_iter, start=start)
+    except NegativeEigenvectorError as err:
+        if report.both_ok:
+            raise
+        raise PreconditionFailure(f"{err}; uniqueness preconditions not satisfied") from err
+    tableau = tableau_from_vector(pair.vector, op.n_nodes, op.n_layers, pair.eigenvalue, op.omega)
+    return pair, tableau
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +117,10 @@ class SweepResult:
     ``w_sensitivity[s]`` and ``z_sensitivity[s]`` are the Frobenius norms of
     the change in W and Z between grid points s and s+1 (length one less
     than the grid); NaN where either endpoint failed to converge.
-    ``failures`` records (grid index, message) for non-converged points,
+    ``failures`` records (grid index, message) for failed points,
     whose tableau slots hold None.  ``problem`` is the swept problem at the
     grid's first coupling strength; every grid point used its
-    ``layer_matrices``.
+    ``layer_matrices``, and ``preconditions`` is its precondition report.
     """
 
     grid: OmegaGrid
@@ -113,6 +129,7 @@ class SweepResult:
     z_sensitivity: np.ndarray
     failures: tuple[tuple[int, str], ...]
     problem: SupraProblem
+    preconditions: PreconditionReport
 
 
 def sweep(
@@ -124,7 +141,7 @@ def sweep(
     tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> SweepResult:
-    """Solve the coupled eigenproblem at every grid point, in increasing order.
+    """Run :func:`solve_point` at every grid point, in increasing order.
 
     Each solve starts from the previous point's eigenvector (the warm
     start), which saves matvecs where the dominant eigenvalue cluster is
@@ -138,9 +155,8 @@ def sweep(
         SupraProblem(network=network, kind=kind, interlayer=interlayer, omega=grid.values[0])
     )
     base.with_omega(float(grid.values[-1]))  # an overflowing grid fails before any solve
-    count = len(grid)
-    w_sens = np.full(max(count - 1, 0), np.nan)
-    z_sens = np.full(max(count - 1, 0), np.nan)
+    report = check_preconditions(base.problem)
+    w_sens, z_sens = np.full((2, len(grid) - 1), np.nan)
     tableaus: list[CentralityTableau | None] = []
     failures: list[tuple[int, str]] = []
     start = None
@@ -148,15 +164,12 @@ def sweep(
     for s, omega in enumerate(grid.values):
         op = base.with_omega(float(omega))
         try:
-            pair = dominant_eigenpair(op, tol=tol, max_iter=max_iter, start=start)
-        except NonConvergenceError as err:
+            pair, tab = solve_point(op, report, tol=tol, max_iter=max_iter, start=start)
+        except (NonConvergenceError, PreconditionFailure) as err:
             failures.append((s, str(err)))
             tableaus.append(None)
             start = previous = None
             continue
-        tab = tableau_from_vector(
-            pair.vector, network.n_nodes, network.n_layers, pair.eigenvalue, float(omega)
-        )
         tableaus.append(tab)
         Z = tab.Z
         if previous is not None:
@@ -171,6 +184,7 @@ def sweep(
         z_sensitivity=z_sens,
         failures=tuple(failures),
         problem=base.problem,
+        preconditions=report,
     )
 
 

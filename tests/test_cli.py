@@ -11,6 +11,7 @@ import pytest
 
 from supracentrality import (
     Eigenvector,
+    OmegaGrid,
     correlate_with_degrees,
     log_grid,
     rank_trajectory,
@@ -18,8 +19,8 @@ from supracentrality import (
 )
 from supracentrality import cli, sweeps
 from supracentrality.cli import dispatch
-from supracentrality.fileio import load_multiplex
-from supracentrality.interlayer import all_to_all
+from supracentrality.fileio import load_multiplex, read_tableau_csv
+from supracentrality.interlayer import all_to_all, chain_undirected
 
 from _oracles import random_layer
 
@@ -703,9 +704,9 @@ def test_centrality_signed_vector_is_a_solver_failure(signed_vector_net, two_cyc
 
     # where the preconditions hold, the same failure is the solver's alone
     def signed(*args, **kwargs):
-        raise cli.NegativeEigenvectorError(7, 1e-12)
+        raise sweeps.NegativeEigenvectorError(7, 1e-12)
 
-    monkeypatch.setattr(cli, "dominant_eigenpair", signed)
+    monkeypatch.setattr(sweeps, "dominant_eigenpair", signed)
     assert dispatch(["centrality", "--network", str(two_cycle_net), *argv]) == 3
     assert capsys.readouterr().err == (
         "error: no convergence after 7 iterations, residual 1.000e-12 "
@@ -722,6 +723,32 @@ def test_sweep_records_a_signed_vector_as_a_failed_point(signed_vector_net, tmp_
         rows = list(csv.reader(fh))[1:]
     assert rows[0] == ["0.001"] + ["nan"] * 8
     assert all(math.isfinite(float(row[1])) for row in rows[1:])
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["correlate"], ["trajectory", "--node", "2"]])
+def test_sweep_family_warns_like_centrality_and_names_the_preconditions(signed_vector_net,
+                                                                       tmp_path, capsys,
+                                                                       command):
+    argv = [*command, "--network", str(signed_vector_net), "--kind", "eigenvector",
+            "--interlayer", "alltoall", "--grid=-3,0,1", "--out", str(tmp_path / "out.csv")]
+    assert dispatch(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    # the precondition warning comes once, before the failed point it explains
+    assert len(lines) == 2
+    assert lines[0] == ("warning: uniqueness preconditions not satisfied (interlayer_ok=True, "
+                        "layer_sum_ok=False); computing anyway")
+    assert lines[1].startswith("warning: grid point 1 failed: no convergence after")
+    assert lines[1].endswith("(eigenvector has materially negative entries); "
+                             "uniqueness preconditions not satisfied")
+
+
+def test_centrality_is_a_one_point_sweep_bit_for_bit(six_layer_net, tmp_path):
+    out = tmp_path / "joint.csv"
+    assert dispatch(["centrality", "--network", str(six_layer_net), "--kind", "eigenvector",
+                     "--interlayer", "chain", "--omega", "0.3", "--out", str(out)]) == 0
+    result = sweep(load_multiplex(six_layer_net), Eigenvector(), chain_undirected(6),
+                   OmegaGrid([0.3]))
+    np.testing.assert_array_equal(read_tableau_csv(out)[2], result.tableaus[0].W)
 
 
 def test_centrality_at_omega_zero_fails_the_interlayer_precondition(tmp_path, capsys):
@@ -811,7 +838,6 @@ def test_operator_whose_scale_overflows_exits_2_before_any_solve(tmp_path, capsy
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    monkeypatch.setattr(cli, "dominant_eigenpair", no_solve)
     monkeypatch.setattr(sweeps, "dominant_eigenpair", no_solve)
     huge = tmp_path / "huge.edges"
     huge.write_text("1 1 1 1e308\n1 2 2 1.0\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from supracentrality import (
     strongly_connected,
     total_degrees,
 )
-from supracentrality.graph import layer_sum_irreducible
+from supracentrality.graph import layer_sum_components
 from supracentrality.interlayer import all_to_all, chain_teleport
 
 from _oracles import oracle_strongly_connected
@@ -71,7 +71,7 @@ def test_layer_sum_stored_zero_is_not_an_edge():
     stored_zeros = sparse.csr_matrix((np.zeros(2), [1, 0], [0, 1, 2]), shape=(2, 2))
     mat = LayerCentralityMatrix(n=2, sparse=stored_zeros)
     assert mat.sparse.nnz == 2
-    assert not layer_sum_irreducible((mat,))
+    assert not layer_sum_components((mat,))[0] == 1
 
 
 def test_self_loops_do_not_affect_strong_connectivity():

@@ -19,6 +19,7 @@ from supracentrality import (
     strong_limit,
     SupraOperator,
     SupraProblem,
+    check_preconditions,
     dominant_eigenpair,
     sweep,
     weak_limit,
@@ -84,6 +85,18 @@ def test_single_point_sweep_has_no_sensitivities():
     res = sweep(net, Eigenvector(), inter, log_grid(0, 0, 1))
     assert res.w_sensitivity.size == 0 and res.z_sensitivity.size == 0
     assert len(res.tableaus) == 1 and res.tableaus[0] is not None
+
+
+def test_sweep_reports_the_preconditions_of_its_problem():
+    passing = random_instance(40, kind=Eigenvector())
+    # no edge 1 -> 2 in any layer: the layer sum is reducible
+    failing = (MultiplexNetwork(2, (LayerGraph(2, ((2, 2, 0.5),)), LayerGraph(2, ((2, 1, 2.0),)),
+                                    LayerGraph(2, ((1, 1, 2.0), (2, 2, 2.0))))),
+               all_to_all(3, include_self=True))
+    for (net, inter), holds in ((passing, True), (failing, False)):
+        result = sweep(net, Eigenvector(), inter, log_grid(-3, 0, 1))
+        assert result.preconditions == check_preconditions(result.problem)
+        assert result.preconditions.both_ok is holds
 
 
 def test_single_layer_sweep_is_flat():
