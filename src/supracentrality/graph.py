@@ -37,36 +37,16 @@ def _strong_components(matrix) -> tuple[int, np.ndarray]:
     """Number of strong components of the digraph with an edge wherever the
     entry is > 0, and each node's component label; O(N + nnz) when sparse.
     The > 0 matters: csgraph counts stored zeros (PageRank, sigma=0) as edges."""
-    if matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     return csgraph.connected_components(matrix > 0, directed=True, connection="strong")
 
 
-# up to this size a dense Boolean closure beats csgraph's per-call overhead;
-# its O(n^3 log n) cost loses above it
-_CLOSURE_MAX_N = 32
-
-
 def strongly_connected(matrix) -> bool:
-    """True iff the digraph with an edge wherever the entry is > 0 is strongly connected.
-
-    A 1x1 (or empty) matrix counts.  Sparse input, and dense input above 32
-    nodes, goes through csgraph, O(N + nnz).  A small dense array
-    (interlayer, weak-limit X) is decided by Boolean transitive closure:
-    reach = adj | I squared ceil(log2(n - 1)) times covers every path of up
-    to n - 1 edges."""
-    if sparse.issparse(matrix):
-        return _strong_components(matrix)[0] <= 1
-    adj = np.asarray(matrix) > 0
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {adj.shape}")
-    n = adj.shape[0]
-    if n > _CLOSURE_MAX_N:
-        return _strong_components(adj)[0] <= 1
-    reach = adj | np.eye(n, dtype=bool)
-    for _ in range(max(n - 2, 0).bit_length()):
-        reach = reach @ reach
-    return bool(reach.all())
+    """True iff the digraph with an edge wherever the entry is > 0 is
+    strongly connected, by csgraph in O(N + nnz).  A 1x1 (or empty) matrix
+    counts."""
+    return _strong_components(matrix if sparse.issparse(matrix) else np.asarray(matrix))[0] <= 1
 
 
 def layer_sum_components(

@@ -10,11 +10,14 @@ dominant eigenproblem of an aggregate matrix that averages the layer
 matrices with weights from the interlayer matrix's own dominant eigenpair.
 
 Both solvers are independent of the iterative engine's path through the
-full coupled operator, so they double as cross-checks for it.  N x N
-matrices (each layer, the aggregate) go through one gap-guarded power
-iteration, ``_perron_pairs``; T x T ones (interlayer, X) through one dense
-``eig``, ``engine.dense_perron``.  No dense N x N array is built unless
-``StrongLimitResult.X_tilde`` is read.
+full coupled operator, so they double as cross-checks for it.  Each
+N x N matrix (a layer, the aggregate) is solved once per side, through
+one power iteration, ``_solve``: ``_radius`` gives every layer's
+spectral radius, and only the matrices whose vectors are read (the
+dominating layers, the aggregate) go on to the gap guard and the left
+solve, ``_perron_pairs``.  T x T matrices (interlayer, X) go through one
+dense ``eig``, ``engine.dense_perron``.  No dense N x N array is built
+unless ``StrongLimitResult.X_tilde`` is read.
 """
 from __future__ import annotations
 
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import LayerCentralityMatrix
-from .engine import NonConvergenceError, dense_perron, shifted_power_iteration, tableau_from_vector
+from .engine import (EigenpairResult, NonConvergenceError, dense_perron,
+                     shifted_power_iteration, tableau_from_vector)
 from .graph import layer_sum_components, strongly_connected
 from .interlayer import all_to_all, chain_undirected
 from .types import CentralityTableau, SupraProblem
@@ -85,22 +89,17 @@ class NotApplicableError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LayerEigendata:
-    """Per-layer dominant eigendata: spectral radius and unit right/left vectors.
+    """Every layer's spectral radius, and the dominating layers' unit
+    right/left dominant eigenvectors.
 
-    ``right[t]`` and ``left[t]`` are the 0-indexed layer t+1 vectors;
-    ``irreducible[t]`` flags whether that layer's centrality matrix is
-    irreducible (vectors of non-irreducible layers need not be unique or
-    positive).
+    ``dominating`` holds the 0-based dominating layers, ascending;
+    ``right[a]`` and ``left[a]`` are the vectors of layer ``dominating[a]``.
     """
 
     spectral_radii: np.ndarray   # (T,)
-    right: np.ndarray            # (T, N)
-    left: np.ndarray             # (T, N)
-    irreducible: tuple[bool, ...]
-
-    @property
-    def n_layers(self) -> int:
-        return self.spectral_radii.shape[0]
+    dominating: np.ndarray       # (m,)
+    right: np.ndarray            # (m, N)
+    left: np.ndarray             # (m, N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,82 +151,96 @@ class StrongLimitResult:
         return self.aggregate.to_dense()
 
 
-def _block_radii(mat, count: int, labels: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Spectral radius of each strong component block of a layer: a single
-    node's diagonal entry, else one shifted power iteration on the block."""
+def _solve(mat, where: str, side: str = "right", *, tol: float, max_iter: int):
+    """The module's one N x N eigensolve: a shifted power iteration whose
+    NonConvergenceError names ``where``."""
+    try:
+        return shifted_power_iteration(mat, side, tol=tol, max_iter=max_iter)
+    except NonConvergenceError as err:
+        context = f"{where}: {err.context}" if err.context else where
+        raise NonConvergenceError(err.iterations, err.residual, context) from err
+
+
+def _radius(mat: LayerCentralityMatrix, where: str, tol: float, max_iter: int):
+    """Spectral radius of ``mat`` and what computing it left behind.
+
+    An irreducible ``mat`` takes one right solve on the matrix itself: its
+    eigenvalue and its pair are returned, with blocks None.  A reducible
+    one takes the largest of its strong component block radii (a single
+    node's diagonal entry, else one solve on the block): returned with the
+    block radii and right None.
+    """
+    count, labels = layer_sum_components((mat,))
+    if count == 1:
+        right = _solve(mat, where, tol=tol, max_iter=max_iter)
+        return right.eigenvalue, right, None
     sizes = np.bincount(labels, minlength=count)
-    radii = np.zeros(count)
-    radii[labels] = mat.diagonal()  # exact for single-node blocks, overwritten below
+    blocks = np.zeros(count)
+    blocks[labels] = mat.diagonal()  # exact for single-node blocks, overwritten below
     order = np.argsort(labels, kind="stable")
     for block, end in zip(np.flatnonzero(sizes > 1), np.cumsum(sizes)[sizes > 1]):
-        nodes = order[end - sizes[block]:end]
-        sub = mat.principal_block(nodes)
-        radii[block] = shifted_power_iteration(sub, tol=tol, max_iter=max_iter).eigenvalue
-    return radii
+        sub = mat.principal_block(order[end - sizes[block]:end])
+        blocks[block] = _solve(sub, where, tol=tol, max_iter=max_iter).eigenvalue
+    return float(blocks.max()), None, blocks
 
 
-def _perron_pairs(mat: LayerCentralityMatrix, where: str, tol: float, max_iter: int):
-    """Whether ``mat`` is irreducible, and its right and left dominant
-    eigenpairs by shifted power iteration.
+def _perron_pairs(mat: LayerCentralityMatrix, where: str, radius, tol: float,
+                  max_iter: int) -> tuple[EigenpairResult, EigenpairResult]:
+    """Right and left dominant eigenpairs of ``mat``, whose ``_radius`` is ``radius``.
 
     A reducible ``mat`` whose two largest strong component radii (plus the
     shift) lie within LAYER_GAP_FLOOR raises DegenerateLayerEigenvalueError
     before any iteration on the whole matrix (Perron-Frobenius and Rothblum
     1975).  Errors name ``where``.
     """
-    count, labels = layer_sum_components((mat,))
-    try:
-        if count > 1:
-            second, top = np.sort(_block_radii(mat, count, labels, tol, max_iter))[-2:]
-            if second + mat.shift >= (1.0 - LAYER_GAP_FLOOR) * (top + mat.shift):
-                raise DegenerateLayerEigenvalueError(where, top, second)
-        right, left = [shifted_power_iteration(mat, side, tol=tol, max_iter=max_iter)
-                       for side in ("right", "left")]
-    except NonConvergenceError as err:
-        context = f"{where}: {err.context}" if err.context else where
-        raise NonConvergenceError(err.iterations, err.residual, context) from err
-    return count == 1, right, left
+    _, right, blocks = radius
+    if blocks is not None:
+        second, top = np.sort(blocks)[-2:]
+        if second + mat.shift >= (1.0 - LAYER_GAP_FLOOR) * (top + mat.shift):
+            raise DegenerateLayerEigenvalueError(where, top, second)
+        right = _solve(mat, where, tol=tol, max_iter=max_iter)
+    return right, _solve(mat, where, "left", tol=tol, max_iter=max_iter)
 
 
 def layer_eigendata(
     problem: SupraProblem,
+    rel_tol_dominating: float = REL_TOL_DOMINATING,
     *,
     tol: float = 1e-12,
     max_iter: int = 100_000,
 ) -> LayerEigendata:
-    """Dominant right/left eigenpair of every matrix in ``problem.layer_matrices``.
+    """Spectral radius of every matrix in ``problem.layer_matrices``, and the
+    dominant right/left eigenpair of each dominating layer.
 
-    Each layer goes through ``_perron_pairs``, the structural gap guard and
-    the shifted power iteration that accepts the coupled engine's solves.
-    Non-irreducible layers are flagged rather than rejected.  Near-degeneracy
+    Every layer goes through ``_radius``.  Only the layers that
+    ``dominating_layers`` picks at ``rel_tol_dominating`` go on through
+    ``_perron_pairs``: the structural gap guard and the shifted power
+    iteration that accepts the coupled engine's solves.  A dominating
+    layer's reported radius is its right pair's eigenvalue.  Near-degeneracy
     inside one irreducible block is not caught: it shows up as slow
     convergence.
     """
-    solved = [
-        _perron_pairs(mat, f"layer {t}", tol, max_iter)
-        for t, mat in enumerate(problem.layer_matrices, start=1)
-    ]
+    check_rel_tol_dominating(rel_tol_dominating)
+    mats = problem.layer_matrices
+    radii = [_radius(mat, f"layer {t}", tol, max_iter) for t, mat in enumerate(mats, start=1)]
+    spectral_radii = np.array([value for value, _, _ in radii])
+    dominating = dominating_layers(spectral_radii, rel_tol_dominating)
+    pairs = [_perron_pairs(mats[t], f"layer {t + 1}", radii[t], tol, max_iter) for t in dominating]
+    spectral_radii[dominating] = [right.eigenvalue for right, _ in pairs]
     return LayerEigendata(
-        spectral_radii=np.array([right.eigenvalue for _, right, _ in solved]),
-        right=np.array([right.vector for _, right, _ in solved]),
-        left=np.array([left.vector for _, _, left in solved]),
-        irreducible=tuple(flag for flag, _, _ in solved),
+        spectral_radii=spectral_radii,
+        dominating=dominating,
+        right=np.array([right.vector for right, _ in pairs]),
+        left=np.array([left.vector for _, left in pairs]),
     )
 
 
 def layer_spectral_radii(problem: SupraProblem) -> np.ndarray:
     """Spectral radius of every matrix in ``problem.layer_matrices``: the
-    largest of its strong component block radii (the gap guard's block
-    solves), with no left iteration and no gap required, so a tied dominant
-    eigenvalue is no error."""
-    radii = []
-    for t, mat in enumerate(problem.layer_matrices, start=1):
-        try:
-            radii.append(_block_radii(mat, *layer_sum_components((mat,)), 1e-12, 100_000).max())
-        except NonConvergenceError as err:
-            context = f"layer {t}: {err.context}" if err.context else f"layer {t}"
-            raise NonConvergenceError(err.iterations, err.residual, context) from err
-    return np.array(radii)
+    ``_radius`` pass alone, with no left iteration and no gap required, so a
+    tied dominant eigenvalue is no error."""
+    return np.array([_radius(mat, f"layer {t}", 1e-12, 100_000)[0]
+                     for t, mat in enumerate(problem.layer_matrices, start=1)])
 
 
 def check_rel_tol_dominating(rel_tol_dominating: float) -> None:
@@ -261,24 +274,23 @@ def weak_limit(
     over the dominating layers.  With a single dominating layer this reduces
     to localization: the limit vector is that layer's eigenvector.
     """
-    check_rel_tol_dominating(rel_tol_dominating)
     net = problem.network
-    data = layer_eigendata(problem, tol=tol, max_iter=max_iter)
+    data = layer_eigendata(problem, rel_tol_dominating, tol=tol, max_iter=max_iter)
     radii = data.spectral_radii
     lam0 = float(radii.max())
-    dominating = dominating_layers(radii, rel_tol_dominating)
+    dominating = data.dominating
     tset = tuple(int(t) + 1 for t in dominating)
 
     atil = problem.interlayer.values
     m = len(dominating)
     X = np.zeros((m, m))
     for a, ta in enumerate(dominating):
-        u_a = data.left[ta]
-        denom = float(u_a @ data.right[ta])
+        u_a = data.left[a]
+        denom = float(u_a @ data.right[a])
         if denom <= 0:
             raise DegenerateLayerEigenvalueError(f"layer {int(ta) + 1}", radii[ta], radii[ta])
         for b, tb in enumerate(dominating):
-            X[a, b] = atil[ta, tb] * float(u_a @ data.right[tb]) / denom
+            X[a, b] = atil[ta, tb] * float(u_a @ data.right[b]) / denom
     if not strongly_connected(X):
         raise ReducibleDominatingSetError(
             f"interlayer coupling restricted to the dominating layers {tset} "
@@ -288,8 +300,7 @@ def weak_limit(
     _, lambda1, alpha, beta = dense_perron(X)
 
     W = np.zeros((net.n_nodes, net.n_layers))
-    for a, ta in enumerate(dominating):
-        W[:, ta] = alpha[a] * data.right[ta]
+    W[:, dominating] = data.right.T * alpha
     vector = W.flatten(order="F")
     tableau = tableau_from_vector(vector, net.n_nodes, net.n_layers, lam0, 0.0)
     return WeakLimitResult(
@@ -341,7 +352,9 @@ def strong_limit(
     net = problem.network
     mu1, v_tilde, u_tilde, weights = _interlayer_weights(problem.interlayer.values)
     aggregate = LayerCentralityMatrix.weighted_sum(problem.layer_matrices, weights)
-    _, res_r, res_l = _perron_pairs(aggregate, "strong-limit aggregate", tol, max_iter)
+    where = "strong-limit aggregate"
+    radius = _radius(aggregate, where, tol, max_iter)
+    res_r, res_l = _perron_pairs(aggregate, where, radius, tol, max_iter)
 
     vector = np.outer(res_r.vector, v_tilde).flatten(order="F")
     tableau = tableau_from_vector(vector, net.n_nodes, net.n_layers, mu1, float("inf"))

@@ -185,6 +185,21 @@ def test_limit_weak_json(six_layer_net, tmp_path):
     assert len(payload["alpha"]) == 6
 
 
+def test_limit_weak_accepts_a_tied_layer_that_does_not_dominate(tmp_path):
+    # layer 1: a directed 4-cycle of weight 3 (radius 3); layer 2: two
+    # 2-cycles (radius 1, twice), whose tie the weak limit never reads
+    net = tmp_path / "tied.edges"
+    net.write_text("1 1 2 3\n1 2 3 3\n1 3 4 3\n1 4 1 3\n"
+                   "2 1 2 1\n2 2 1 1\n2 3 4 1\n2 4 3 1\n", encoding="utf-8")
+    base = ["--network", str(net), "--kind", "eigenvector", "--interlayer", "alltoall"]
+    assert dispatch(["check", *base]) == 0
+    out = tmp_path / "weak.json"
+    assert dispatch(["limit", "--which", "weak", *base, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["dominating_set"] == [1]
+    assert payload["mlc"][1] == 0.0
+
+
 def test_correlate_and_trajectory(six_layer_net, tmp_path):
     corr = tmp_path / "corr.csv"
     code = dispatch(

@@ -22,7 +22,9 @@ from supracentrality import (
     dominant_eigenpair,
     layer_eigendata,
     layer_spectral_radii,
+    log_grid,
     strong_limit,
+    sweep,
     tableau_from_vector,
     weak_limit,
 )
@@ -62,7 +64,7 @@ def test_layer_eigendata_pagerank_radii_are_one():
     net, _ = random_instance(42, kind=PageRank())
     data = layer_eigendata(_layers(net, PageRank()))
     assert np.abs(data.spectral_radii - 1.0).max() <= 1e-10
-    assert all(data.irreducible)
+    assert data.dominating.tolist() == list(range(net.n_layers))
 
 
 def test_layer_eigendata_triangle():
@@ -82,7 +84,11 @@ def test_layer_eigendata_flags_reducible_layer():
     lonely = LayerGraph(3, ((1, 2, 1.0), (2, 1, 1.0)))  # node 3 isolated
     net = MultiplexNetwork(3, (TRIANGLE, lonely))
     data = layer_eigendata(_layers(net))
-    assert data.irreducible == (True, False)
+    # the reducible layer's radius is its largest block radius; it does not
+    # dominate, so its vectors are not computed
+    assert data.spectral_radii == pytest.approx([2.0, 1.0], abs=1e-10)
+    assert data.dominating.tolist() == [0]
+    assert data.right.shape == data.left.shape == (1, 3)
 
 
 def _undirected(n, edges):
@@ -128,6 +134,58 @@ def test_layer_gap_guard_rejects_dag_layer_before_iterating():
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0),)),))
     with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
         layer_eigendata(_layers(net), max_iter=1)
+
+
+# a weighted directed 4-cycle (radius 3) beside two 2-cycles (radius 1, tied)
+CYCLE_3 = LayerGraph(4, ((1, 2, 3.0), (2, 3, 3.0), (3, 4, 3.0), (4, 1, 3.0)))
+TWO_TWO_CYCLES = LayerGraph(4, ((1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)))
+
+
+def _recorded_solves(monkeypatch) -> list:
+    seen = []
+    solve = limits.shifted_power_iteration
+
+    def recording(op, *args, **kwargs):
+        seen.append(op)
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "shifted_power_iteration", recording)
+    return seen
+
+
+def test_weak_limit_accepts_a_tied_layer_that_does_not_dominate():
+    net = MultiplexNetwork(4, (CYCLE_3, TWO_TWO_CYCLES))
+    res = weak_limit(_problem(net, all_to_all(2)))
+    assert res.dominating_set == (1,)
+    assert res.layer_data.spectral_radii == pytest.approx([3.0, 1.0], abs=1e-10)
+    assert res.tableau.mlc[1] == 0.0
+    # the limit is what the coupled solve approaches: ||W(omega) - W_weak|| is 0.5 omega
+    swept = sweep(net, Eigenvector(), all_to_all(2), log_grid(-6, -2, 1), tol=1e-12)
+    assert not swept.failures
+    for omega, tableau in zip(swept.grid.values, swept.tableaus):
+        assert np.linalg.norm(tableau.W - res.tableau.W) <= omega
+
+
+def test_weak_limit_never_solves_a_nilpotent_layer_that_does_not_dominate(monkeypatch):
+    dag = LayerGraph(4, ((1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.0)))
+    problem = _problem(MultiplexNetwork(4, (CYCLE_3, dag)), all_to_all(2))
+    seen = _recorded_solves(monkeypatch)
+    res = weak_limit(problem)
+    assert res.dominating_set == (1,)
+    assert res.layer_data.spectral_radii[1] == 0.0
+    # the cycle layer's right and left solves, nothing on the DAG layer
+    cycle = problem.layer_matrices[0]
+    assert len(seen) == 2 and all(op is cycle for op in seen)
+
+
+def test_layer_gap_guard_rejects_a_tied_layer_that_dominates():
+    cycle = LayerGraph(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0)))
+    problem = _problem(MultiplexNetwork(4, (cycle, TWO_TWO_CYCLES)), all_to_all(2))
+    assert layer_spectral_radii(problem) == pytest.approx([1.0, 1.0], abs=1e-10)
+    with pytest.raises(DegenerateLayerEigenvalueError, match="layer 2"):
+        layer_eigendata(problem)
+    with pytest.raises(DegenerateLayerEigenvalueError, match="layer 2"):
+        weak_limit(problem)
 
 
 def test_weak_limit_pagerank_dominating_set_is_everything():
