@@ -12,7 +12,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "centrality": ("LayerCentralityMatrix", "build_centrality_matrix"),
+    "centrality": ("LayerCentralityMatrix", "build_centrality_matrix", "pagerank_from_adjacency"),
     "engine": ("EigenpairResult", "NegativeEigenvectorError", "NonConvergenceError",
                "OperatorOverflowError", "SupraOperator", "dominant_eigenpair",
                "shifted_power_iteration", "stride_permutation", "tableau_from_vector"),
@@ -25,8 +25,9 @@ _EXPORTS = {
                "NotApplicableError", "ReducibleDominatingSetError", "StrongLimitResult",
                "WeakLimitResult", "corollary_crosscheck", "layer_eigendata", "layer_spectral_radii",
                "strong_limit", "weak_limit"),
-    "sweeps": ("DegreeCorrelation", "OmegaGrid", "RegimeInterval", "RegimeReport", "SweepResult",
-               "correlate_with_degrees", "detect_regimes", "log_grid", "rank_trajectory", "sweep"),
+    "sweeps": ("DegreeCorrelation", "OmegaGrid", "PreconditionFailure", "RegimeInterval",
+               "RegimeReport", "SweepResult", "correlate_with_degrees", "detect_regimes",
+               "log_grid", "rank_trajectory", "solve_point", "sweep"),
     "types": ("Authority", "CentralityKind", "CentralityTableau", "DanglingPolicy", "Eigenvector",
               "Hub", "InterlayerMatrix", "LayerGraph", "MultiplexNetwork", "PageRank",
               "SupraProblem", "validate_network"),

@@ -32,7 +32,6 @@ __all__ = [
     "LayerCentralityMatrix",
     "pagerank_from_adjacency",
     "build_centrality_matrix",
-    "DENSE_PRODUCT_WARN_NNZ",
 ]
 
 # Hub/authority products can fill in badly for hub-heavy graphs; warn past this.

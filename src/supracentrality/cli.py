@@ -48,6 +48,7 @@ from .engine import NonConvergenceError, OperatorOverflowError, SupraOperator
 from .graph import check_preconditions
 from .interlayer import all_to_all, block_communities, chain_teleport, chain_undirected
 from .limits import (
+    REL_TOL_DOMINATING,
     LimitPreconditionError,
     NotApplicableError,
     check_rel_tol_dominating,
@@ -56,6 +57,7 @@ from .limits import (
     weak_limit,
 )
 from .sweeps import (
+    PROMINENCE_FRACTION,
     PreconditionFailure,
     check_in_range,
     check_prominence_fraction,
@@ -102,6 +104,12 @@ def _load_inputs(args):
     )
     kind = _build_kind(args) if "kind" in args else None
     return net, kind, _build_interlayer(args.interlayer, net.n_layers)
+
+
+def _load_problem(args) -> SupraProblem:
+    """The coupled problem of the inputs, for every command but versatility."""
+    net, kind, interlayer = _load_inputs(args)
+    return SupraProblem(network=net, kind=kind, interlayer=interlayer)
 
 
 def _build_interlayer(spec: str, n_layers: int) -> InterlayerMatrix:
@@ -169,9 +177,8 @@ def _warn(report, failures=()) -> None:
 
 
 def _cmd_check(args) -> int:
-    net, kind, interlayer = _load_inputs(args)
-    problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=1.0)
-    report = check_preconditions(problem)
+    # every omega > 0 gives the same report
+    report = check_preconditions(_load_problem(args), 1.0)
     print(
         json.dumps(
             {"interlayer_ok": report.interlayer_ok, "layer_sum_ok": report.layer_sum_ok}
@@ -181,27 +188,27 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
-    net, kind, interlayer = _load_inputs(args)
-    problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=args.omega)
-    op = SupraOperator(problem)
-    report = check_preconditions(problem)
+    problem = _load_problem(args)
+    op = SupraOperator(problem, args.omega)
+    report = check_preconditions(problem, op.omega)
     _warn(report)
     pair, tableau = solve_point(op, report, tol=args.tol, max_iter=args.max_iter)
-    fileio.write_tableau_csv(tableau, net, args.out)
+    fileio.write_tableau_csv(tableau, problem.network, args.out)
     if args.summary:
         fileio.write_summary_json(args.summary, tableau, pair, report)
     return EXIT_OK
 
 
 def _run_sweep(args):
-    net, kind, interlayer = _load_inputs(args)
+    problem = _load_problem(args)
+    net = problem.network
     grid = _parse_grid(args.grid)
     # trajectory's node and correlate's layer fail here, not after every solve
     if "node" in args:
         check_in_range("node", args.node, net.n_nodes)
     if getattr(args, "reference_layer", None) is not None:
         check_in_range("reference layer", args.reference_layer, net.n_layers)
-    result = sweep(net, kind, interlayer, grid, tol=args.tol, max_iter=args.max_iter)
+    result = sweep(problem, grid, tol=args.tol, max_iter=args.max_iter)
     _warn(result.preconditions, result.failures)
     return result
 
@@ -222,8 +229,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    net, kind, interlayer = _load_inputs(args)
-    problem = SupraProblem(network=net, kind=kind, interlayer=interlayer, omega=1.0)
+    problem = _load_problem(args)
     check_rel_tol_dominating(args.rel_tol_dominating)
     if args.which == "weak":
         res = weak_limit(problem, args.rel_tol_dominating)
@@ -356,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="sweep a log-grid of coupling strengths")
     _add_kind_flags(p)
     p.add_argument("--grid", required=True, help="lo,hi,step (base-10 exponents)")
-    p.add_argument("--prominence", type=float, default=0.01, help="peak prominence floor")
+    p.add_argument("--prominence", type=float, default=PROMINENCE_FRACTION,
+                   help="peak prominence floor")
     _add_solver_flags(p)
     p.add_argument("--out", required=True, help="sweep CSV")
     p.set_defaults(func=_cmd_sweep)
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", parents=[common], help="closed-form coupling limits")
     p.add_argument("--which", choices=["weak", "strong"], required=True)
     _add_kind_flags(p)
-    p.add_argument("--rel-tol-dominating", type=float, default=1e-9)
+    p.add_argument("--rel-tol-dominating", type=float, default=REL_TOL_DOMINATING)
     p.add_argument("--out", required=True, help="limit JSON")
     p.set_defaults(func=_cmd_limit)
 

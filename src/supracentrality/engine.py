@@ -5,9 +5,11 @@ The coupled operator on length-N*T vectors is
     block t of (C x) = C_t @ x_t + omega * sum_t' interlayer[t, t'] * x_t'
 
 i.e. the block matrix with the layer centrality matrices on the diagonal and
-omega-scaled identity couplings off the diagonal.  It is applied blockwise
-and never materialized.  Vectors are ordered node-major within layer: entry
-N*(t-1) + i holds node i of layer t (both 1-based).
+omega-scaled identity couplings off the diagonal.  A :class:`SupraOperator`
+is one problem at one omega, and ``with_omega`` moves it along the
+problem's family.  It is applied blockwise and never materialized.
+Vectors are ordered node-major within layer: entry N*(t-1) + i holds node
+i of layer t (both 1-based).
 
 Every solver takes an :class:`Operator` (a :class:`SupraOperator`, or one
 ``LayerCentralityMatrix``), which owns its shift c >= 0 by the one rule of
@@ -30,7 +32,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .types import CentralityTableau, SupraProblem
+from .types import CentralityTableau, SupraProblem, check_omega
 
 __all__ = [
     "NonConvergenceError",
@@ -40,7 +42,6 @@ __all__ = [
     "SupraOperator",
     "shifted_power_iteration",
     "dominant_eigenpair",
-    "dense_perron",
     "tableau_from_vector",
     "stride_permutation",
 ]
@@ -205,21 +206,23 @@ def shifted_power_iteration(
 
 
 class SupraOperator:
-    """The coupled operator for one problem, applied blockwise.
+    """The coupled operator of one problem at coupling strength ``omega``,
+    applied blockwise.
 
     ``apply``/``apply_transpose``/``to_dense`` are the unshifted operator;
     only the eigensolver adds ``shift``, the largest of the layer matrices'
     shifts: where every layer is positive (PageRank) the coupled operator
     has a positive diagonal and needs none.  Construction and ``with_omega``
-    raise :class:`OperatorOverflowError` for an operator whose products
-    could overflow, before any of them is computed.
+    raise ValueError for an ``omega`` that is not finite and nonnegative,
+    and :class:`OperatorOverflowError` for an operator whose products could
+    overflow, before any of them is computed.
     """
 
-    def __init__(self, problem: SupraProblem):
+    def __init__(self, problem: SupraProblem, omega: float):
+        self.omega = check_omega(omega)
         self.problem = problem
         self.layers = problem.layer_matrices
         self.interlayer = problem.interlayer.values
-        self.omega = problem.omega
         # a sum past the float range is refused by _check_scale, not warned about
         with np.errstate(over="ignore"):
             self.shift = max(m.shift for m in self.layers)
@@ -257,10 +260,9 @@ class SupraOperator:
 
     def with_omega(self, omega: float) -> SupraOperator:
         """The same operator at coupling strength ``omega``, sharing the
-        layer blocks, so a sweep builds them once."""
+        problem and the layer blocks, so a sweep builds them once."""
         out = copy.copy(self)
-        out.problem = self.problem.with_omega(omega)
-        out.omega = out.problem.omega
+        out.omega = check_omega(omega)
         out._check_scale()
         return out
 

@@ -2,8 +2,9 @@
 
 Strong connectivity doubles as the irreducibility test for nonnegative
 matrices (the two are equivalent), which is what the uniqueness
-preconditions of the coupled eigenproblem require: the interlayer matrix
-must be strongly connected and the entrywise sum of the layer centrality
+preconditions of the coupled eigenproblem require: the coupling omega times
+the interlayer matrix must be strongly connected (at every omega > 0, the
+interlayer matrix itself) and the entrywise sum of the layer centrality
 matrices must be irreducible.
 """
 from __future__ import annotations
@@ -15,13 +16,12 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .centrality import LayerCentralityMatrix
-from .types import MultiplexNetwork, SupraProblem
+from .types import MultiplexNetwork, SupraProblem, check_omega
 
 __all__ = [
     "ConstantInputError",
     "PreconditionReport",
     "strongly_connected",
-    "layer_sum_components",
     "check_preconditions",
     "intralayer_degrees",
     "total_degrees",
@@ -72,17 +72,19 @@ class PreconditionReport:
         return self.interlayer_ok and self.layer_sum_ok
 
 
-def check_preconditions(problem: SupraProblem) -> PreconditionReport:
-    """Check that the coupling omega * interlayer is strongly connected and
-    the sum of ``problem.layer_matrices`` is irreducible.
+def check_preconditions(problem: SupraProblem, omega: float) -> PreconditionReport:
+    """Check that the coupling ``omega`` * interlayer is strongly connected
+    and the sum of ``problem.layer_matrices`` is irreducible.
 
     Report-style: callers decide whether to refuse.  When both flags hold,
-    the coupled operator has a unique positive dominant eigenvector.  At
-    omega = 0 the coupling of two or more layers is not strongly connected:
-    the operator is block diagonal.  A single layer's 1 x 1 coupling counts.
+    the coupled operator at ``omega`` has a unique positive dominant
+    eigenvector.  At omega = 0 the coupling of two or more layers is not
+    strongly connected: the operator is block diagonal.  Every omega > 0
+    gives the same report.  A single layer's 1 x 1 coupling counts.  An
+    omega that is not finite and nonnegative raises ValueError.
     """
     return PreconditionReport(
-        interlayer_ok=strongly_connected(problem.omega * problem.interlayer.values),
+        interlayer_ok=strongly_connected(check_omega(omega) * problem.interlayer.values),
         layer_sum_ok=layer_sum_components(problem.layer_matrices)[0] == 1,
     )
 

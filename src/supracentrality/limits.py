@@ -9,15 +9,17 @@ aggregate: the eigenvector becomes separable, node weights solving the
 dominant eigenproblem of an aggregate matrix that averages the layer
 matrices with weights from the interlayer matrix's own dominant eigenpair.
 
-Both solvers are independent of the iterative engine's path through the
-full coupled operator, so they double as cross-checks for it.  Each
-N x N matrix (a layer, the aggregate) is solved once per side, through
-one power iteration, ``_solve``: ``_radius`` gives every layer's
-spectral radius, and only the matrices whose vectors are read (the
-dominating layers, the aggregate) go on to the gap guard and the left
-solve, ``_perron_pairs``.  T x T matrices (interlayer, X) go through one
-dense ``eig``, ``engine.dense_perron``.  No dense N x N array is built
-unless ``StrongLimitResult.X_tilde`` is read.
+Every function here takes the problem alone, with no coupling strength:
+the limits are the two ends of its family.  Both solvers are independent
+of the iterative engine's path through the full coupled operator, so they
+double as cross-checks for it.  Each N x N matrix (a layer, the
+aggregate) is solved once per side, through one power iteration,
+``_solve``, at one fixed rule (``SOLVE_TOL``, ``SOLVE_MAX_ITER``):
+``_radius`` gives every layer's spectral radius, and only the matrices
+whose vectors are read (the dominating layers, the aggregate) go on to the
+gap guard and the left solve, ``_perron_pairs``.  T x T matrices
+(interlayer, X) go through one dense ``eig``, ``engine.dense_perron``.  No
+dense N x N array is built unless ``StrongLimitResult.X_tilde`` is read.
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ __all__ = [
     "CorollaryCheck",
     "layer_eigendata",
     "layer_spectral_radii",
-    "dominating_layers",
     "weak_limit",
     "strong_limit",
     "corollary_crosscheck",
@@ -56,6 +57,9 @@ LAYER_GAP_FLOOR = 1e-6
 INTERLAYER_GAP_FLOOR = 1e-8
 # Spectral radii within this relative distance of the largest tie with it.
 REL_TOL_DOMINATING = 1e-9
+# Stopping rule of every N x N power iteration in this module.
+SOLVE_TOL = 1e-12
+SOLVE_MAX_ITER = 100_000
 
 
 class LimitPreconditionError(RuntimeError):
@@ -151,17 +155,18 @@ class StrongLimitResult:
         return self.aggregate.to_dense()
 
 
-def _solve(mat, where: str, side: str = "right", *, tol: float, max_iter: int):
-    """The module's one N x N eigensolve: a shifted power iteration whose
-    NonConvergenceError names ``where``."""
+def _solve(mat, where: str, side: str = "right"):
+    """The module's one N x N eigensolve: a shifted power iteration at
+    ``SOLVE_TOL`` and ``SOLVE_MAX_ITER`` whose NonConvergenceError names
+    ``where``."""
     try:
-        return shifted_power_iteration(mat, side, tol=tol, max_iter=max_iter)
+        return shifted_power_iteration(mat, side, tol=SOLVE_TOL, max_iter=SOLVE_MAX_ITER)
     except NonConvergenceError as err:
         context = f"{where}: {err.context}" if err.context else where
         raise NonConvergenceError(err.iterations, err.residual, context) from err
 
 
-def _radius(mat: LayerCentralityMatrix, where: str, tol: float, max_iter: int):
+def _radius(mat: LayerCentralityMatrix, where: str):
     """Spectral radius of ``mat`` and what computing it left behind.
 
     An irreducible ``mat`` takes one right solve on the matrix itself: its
@@ -172,7 +177,7 @@ def _radius(mat: LayerCentralityMatrix, where: str, tol: float, max_iter: int):
     """
     count, labels = layer_sum_components((mat,))
     if count == 1:
-        right = _solve(mat, where, tol=tol, max_iter=max_iter)
+        right = _solve(mat, where)
         return right.eigenvalue, right, None
     sizes = np.bincount(labels, minlength=count)
     blocks = np.zeros(count)
@@ -180,12 +185,12 @@ def _radius(mat: LayerCentralityMatrix, where: str, tol: float, max_iter: int):
     order = np.argsort(labels, kind="stable")
     for block, end in zip(np.flatnonzero(sizes > 1), np.cumsum(sizes)[sizes > 1]):
         sub = mat.principal_block(order[end - sizes[block]:end])
-        blocks[block] = _solve(sub, where, tol=tol, max_iter=max_iter).eigenvalue
+        blocks[block] = _solve(sub, where).eigenvalue
     return float(blocks.max()), None, blocks
 
 
-def _perron_pairs(mat: LayerCentralityMatrix, where: str, radius, tol: float,
-                  max_iter: int) -> tuple[EigenpairResult, EigenpairResult]:
+def _perron_pairs(mat: LayerCentralityMatrix, where: str,
+                  radius) -> tuple[EigenpairResult, EigenpairResult]:
     """Right and left dominant eigenpairs of ``mat``, whose ``_radius`` is ``radius``.
 
     A reducible ``mat`` whose two largest strong component radii (plus the
@@ -198,16 +203,12 @@ def _perron_pairs(mat: LayerCentralityMatrix, where: str, radius, tol: float,
         second, top = np.sort(blocks)[-2:]
         if second + mat.shift >= (1.0 - LAYER_GAP_FLOOR) * (top + mat.shift):
             raise DegenerateLayerEigenvalueError(where, top, second)
-        right = _solve(mat, where, tol=tol, max_iter=max_iter)
-    return right, _solve(mat, where, "left", tol=tol, max_iter=max_iter)
+        right = _solve(mat, where)
+    return right, _solve(mat, where, "left")
 
 
 def layer_eigendata(
-    problem: SupraProblem,
-    rel_tol_dominating: float = REL_TOL_DOMINATING,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
+    problem: SupraProblem, rel_tol_dominating: float = REL_TOL_DOMINATING
 ) -> LayerEigendata:
     """Spectral radius of every matrix in ``problem.layer_matrices``, and the
     dominant right/left eigenpair of each dominating layer.
@@ -222,10 +223,10 @@ def layer_eigendata(
     """
     check_rel_tol_dominating(rel_tol_dominating)
     mats = problem.layer_matrices
-    radii = [_radius(mat, f"layer {t}", tol, max_iter) for t, mat in enumerate(mats, start=1)]
+    radii = [_radius(mat, f"layer {t}") for t, mat in enumerate(mats, start=1)]
     spectral_radii = np.array([value for value, _, _ in radii])
     dominating = dominating_layers(spectral_radii, rel_tol_dominating)
-    pairs = [_perron_pairs(mats[t], f"layer {t + 1}", radii[t], tol, max_iter) for t in dominating]
+    pairs = [_perron_pairs(mats[t], f"layer {t + 1}", radii[t]) for t in dominating]
     spectral_radii[dominating] = [right.eigenvalue for right, _ in pairs]
     return LayerEigendata(
         spectral_radii=spectral_radii,
@@ -239,7 +240,7 @@ def layer_spectral_radii(problem: SupraProblem) -> np.ndarray:
     """Spectral radius of every matrix in ``problem.layer_matrices``: the
     ``_radius`` pass alone, with no left iteration and no gap required, so a
     tied dominant eigenvalue is no error."""
-    return np.array([_radius(mat, f"layer {t}", 1e-12, 100_000)[0]
+    return np.array([_radius(mat, f"layer {t}")[0]
                      for t, mat in enumerate(problem.layer_matrices, start=1)])
 
 
@@ -258,11 +259,7 @@ def dominating_layers(radii: np.ndarray, rel_tol_dominating: float) -> np.ndarra
 
 
 def weak_limit(
-    problem: SupraProblem,
-    rel_tol_dominating: float = REL_TOL_DOMINATING,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
+    problem: SupraProblem, rel_tol_dominating: float = REL_TOL_DOMINATING
 ) -> WeakLimitResult:
     """Limit of the dominant eigenvector as the coupling strength tends to 0+.
 
@@ -275,7 +272,7 @@ def weak_limit(
     to localization: the limit vector is that layer's eigenvector.
     """
     net = problem.network
-    data = layer_eigendata(problem, rel_tol_dominating, tol=tol, max_iter=max_iter)
+    data = layer_eigendata(problem, rel_tol_dominating)
     radii = data.spectral_radii
     lam0 = float(radii.max())
     dominating = data.dominating
@@ -332,12 +329,7 @@ def _interlayer_weights(atil: np.ndarray) -> tuple[float, np.ndarray, np.ndarray
     return mu1, v, u, u * v / denom
 
 
-def strong_limit(
-    problem: SupraProblem,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> StrongLimitResult:
+def strong_limit(problem: SupraProblem) -> StrongLimitResult:
     """Limit of the dominant eigenvector as the coupling strength tends to infinity.
 
     After rescaling by 1/omega the coupled operator tends to the interlayer
@@ -353,8 +345,7 @@ def strong_limit(
     mu1, v_tilde, u_tilde, weights = _interlayer_weights(problem.interlayer.values)
     aggregate = LayerCentralityMatrix.weighted_sum(problem.layer_matrices, weights)
     where = "strong-limit aggregate"
-    radius = _radius(aggregate, where, tol, max_iter)
-    res_r, res_l = _perron_pairs(aggregate, where, radius, tol, max_iter)
+    res_r, res_l = _perron_pairs(aggregate, where, _radius(aggregate, where))
 
     vector = np.outer(res_r.vector, v_tilde).flatten(order="F")
     tableau = tableau_from_vector(vector, net.n_nodes, net.n_layers, mu1, float("inf"))

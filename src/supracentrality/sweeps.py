@@ -1,7 +1,8 @@
 """Coupling-strength sweeps: sensitivity curves, regimes, ranks, correlations.
 
-A sweep runs :func:`solve_point`, the one coupled solve, across an
-increasing grid of coupling strengths (at most ``MAX_GRID_POINTS``),
+A sweep runs :func:`solve_point`, the one coupled solve, on one problem
+across an increasing grid of coupling strengths (at most
+``MAX_GRID_POINTS``), moving one operator along the grid and
 warm-starting each solve from the previous eigenvector.  The stepwise
 Frobenius changes of the joint and conditional centralities trace out how
 sensitive the rankings are to the coupling strength; peaks in those curves
@@ -19,13 +20,7 @@ from .engine import (EigenpairResult, NegativeEigenvectorError, NonConvergenceEr
 from .graph import (ConstantInputError, PreconditionReport, check_preconditions,
                     intralayer_degrees, pearson, total_degrees)
 from .limits import REL_TOL_DOMINATING, dominating_layers, layer_spectral_radii
-from .types import (
-    CentralityKind,
-    CentralityTableau,
-    InterlayerMatrix,
-    MultiplexNetwork,
-    SupraProblem,
-)
+from .types import CentralityTableau, SupraProblem
 
 __all__ = [
     "OmegaGrid",
@@ -44,6 +39,8 @@ __all__ = [
 
 # log_grid refuses a grid of more points than this
 MAX_GRID_POINTS = 10_000
+# detect_regimes keeps a peak at least this fraction of the series maximum high
+PROMINENCE_FRACTION = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +115,9 @@ class SweepResult:
     the change in W and Z between grid points s and s+1 (length one less
     than the grid); NaN where either endpoint failed to converge.
     ``failures`` records (grid index, message) for failed points,
-    whose tableau slots hold None.  ``problem`` is the swept problem at the
-    grid's first coupling strength; every grid point used its
-    ``layer_matrices``, and ``preconditions`` is its precondition report.
+    whose tableau slots hold None.  ``problem`` is the swept problem;
+    every grid point used its ``layer_matrices``, and ``preconditions`` is
+    its precondition report at any positive coupling strength.
     """
 
     grid: OmegaGrid
@@ -133,15 +130,14 @@ class SweepResult:
 
 
 def sweep(
-    network: MultiplexNetwork,
-    kind: CentralityKind,
-    interlayer: InterlayerMatrix,
+    problem: SupraProblem,
     grid: OmegaGrid,
     *,
     tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> SweepResult:
-    """Run :func:`solve_point` at every grid point, in increasing order.
+    """Run :func:`solve_point` on ``problem`` at every grid point, in
+    increasing order.
 
     Each solve starts from the previous point's eigenvector (the warm
     start), which saves matvecs where the dominant eigenvalue cluster is
@@ -151,18 +147,16 @@ def sweep(
     :class:`~supracentrality.engine.OperatorOverflowError` before the first
     solve.
     """
-    base = SupraOperator(
-        SupraProblem(network=network, kind=kind, interlayer=interlayer, omega=grid.values[0])
-    )
-    base.with_omega(float(grid.values[-1]))  # an overflowing grid fails before any solve
-    report = check_preconditions(base.problem)
+    base = SupraOperator(problem, grid.values[0])
+    base.with_omega(grid.values[-1])  # an overflowing grid fails before any solve
+    report = check_preconditions(problem, base.omega)
     w_sens, z_sens = np.full((2, len(grid) - 1), np.nan)
     tableaus: list[CentralityTableau | None] = []
     failures: list[tuple[int, str]] = []
     start = None
     previous = None  # W and Z of the previous point, None after a failed one
     for s, omega in enumerate(grid.values):
-        op = base.with_omega(float(omega))
+        op = base.with_omega(omega)
         try:
             pair, tab = solve_point(op, report, tol=tol, max_iter=max_iter, start=start)
         except (NonConvergenceError, PreconditionFailure) as err:
@@ -183,7 +177,7 @@ def sweep(
         w_sensitivity=w_sens,
         z_sensitivity=z_sens,
         failures=tuple(failures),
-        problem=base.problem,
+        problem=problem,
         preconditions=report,
     )
 
@@ -248,7 +242,7 @@ def _prominent_peaks(x: list[float], floor: float) -> tuple[int, ...]:
 def detect_regimes(
     sensitivity: np.ndarray,
     grid: OmegaGrid,
-    prominence_fraction: float = 0.01,
+    prominence_fraction: float = PROMINENCE_FRACTION,
 ) -> RegimeReport:
     """Partition the grid at the prominent local maxima of a sensitivity series.
 

@@ -7,11 +7,14 @@ across concurrent computations.  A :class:`LayerGraph` holds its edges in
 one read-only CSR matrix, built straight from the sorted parse arrays;
 validation and every layer matrix work on it, and the 1-based index
 arrays and the tuple view ``entries`` are derived from it when asked for.
+A :class:`SupraProblem` holds no coupling strength: it is the family of
+coupled operators over every omega, and :func:`check_omega` is the one
+rule for an omega, applied where one is read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -290,32 +293,38 @@ class PageRank:
 CentralityKind = Eigenvector | Hub | Authority | PageRank
 
 
+def check_omega(omega: float) -> float:
+    """``omega`` as a float; ValueError unless it is finite and nonnegative."""
+    omega = float(omega)
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
+    if omega < 0:
+        raise ValueError(f"omega must be nonnegative, got {omega}")
+    return omega
+
+
 @dataclass(frozen=True, eq=False)
 class SupraProblem:
-    """A network, a centrality kind, an interlayer matrix, and a coupling strength.
+    """A network, a centrality kind and an interlayer matrix: the family of
+    coupled operators C(omega) = diag(C_t) + omega * (interlayer x I).
 
-    Defines the coupled block operator whose dominant eigenvector carries the
-    joint centralities.  ``layer_matrices`` holds the per-layer centrality
-    matrices C_t, built on first access and shared by the operator, the
-    precondition checks and both coupling limits.
+    The coupling strength is not part of the problem: only the coupled
+    operator and the precondition check read it, and take it as their own
+    argument.  ``layer_matrices`` holds the per-layer centrality matrices
+    C_t, built on first access and shared by every operator of the family,
+    the precondition checks and both coupling limits.
     """
 
     network: MultiplexNetwork
     kind: CentralityKind
     interlayer: InterlayerMatrix
-    omega: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", float(self.omega))
         if self.interlayer.dim != self.network.n_layers:
             raise ValueError(
                 f"interlayer matrix is {self.interlayer.dim}x{self.interlayer.dim} "
                 f"but the network has {self.network.n_layers} layers"
             )
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be nonnegative, got {self.omega}")
 
     @cached_property
     def layer_matrices(self) -> tuple[LayerCentralityMatrix, ...]:
@@ -323,14 +332,6 @@ class SupraProblem:
         from . import centrality  # centrality imports this module
 
         return tuple(centrality.build_centrality_matrix(g, self.kind) for g in self.network.layers)
-
-    def with_omega(self, omega: float) -> SupraProblem:
-        """The same problem at coupling strength ``omega``; layer matrices
-        already built are shared, not built again."""
-        out = replace(self, omega=omega)
-        if "layer_matrices" in self.__dict__:
-            out.__dict__["layer_matrices"] = self.layer_matrices
-        return out
 
 
 @dataclass(frozen=True, eq=False)

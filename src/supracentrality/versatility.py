@@ -13,7 +13,8 @@ from scipy import sparse
 
 from .centrality import pagerank_from_adjacency
 from .engine import shifted_power_iteration
-from .types import DanglingPolicy, InterlayerMatrix, MultiplexNetwork, PageRank, SupraProblem
+from .types import (DanglingPolicy, InterlayerMatrix, MultiplexNetwork, PageRank, SupraProblem,
+                    check_omega)
 
 __all__ = ["pagerank_versatility"]
 
@@ -37,8 +38,9 @@ def pagerank_versatility(
     across each node's layer copies.  Rankings are invariant to the
     normalization choice; magnitudes are on the 1-norm scale.
     """
-    # the coupled problem owns the checks on sigma, omega and the layer count
-    SupraProblem(network=net, kind=PageRank(sigma, dangling), interlayer=interlayer, omega=omega)
+    # the coupled problem owns the checks on sigma and the layer count
+    SupraProblem(network=net, kind=PageRank(sigma, dangling), interlayer=interlayer)
+    omega = check_omega(omega)
     n, t = net.n_nodes, net.n_layers
     supra = sparse.block_diag([g.csr for g in net.layers], format="csr")
     if omega:

@@ -142,12 +142,12 @@ def engine_ladder(
     documented warm-start contract handles it."""
     from supracentrality import SupraOperator, SupraProblem, dominant_eigenpair, tableau_from_vector
 
+    problem = SupraProblem(network=net, kind=kind, interlayer=inter)
     start = None
     pair = None
     omega = None
     for omega in omegas:
-        problem = SupraProblem(network=net, kind=kind, interlayer=inter, omega=float(omega))
-        op = SupraOperator(problem)
+        op = SupraOperator(problem, float(omega))
         pair = dominant_eigenpair(op, tol=tol, max_iter=max_iter, start=start)
         start = pair.vector
     tableau = tableau_from_vector(

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from supracentrality import (
     Authority,
@@ -33,6 +34,7 @@ from supracentrality import (
     tableau_from_vector,
     weak_limit,
 )
+from supracentrality import graph
 from supracentrality.interlayer import all_to_all, block_communities, chain_teleport, chain_undirected
 
 from _oracles import (
@@ -66,8 +68,8 @@ def criterion(num: int, description: str, budget: float | None = None):
     print(f"criterion {num:2d} PASS {stamp}  {description}")
 
 
-def _problem(net, inter, kind, omega):
-    return SupraProblem(network=net, kind=kind, interlayer=inter, omega=omega)
+def _problem(net, inter, kind):
+    return SupraProblem(network=net, kind=kind, interlayer=inter)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -79,7 +81,7 @@ def test_criterion_1_oracle_equivalence():
             net, inter = random_instance(
                 1000 + case, kind=kind, omega=omega, min_gap=5e-3
             )
-            op = SupraOperator(_problem(net, inter, kind, omega))
+            op = SupraOperator(_problem(net, inter, kind), omega)
             pair = dominant_eigenpair(op, tol=1e-11)
             lam, vec = dense_dominant_eigenpair(
                 dense_supra_matrix(net, kind, inter, omega)
@@ -112,16 +114,16 @@ def test_criterion_2_weak_coupling_limit():
             net, inter = random_instance(
                 2000 + case, kind=kind, min_radius_gap=2e-2
             )
-            res = weak_limit(_problem(net, inter, kind, 1.0))
-            op = SupraOperator(_problem(net, inter, kind, 1e-6))
+            res = weak_limit(_problem(net, inter, kind))
+            op = SupraOperator(_problem(net, inter, kind), 1e-6)
             pair = dominant_eigenpair(op, tol=1e-10)
             assert cosine(pair.vector, res.tableau.W.flatten(order="F")) >= 1 - 1e-4
         # localization: one layer's spectral radius at least 1.5x all others
         for case in range(5):
             net, inter, top = _with_dominating_layer(2500 + case)
-            res = weak_limit(_problem(net, inter, kind, 1.0))
+            res = weak_limit(_problem(net, inter, kind))
             assert res.dominating_set == (top,)
-            op = SupraOperator(_problem(net, inter, kind, 1e-8))
+            op = SupraOperator(_problem(net, inter, kind), 1e-8)
             pair = dominant_eigenpair(op, tol=1e-10)
             assert cosine(pair.vector, res.tableau.W.flatten(order="F")) >= 1 - 1e-4
             w = tableau_from_vector(pair.vector, net.n_nodes, net.n_layers, 1.0, 1e-8).W
@@ -156,7 +158,7 @@ def test_criterion_3_strong_coupling_limit():
         for case in range(8):
             kind = KINDS[case % len(KINDS)]
             net, inter = _strong_instance(3000 + case, kind)
-            limit = strong_limit(_problem(net, inter, kind, 1.0))
+            limit = strong_limit(_problem(net, inter, kind))
             mu_oracle, _ = dense_dominant_eigenpair(inter.values)
             pair, tab = engine_ladder(
                 net, kind, inter, ladder_omegas(0, 8, per_decade=2), tol=1e-7
@@ -174,10 +176,10 @@ def test_criterion_4_chain_eigenvalue_closed_form():
         cycle = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
         for t in range(2, 13):
             net = MultiplexNetwork(2, (cycle,) * t)
-            res = strong_limit(_problem(net, chain_undirected(t), Eigenvector(), 1.0))
+            res = strong_limit(_problem(net, chain_undirected(t), Eigenvector()))
             assert abs(res.mu1 - 2 * math.cos(math.pi / (t + 1))) <= 1e-10
         net6 = MultiplexNetwork(2, (cycle,) * 6)
-        res6 = strong_limit(_problem(net6, chain_undirected(6), Eigenvector(), 1.0))
+        res6 = strong_limit(_problem(net6, chain_undirected(6), Eigenvector()))
         assert res6.mu1 == pytest.approx(1.8019377, abs=1e-6)
 
 
@@ -185,14 +187,14 @@ def test_criterion_5_aggregation_closed_forms():
     with criterion(5, "all-to-all and rank-one aggregation match exactly", budget=1.0):
         kind = Eigenvector()
         net, _ = random_instance(55, kind=kind, t_lo=4, t_hi=4)
-        res = strong_limit(_problem(net, all_to_all(4), kind, 1.0), tol=1e-14)
+        res = strong_limit(_problem(net, all_to_all(4), kind))
         mean = sum(dense_layer_matrix(g, kind) for g in net.layers) / 4.0
         assert np.abs(res.X_tilde - mean).max() <= 1e-12
 
         w = np.array([1.0, 2.0, 0.5, 1.5])
         w /= np.linalg.norm(w)
         res = strong_limit(
-            _problem(net, InterlayerMatrix(np.outer(w, w)), kind, 1.0), tol=1e-14
+            _problem(net, InterlayerMatrix(np.outer(w, w)), kind)
         )
         expected = sum(
             float(w[t] ** 2) * dense_layer_matrix(g, kind)
@@ -206,7 +208,7 @@ def test_criterion_6_pagerank_no_localization():
         kind = PageRank()
         for case in range(20):
             net, inter = random_instance(6000 + case, kind=kind)
-            res = weak_limit(_problem(net, inter, kind, 1.0))
+            res = weak_limit(_problem(net, inter, kind))
             assert np.abs(res.layer_data.spectral_radii - 1.0).max() <= 1e-9
             assert res.dominating_set == tuple(range(1, net.n_layers + 1))
 
@@ -217,7 +219,7 @@ def test_criterion_7_normalization_invariants():
             kind = KINDS[case % len(KINDS)]
             net, inter = random_instance(7000 + case, kind=kind, min_gap=5e-3)
             omega = 0.5 + 0.5 * case
-            op = SupraOperator(_problem(net, inter, kind, omega))
+            op = SupraOperator(_problem(net, inter, kind), omega)
             pair = dominant_eigenpair(op, tol=1e-11)
             tab = tableau_from_vector(
                 pair.vector, net.n_nodes, net.n_layers, pair.eigenvalue, omega
@@ -249,17 +251,17 @@ def test_criterion_9_precondition_checker():
         cycle = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
         net = MultiplexNetwork(2, (cycle,) * 4)
         bad = check_preconditions(
-            _problem(net, chain_teleport(4, 0.0), Eigenvector(), 1.0)
+            _problem(net, chain_teleport(4, 0.0), Eigenvector()), 1.0
         )
         assert not bad.interlayer_ok
         good = check_preconditions(
-            _problem(net, chain_teleport(4, 1e-4), Eigenvector(), 1.0)
+            _problem(net, chain_teleport(4, 1e-4), Eigenvector()), 1.0
         )
         assert good.both_ok
 
         # exhaustive agreement on every loopless digraph with up to 5 nodes
-        # (self-loops cannot change strong connectivity); no runtime budget
-        # is stated for this criterion and the n=5 sweep is the bulk of it
+        # (self-loops cannot change strong connectivity): one call each up
+        # to n = 4, and the 2**20 digraphs of n = 5 in block-diagonal chunks
         for n in range(1, 6):
             off = [(i, j) for i in range(n) for j in range(n) if i != j]
             total = 1 << len(off)
@@ -276,8 +278,22 @@ def test_criterion_9_precondition_checker():
             for _ in range(max(n - 1, 1).bit_length()):
                 reach = reach | np.matmul(reach, reach)
             oracle = reach.all(axis=(1, 2))
-            for k in range(total):
-                assert strongly_connected(adj[k]) == oracle[k]
+            if n < 5:
+                for k in range(total):
+                    assert strongly_connected(adj[k]) == oracle[k]
+                continue
+            # the strong components of a block-diagonal matrix are its blocks':
+            # a digraph is strongly connected iff its block has one label
+            chunk = 1 << 16
+            for first in range(0, total, chunk):
+                block, i, j = np.nonzero(adj[first:first + chunk])
+                m = min(chunk, total - first)
+                stacked = sparse.csr_matrix(
+                    (np.ones(block.size), (block * n + i, block * n + j)), shape=(m * n, m * n)
+                )
+                labels = graph._strong_components(stacked)[1].reshape(m, n)
+                connected = (labels == labels[:, :1]).all(axis=1)
+                assert np.array_equal(connected, oracle[first:first + chunk])
 
 
 def _oracle_sweep_z_sensitivity(net, kind, inter, grid):
@@ -305,7 +321,7 @@ def test_criterion_10_sweep_regimes():
         kind = Eigenvector()
 
         weak_bridge = sweep(
-            net, kind, block_communities(6, (3, 3), 1.0, 0.01), grid, tol=1e-9
+            SupraProblem(net, kind, block_communities(6, (3, 3), 1.0, 0.01)), grid, tol=1e-9
         )
         assert not weak_bridge.failures
         report = detect_regimes(weak_bridge.z_sensitivity, grid)
@@ -320,7 +336,7 @@ def test_criterion_10_sweep_regimes():
         assert oracle_report.peaks == report.peaks
 
         flat_bridge = sweep(
-            net, kind, block_communities(6, (3, 3), 1.0, 1.0), grid, tol=1e-8
+            SupraProblem(net, kind, block_communities(6, (3, 3), 1.0, 1.0)), grid, tol=1e-8
         )
         flat_report = detect_regimes(flat_bridge.z_sensitivity, grid)
         assert len(flat_report.peaks) <= len(report.peaks)

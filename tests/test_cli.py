@@ -1,5 +1,6 @@
 import csv
 import gc
+import inspect
 import json
 import math
 import os
@@ -12,12 +13,13 @@ import pytest
 from supracentrality import (
     Eigenvector,
     OmegaGrid,
+    SupraProblem,
     correlate_with_degrees,
     log_grid,
     rank_trajectory,
     sweep,
 )
-from supracentrality import cli, sweeps
+from supracentrality import cli, limits, sweeps
 from supracentrality.cli import dispatch
 from supracentrality.fileio import load_multiplex, read_tableau_csv
 from supracentrality.interlayer import all_to_all, chain_undirected
@@ -761,8 +763,10 @@ def test_centrality_is_a_one_point_sweep_bit_for_bit(six_layer_net, tmp_path):
     out = tmp_path / "joint.csv"
     assert dispatch(["centrality", "--network", str(six_layer_net), "--kind", "eigenvector",
                      "--interlayer", "chain", "--omega", "0.3", "--out", str(out)]) == 0
-    result = sweep(load_multiplex(six_layer_net), Eigenvector(), chain_undirected(6),
-                   OmegaGrid([0.3]))
+    result = sweep(
+        SupraProblem(load_multiplex(six_layer_net), Eigenvector(), chain_undirected(6)),
+        OmegaGrid([0.3]),
+    )
     np.testing.assert_array_equal(read_tableau_csv(out)[2], result.tableaus[0].W)
 
 
@@ -827,7 +831,8 @@ def test_sweep_trajectory_and_correlate_csvs_reparse_exactly(signed_vector_net, 
     assert dispatch(["correlate", *argv, "--out", str(paths["correlate"])]) == 0
 
     net = load_multiplex(signed_vector_net)
-    result = sweep(net, Eigenvector(), all_to_all(3, include_self=True), log_grid(-3, 0, 0.5))
+    result = sweep(SupraProblem(net, Eigenvector(), all_to_all(3, include_self=True)),
+                   log_grid(-3, 0, 0.5))
     assert result.failures  # so nan rows are part of the round trip
     nan_row = [math.nan] * (net.n_layers + net.n_nodes)
     expected = {"sweep": [], "trajectory": [], "correlate": []}
@@ -900,3 +905,16 @@ def test_pagerank_row_whose_sum_overflows_ranks_as_the_unscaled_row(tmp_path):
     (header, nodes, scaled), (header_u, nodes_u, unscaled) = joint
     assert (header, nodes) == (header_u, nodes_u)
     assert np.abs(scaled - unscaled).max() <= 1e-12
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    base = ["--network", "net.edges", "--interlayer", "chain", "--kind", "eigenvector",
+            "--out", "out"]
+    limit = parser.parse_args(["limit", "--which", "weak", *base])
+    assert limit.rel_tol_dominating == limits.REL_TOL_DOMINATING
+    assert limit.rel_tol_dominating == inspect.signature(
+        limits.weak_limit).parameters["rel_tol_dominating"].default
+    sweep_args = parser.parse_args(["sweep", "--grid=0,1,1", *base])
+    assert sweep_args.prominence == inspect.signature(
+        sweeps.detect_regimes).parameters["prominence_fraction"].default

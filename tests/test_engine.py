@@ -31,8 +31,8 @@ from _oracles import (
 TWO_CYCLE = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
 
 
-def _problem(net, inter, omega, kind=Eigenvector()):
-    return SupraProblem(network=net, kind=kind, interlayer=inter, omega=omega)
+def _problem(net, inter, kind=Eigenvector()):
+    return SupraProblem(network=net, kind=kind, interlayer=inter)
 
 
 def _operator(dim, shift, apply, apply_transpose=None):
@@ -47,7 +47,7 @@ def _with_shift(op, shift):
 
 def test_apply_decoupled_at_zero_omega():
     net = MultiplexNetwork(2, (TWO_CYCLE, LayerGraph(2, ((1, 2, 2.0),))))
-    op = SupraOperator(_problem(net, chain_undirected(2), 0.0))
+    op = SupraOperator(_problem(net, chain_undirected(2)), 0.0)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     expected = np.array([2.0, 1.0, 8.0, 0.0])  # blockwise C_t x_t
     assert np.allclose(op.apply(x), expected, atol=1e-15)
@@ -55,7 +55,7 @@ def test_apply_decoupled_at_zero_omega():
 
 def test_apply_pure_coupling():
     net = MultiplexNetwork(1, (LayerGraph(1, ()), LayerGraph(1, ())))
-    op = SupraOperator(_problem(net, InterlayerMatrix(np.eye(2)), 2.0))
+    op = SupraOperator(_problem(net, InterlayerMatrix(np.eye(2))), 2.0)
     x = np.ones(2)
     assert np.allclose(op.apply(x), 2.0 * x, atol=1e-15)
 
@@ -63,7 +63,7 @@ def test_apply_pure_coupling():
 def test_apply_two_block_hand_example():
     net = MultiplexNetwork(1, (LayerGraph(1, ((1, 1, 3.0),)), LayerGraph(1, ((1, 1, 5.0),))))
     inter = InterlayerMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    op = SupraOperator(_problem(net, inter, 1.0))
+    op = SupraOperator(_problem(net, inter), 1.0)
     assert np.allclose(op.apply(np.ones(2)), [4.0, 6.0], atol=1e-15)
     dense = op.to_dense()
     assert np.allclose(dense, [[3.0, 1.0], [1.0, 5.0]], atol=1e-15)
@@ -72,7 +72,7 @@ def test_apply_two_block_hand_example():
 def test_operator_linearity():
     rng = np.random.default_rng(21)
     net, inter = random_instance(21, kind=Eigenvector())
-    op = SupraOperator(_problem(net, inter, 0.7))
+    op = SupraOperator(_problem(net, inter), 0.7)
     for _ in range(10):
         x = rng.standard_normal(op.dim)
         y = rng.standard_normal(op.dim)
@@ -87,7 +87,7 @@ def test_apply_matches_densified(kind):
     rng = np.random.default_rng(33)
     net, inter = random_instance(33, kind=kind, n_hi=5, t_hi=4)
     assert net.n_nodes * net.n_layers <= 60
-    op = SupraOperator(_problem(net, inter, 1.3, kind=kind))
+    op = SupraOperator(_problem(net, inter, kind=kind), 1.3)
     dense = op.to_dense()
     for _ in range(20):
         x = rng.standard_normal(op.dim)
@@ -97,7 +97,7 @@ def test_apply_matches_densified(kind):
 
 def test_single_layer_two_cycle_with_explicit_shift():
     net = MultiplexNetwork(2, (TWO_CYCLE,))
-    op = SupraOperator(_problem(net, InterlayerMatrix(np.zeros((1, 1))), 0.0))
+    op = SupraOperator(_problem(net, InterlayerMatrix(np.zeros((1, 1)))), 0.0)
     pair = dominant_eigenpair(_with_shift(op, 0.5))
     assert pair.eigenvalue == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(pair.vector, np.full(2, 1 / np.sqrt(2)), atol=1e-9)
@@ -107,7 +107,7 @@ def test_two_row_operator_starts_from_a_dense_eig_on_either_side():
     # A + 1000 I with A = [[0, 0.5], [1, 0.5]]: eigenvalues 1001 and 999.5,
     # right vector (1, 2) / sqrt(5), left vector (1, 1) / sqrt(2)
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 0.5), (2, 1, 1.0), (2, 2, 0.5))),))
-    op = SupraOperator(_problem(net, InterlayerMatrix(np.eye(1)), 1000.0))
+    op = SupraOperator(_problem(net, InterlayerMatrix(np.eye(1))), 1000.0)
     for side, vector in (("right", [1.0, 2.0]), ("left", [1.0, 1.0])):
         pair = dominant_eigenpair(op, side, tol=1e-12)
         assert pair.iterations <= 10
@@ -117,7 +117,7 @@ def test_two_row_operator_starts_from_a_dense_eig_on_either_side():
 
 def test_pagerank_layers_eigenvalue_near_one_at_tiny_omega():
     net, inter = random_instance(5, kind=PageRank())
-    op = SupraOperator(_problem(net, inter, 1e-9, kind=PageRank()))
+    op = SupraOperator(_problem(net, inter, kind=PageRank()), 1e-9)
     pair = dominant_eigenpair(op, tol=1e-8)
     assert pair.eigenvalue == pytest.approx(1.0, abs=1e-6)
 
@@ -127,8 +127,7 @@ def test_engine_matches_dense_oracle():
         kind = Eigenvector() if seed % 2 else PageRank()
         net, inter = random_instance(seed, kind=kind, min_gap=5e-3)
         omega = float(np.random.default_rng(seed).uniform(0.1, 5.0))
-        problem = _problem(net, inter, omega, kind=kind)
-        op = SupraOperator(problem)
+        op = SupraOperator(_problem(net, inter, kind=kind), omega)
         pair = dominant_eigenpair(op, tol=1e-11)
         lam_oracle, vec_oracle = dense_dominant_eigenpair(
             dense_supra_matrix(net, kind, inter, omega)
@@ -139,8 +138,7 @@ def test_engine_matches_dense_oracle():
 
 def test_left_right_eigenvalues_agree():
     net, inter = random_instance(77, kind=Eigenvector(), min_gap=5e-3)
-    problem = _problem(net, inter, 0.9)
-    op = SupraOperator(problem)
+    op = SupraOperator(_problem(net, inter), 0.9)
     tol = 1e-11
     right = dominant_eigenpair(op, "right", tol=tol)
     left = dominant_eigenpair(op, "left", tol=tol)
@@ -150,7 +148,7 @@ def test_left_right_eigenvalues_agree():
 def test_converged_vector_positive_when_preconditions_hold():
     for seed in (101, 102, 103):
         net, inter = random_instance(seed, kind=Eigenvector(), min_gap=5e-3)
-        op = SupraOperator(_problem(net, inter, 1.1))
+        op = SupraOperator(_problem(net, inter), 1.1)
         pair = dominant_eigenpair(op, tol=1e-11)
         assert pair.vector.min() > 0
         assert pair.residual <= 1e-11 * abs(pair.eigenvalue)
@@ -160,7 +158,7 @@ def _periodic_three_cycle_operator():
     # weighted directed 3-cycle: three eigenvalues of equal magnitude
     cyc = LayerGraph(3, ((1, 2, 2.0), (2, 3, 1.0), (3, 1, 1.0)))
     net = MultiplexNetwork(3, (cyc,))
-    return SupraOperator(_problem(net, InterlayerMatrix(np.zeros((1, 1))), 0.0))
+    return SupraOperator(_problem(net, InterlayerMatrix(np.zeros((1, 1)))), 0.0)
 
 
 def test_nonconvergence_on_periodic_operator_without_shift():
@@ -184,9 +182,9 @@ def test_dominant_eigenpair_solves_periodic_operator_without_shift():
 
 def test_warm_start_is_accepted():
     net, inter = random_instance(55, kind=Eigenvector(), min_gap=5e-3)
-    op1 = SupraOperator(_problem(net, inter, 1.0))
+    op1 = SupraOperator(_problem(net, inter), 1.0)
     base = dominant_eigenpair(op1)
-    op2 = SupraOperator(_problem(net, inter, 1.05))
+    op2 = SupraOperator(_problem(net, inter), 1.05)
     warm = dominant_eigenpair(op2, start=base.vector)
     cold = dominant_eigenpair(op2)
     assert warm.iterations <= cold.iterations
@@ -219,7 +217,7 @@ def test_tableau_localized_vector():
 def test_tableau_from_coupled_eigenvector():
     net = MultiplexNetwork(1, (LayerGraph(1, ((1, 1, 3.0),)), LayerGraph(1, ((1, 1, 5.0),))))
     inter = InterlayerMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    op = SupraOperator(_problem(net, inter, 1.0))
+    op = SupraOperator(_problem(net, inter), 1.0)
     pair = dominant_eigenpair(op, tol=1e-12)
     assert pair.eigenvalue == pytest.approx(4 + np.sqrt(2), abs=1e-9)
     tab = tableau_from_vector(pair.vector, 1, 2, pair.eigenvalue, 1.0)
@@ -281,11 +279,12 @@ def test_non_finite_iterate_fails_on_first_iteration():
 
 def test_with_omega_matches_a_fresh_operator_and_shares_blocks():
     net, inter = random_instance(61, kind=PageRank())
-    base = SupraOperator(_problem(net, inter, 0.5, kind=PageRank()))
+    base = SupraOperator(_problem(net, inter, kind=PageRank()), 0.5)
     moved = base.with_omega(3.0)
-    fresh = SupraOperator(_problem(net, inter, 3.0, kind=PageRank()))
+    fresh = SupraOperator(_problem(net, inter, kind=PageRank()), 3.0)
     assert moved._block_diag is base._block_diag
-    # the moved problem keeps the built layer matrices, so reading them builds none
+    # the moved operator shares the problem, so reading its layer matrices builds none
+    assert moved.problem is base.problem
     assert moved.problem.layer_matrices is base.layers
     assert moved.shift == fresh.shift and base.omega == 0.5 and moved.omega == 3.0
     x = np.random.default_rng(61).standard_normal(base.dim)
@@ -299,7 +298,7 @@ def test_arpack_stops_at_the_callers_tol():
     # at omega = 1e4 the top two eigenvalues are about 2e-4 apart, relative;
     # with ARPACK run to machine precision both counts were 83
     net, inter = blocks_instance(0)
-    op = SupraOperator(_problem(net, inter, 1e4))
+    op = SupraOperator(_problem(net, inter), 1e4)
     loose = dominant_eigenpair(op, tol=1e-6)
     tight = dominant_eigenpair(op, tol=1e-10)
     assert loose.iterations < tight.iterations  # 33 and 53 matvecs
@@ -314,8 +313,8 @@ def _scaled(net, factor):
 def test_huge_weights_solve_to_the_unscaled_vector():
     # C(omega) scaled by 1e100 has the same eigenvector; dim * r**2 stays finite
     net, inter = random_instance(23, kind=Eigenvector(), min_gap=5e-3)
-    pair = dominant_eigenpair(SupraOperator(_problem(net, inter, 1.5)))
-    huge = dominant_eigenpair(SupraOperator(_problem(_scaled(net, 1e100), inter, 1.5e100)))
+    pair = dominant_eigenpair(SupraOperator(_problem(net, inter), 1.5))
+    huge = dominant_eigenpair(SupraOperator(_problem(_scaled(net, 1e100), inter), 1.5e100))
     assert huge.eigenvalue == pytest.approx(1e100 * pair.eigenvalue, rel=1e-9)
     assert np.allclose(huge.vector, pair.vector, rtol=0, atol=1e-9)
 
@@ -323,8 +322,8 @@ def test_huge_weights_solve_to_the_unscaled_vector():
 def test_operator_whose_scale_overflows_is_refused():
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 1, 1e308), (2, 2, 1.0))),))
     with pytest.raises(OperatorOverflowError, match="at every omega, from its layer matrices"):
-        SupraOperator(_problem(net, InterlayerMatrix(np.eye(1)), 1.0))
+        SupraOperator(_problem(net, InterlayerMatrix(np.eye(1))), 1.0)
     # at omega = 0, r = 1.1e153 (the shift adds a tenth) and 2 * r**2 is finite
-    base = SupraOperator(_problem(_scaled(net, 1e-155), InterlayerMatrix(np.eye(1)), 0.0))
+    base = SupraOperator(_problem(_scaled(net, 1e-155), InterlayerMatrix(np.eye(1))), 0.0)
     with pytest.raises(OperatorOverflowError, match="omega 1e\\+155"):
         base.with_omega(1e155)

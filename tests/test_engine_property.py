@@ -31,8 +31,8 @@ _kinds = st.sampled_from([Eigenvector(), PageRank()])
 
 
 def _solve(net, kind, inter, omega):
-    problem = SupraProblem(network=net, kind=kind, interlayer=inter, omega=omega)
-    pair = dominant_eigenpair(SupraOperator(problem), tol=1e-11)
+    problem = SupraProblem(network=net, kind=kind, interlayer=inter)
+    pair = dominant_eigenpair(SupraOperator(problem, omega), tol=1e-11)
     return pair.eigenvalue, tableau_from_vector(
         pair.vector, net.n_nodes, net.n_layers, pair.eigenvalue, omega).W
 

@@ -182,9 +182,9 @@ def _tiny_solution():
         layer_labels=("ground", "étage"),
     )
     problem = SupraProblem(
-        network=net, kind=Eigenvector(), interlayer=all_to_all(2), omega=0.5
+        network=net, kind=Eigenvector(), interlayer=all_to_all(2)
     )
-    op = SupraOperator(problem)
+    op = SupraOperator(problem, 0.5)
     pair = dominant_eigenpair(op)
     tab = tableau_from_vector(pair.vector, 2, 2, pair.eigenvalue, 0.5)
     return net, problem, pair, tab
@@ -203,9 +203,9 @@ def test_tableau_csv_roundtrip_with_unicode_labels(tmp_path):
 def test_single_cell_tableau_has_two_lines(tmp_path):
     net = MultiplexNetwork(1, (LayerGraph(1, ((1, 1, 1.0),)),))
     problem = SupraProblem(
-        network=net, kind=Eigenvector(), interlayer=all_to_all(1), omega=1.0
+        network=net, kind=Eigenvector(), interlayer=all_to_all(1)
     )
-    pair = dominant_eigenpair(SupraOperator(problem))
+    pair = dominant_eigenpair(SupraOperator(problem, 1.0))
     tab = tableau_from_vector(pair.vector, 1, 1, pair.eigenvalue, 1.0)
     path = tmp_path / "one.csv"
     write_tableau_csv(tab, net, path)
@@ -214,7 +214,7 @@ def test_single_cell_tableau_has_two_lines(tmp_path):
 
 def test_summary_json_fields(tmp_path):
     net, problem, pair, tab = _tiny_solution()
-    report = check_preconditions(problem)
+    report = check_preconditions(problem, 0.5)
     path = tmp_path / "summary.json"
     write_summary_json(path, tab, pair, report)
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -236,7 +236,7 @@ def test_summary_json_fields(tmp_path):
 def test_sweep_csv_shape(tmp_path):
     net, inter = random_instance(50, kind=Eigenvector())
     grid = log_grid(-2, 4, 0.2)
-    result = sweep(net, Eigenvector(), inter, grid)
+    result = sweep(SupraProblem(net, Eigenvector(), inter), grid)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -325,7 +325,7 @@ def test_loaded_network_holds_one_edge_copy(tmp_path):
 
     def load():
         net = load_multiplex(path)
-        problem = SupraProblem(net, Eigenvector(), all_to_all(net.n_layers), omega=1.0)
+        problem = SupraProblem(net, Eigenvector(), all_to_all(net.n_layers))
         return net, problem.layer_matrices
 
     load()  # first-use imports and caches are not edge data

@@ -86,9 +86,9 @@ def test_self_loops_do_not_affect_strong_connectivity():
 def test_precondition_directed_chain_fails_interlayer():
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0))),) * 3)
     problem = SupraProblem(
-        network=net, kind=Eigenvector(), interlayer=chain_teleport(3, 0.0), omega=1.0
+        network=net, kind=Eigenvector(), interlayer=chain_teleport(3, 0.0)
     )
-    report = check_preconditions(problem)
+    report = check_preconditions(problem, 1.0)
     assert not report.interlayer_ok
     assert not report.both_ok
 
@@ -96,9 +96,9 @@ def test_precondition_directed_chain_fails_interlayer():
 def test_precondition_teleport_chain_passes():
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0))),) * 3)
     problem = SupraProblem(
-        network=net, kind=Eigenvector(), interlayer=chain_teleport(3, 0.01), omega=1.0
+        network=net, kind=Eigenvector(), interlayer=chain_teleport(3, 0.01)
     )
-    assert check_preconditions(problem).interlayer_ok
+    assert check_preconditions(problem, 1.0).interlayer_ok
 
 
 def test_precondition_layer_sum_two_cycles():
@@ -106,18 +106,18 @@ def test_precondition_layer_sum_two_cycles():
         2, (LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0))), LayerGraph(2, ((1, 2, 2.0), (2, 1, 2.0))))
     )
     problem = SupraProblem(
-        network=net, kind=Eigenvector(), interlayer=chain_teleport(2, 0.5), omega=1.0
+        network=net, kind=Eigenvector(), interlayer=chain_teleport(2, 0.5)
     )
-    assert check_preconditions(problem).layer_sum_ok
+    assert check_preconditions(problem, 1.0).layer_sum_ok
 
 
 def test_precondition_pagerank_layer_sum_always_ok():
     # disconnected layers, but the teleportation term makes the sum positive
     net = MultiplexNetwork(3, (LayerGraph(3, ((1, 2, 1.0),)), LayerGraph(3, ())))
     problem = SupraProblem(
-        network=net, kind=PageRank(), interlayer=chain_teleport(2, 0.1), omega=1.0
+        network=net, kind=PageRank(), interlayer=chain_teleport(2, 0.1)
     )
-    assert check_preconditions(problem).layer_sum_ok
+    assert check_preconditions(problem, 1.0).layer_sum_ok
 
 
 @pytest.mark.parametrize("n_layers, omega, expected", [(1, 0.0, True), (2, 0.0, False),
@@ -127,9 +127,9 @@ def test_precondition_interlayer_reads_the_coupling_omega_times_interlayer(n_lay
     # a 1 x 1 coupling counts as strongly connected, even when it is zero
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0))),) * n_layers)
     problem = SupraProblem(
-        network=net, kind=Eigenvector(), interlayer=all_to_all(n_layers), omega=omega
+        network=net, kind=Eigenvector(), interlayer=all_to_all(n_layers)
     )
-    assert check_preconditions(problem).interlayer_ok is expected
+    assert check_preconditions(problem, omega).interlayer_ok is expected
 
 
 def test_intralayer_degrees_examples():

@@ -51,8 +51,8 @@ PAW = LayerGraph(
 )
 
 
-def _problem(net, inter, kind=Eigenvector(), omega=1.0):
-    return SupraProblem(network=net, kind=kind, interlayer=inter, omega=omega)
+def _problem(net, inter, kind=Eigenvector()):
+    return SupraProblem(network=net, kind=kind, interlayer=inter)
 
 
 def _layers(net, kind=Eigenvector()):
@@ -129,11 +129,12 @@ def test_layer_gap_guard_accepts_bipartite_path(monkeypatch):
         layer_spectral_radii(_layers(net))
 
 
-def test_layer_gap_guard_rejects_dag_layer_before_iterating():
+def test_layer_gap_guard_rejects_dag_layer_before_iterating(monkeypatch):
     # every block is one node with a zero diagonal: eigenvalue 0, twice
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0),)),))
+    monkeypatch.setattr(limits, "SOLVE_MAX_ITER", 1)
     with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
-        layer_eigendata(_layers(net), max_iter=1)
+        layer_eigendata(_layers(net))
 
 
 # a weighted directed 4-cycle (radius 3) beside two 2-cycles (radius 1, tied)
@@ -160,7 +161,8 @@ def test_weak_limit_accepts_a_tied_layer_that_does_not_dominate():
     assert res.layer_data.spectral_radii == pytest.approx([3.0, 1.0], abs=1e-10)
     assert res.tableau.mlc[1] == 0.0
     # the limit is what the coupled solve approaches: ||W(omega) - W_weak|| is 0.5 omega
-    swept = sweep(net, Eigenvector(), all_to_all(2), log_grid(-6, -2, 1), tol=1e-12)
+    swept = sweep(SupraProblem(net, Eigenvector(), all_to_all(2)), log_grid(-6, -2, 1),
+                  tol=1e-12)
     assert not swept.failures
     for omega, tableau in zip(swept.grid.values, swept.tableaus):
         assert np.linalg.norm(tableau.W - res.tableau.W) <= omega
@@ -239,7 +241,7 @@ def test_weak_limit_localization_onto_dominating_layer():
     assert res.tableau.zero_mass_layers == (2,)
     assert np.allclose(res.tableau.W[:, 0], 1 / math.sqrt(3), atol=1e-9)
 
-    op = SupraOperator(_problem(net, inter, omega=1e-8))
+    op = SupraOperator(_problem(net, inter), 1e-8)
     pair = dominant_eigenpair(op, tol=1e-12)
     tab = tableau_from_vector(pair.vector, 3, 2, pair.eigenvalue, 1e-8)
     assert cosine(tab.W.flatten(), res.tableau.W.flatten()) >= 1 - 1e-8
@@ -250,7 +252,7 @@ def test_weak_limit_matches_engine_at_small_omega():
     for seed in (60, 61, 62):
         net, inter = random_instance(seed, kind=Eigenvector(), min_radius_gap=2e-2)
         res = weak_limit(_problem(net, inter))
-        op = SupraOperator(_problem(net, inter, omega=1e-6))
+        op = SupraOperator(_problem(net, inter), 1e-6)
         pair = dominant_eigenpair(op, tol=1e-11)
         assert cosine(pair.vector, res.tableau.W.flatten(order="F")) >= 1 - 1e-4
 
@@ -344,19 +346,21 @@ def test_corollary_not_applicable_for_generic_coupling():
         corollary_crosscheck(_problem(net, InterlayerMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))))
 
 
-@pytest.mark.parametrize("budget", [{}, {"max_iter": 1}], ids=["default_budget", "max_iter_1"])
-def test_strong_limit_rejects_degenerate_aggregate_before_iterating(budget):
+@pytest.mark.parametrize("max_iter", [limits.SOLVE_MAX_ITER, 1],
+                         ids=["default_budget", "max_iter_1"])
+def test_strong_limit_rejects_degenerate_aggregate_before_iterating(max_iter, monkeypatch):
     # the aggregate of one DAG layer is nilpotent: eigenvalue 0, twice
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0),)),))
     problem = _problem(net, all_to_all(1))
+    monkeypatch.setattr(limits, "SOLVE_MAX_ITER", max_iter)
     with pytest.raises(LimitPreconditionError) as err:
-        strong_limit(problem, **budget)
+        strong_limit(problem)
     assert str(err.value) == (
         "strong-limit aggregate: dominant eigenvalue 0 is not well separated "
         "(second magnitude 0)"
     )
     with pytest.raises(DegenerateLayerEigenvalueError) as err:
-        weak_limit(problem, **budget)
+        weak_limit(problem)
     assert str(err.value) == (
         "layer 1: dominant eigenvalue 0 is not well separated (second magnitude 0)"
     )

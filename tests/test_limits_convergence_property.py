@@ -56,7 +56,7 @@ _kinds = st.sampled_from([Eigenvector(), PageRank()])
 
 
 def _tableaus(net, kind, inter, grid) -> list:
-    result = sweep(net, kind, inter, grid, tol=1e-12)
+    result = sweep(SupraProblem(net, kind, inter), grid, tol=1e-12)
     assert not result.failures
     return result.tableaus
 
@@ -86,7 +86,7 @@ def test_tableau_converges_to_both_limits_at_first_order(seed, kind):
         net, inter = random_instance(seed, kind=kind, min_radius_gap=1e-2)
     else:
         net, inter = random_instance(seed, kind=kind)
-    problem = SupraProblem(network=net, kind=kind, interlayer=inter, omega=1.0)
+    problem = SupraProblem(network=net, kind=kind, interlayer=inter)
     if isinstance(kind, Eigenvector):
         top, second = np.sort(layer_spectral_radii(problem))[:-3:-1]
         gap = top - second

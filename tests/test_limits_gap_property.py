@@ -89,7 +89,7 @@ def test_layer_gap_guard_matches_dense_spectrum(blocks, couplings, perm):
         return
     rows, cols = np.nonzero(m)
     layer = LayerGraph(n, tuple((int(i) + 1, int(j) + 1, float(m[i, j])) for i, j in zip(rows, cols)))
-    problem = SupraProblem(MultiplexNetwork(n, (layer,)), Eigenvector(), all_to_all(1), 1.0)
+    problem = SupraProblem(MultiplexNetwork(n, (layer,)), Eigenvector(), all_to_all(1))
     if _dense_rejects(m):
         with pytest.raises(DegenerateLayerEigenvalueError, match="layer 1"):
             layer_eigendata(problem)

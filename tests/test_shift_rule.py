@@ -34,14 +34,14 @@ def _rule(mat) -> float:
     return 0.0 if mat.teleport_coeff > 0 else 0.1 * (1.0 + mat.max_row_sum())
 
 
-def _problem(net, inter, kind, omega=1.0):
-    return SupraProblem(network=net, kind=kind, interlayer=inter, omega=omega)
+def _problem(net, inter, kind):
+    return SupraProblem(network=net, kind=kind, interlayer=inter)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_layer_and_coupled_shifts_follow_the_rule(kind):
     net, inter = random_instance(12, kind=kind)
-    op = SupraOperator(_problem(net, inter, kind))
+    op = SupraOperator(_problem(net, inter, kind), 1.0)
     for mat in op.layers:
         assert mat.dim == mat.n
         assert mat.shift == _rule(mat)
@@ -104,10 +104,10 @@ def test_pagerank_block_solve_is_unshifted(monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_dominant_eigenpair_of_a_layer_matrix_matches_layer_eigendata(kind):
-    tol = 1e-12
+    tol = limits.SOLVE_TOL  # layer_eigendata's stopping rule
     net, inter = random_instance(14, kind=kind)
     problem = _problem(net, inter, kind)
-    data = layer_eigendata(problem, tol=tol)
+    data = layer_eigendata(problem)
     pairs = [dominant_eigenpair(mat, tol=tol) for mat in problem.layer_matrices]
     for t, pair in enumerate(pairs):
         radius = data.spectral_radii[t]

@@ -82,7 +82,7 @@ def test_log_grid_single_point_and_errors():
 
 def test_single_point_sweep_has_no_sensitivities():
     net, inter = random_instance(40, kind=Eigenvector())
-    res = sweep(net, Eigenvector(), inter, log_grid(0, 0, 1))
+    res = sweep(SupraProblem(net, Eigenvector(), inter), log_grid(0, 0, 1))
     assert res.w_sensitivity.size == 0 and res.z_sensitivity.size == 0
     assert len(res.tableaus) == 1 and res.tableaus[0] is not None
 
@@ -94,15 +94,15 @@ def test_sweep_reports_the_preconditions_of_its_problem():
                                     LayerGraph(2, ((1, 1, 2.0), (2, 2, 2.0))))),
                all_to_all(3, include_self=True))
     for (net, inter), holds in ((passing, True), (failing, False)):
-        result = sweep(net, Eigenvector(), inter, log_grid(-3, 0, 1))
-        assert result.preconditions == check_preconditions(result.problem)
+        result = sweep(SupraProblem(net, Eigenvector(), inter), log_grid(-3, 0, 1))
+        assert result.preconditions == check_preconditions(result.problem, result.grid.values[0])
         assert result.preconditions.both_ok is holds
 
 
 def test_single_layer_sweep_is_flat():
     net = MultiplexNetwork(3, (TRIANGLE,))
     inter = InterlayerMatrix(np.array([[1.0]]))
-    res = sweep(net, Eigenvector(), inter, log_grid(-1, 2, 0.5), tol=1e-12)
+    res = sweep(SupraProblem(net, Eigenvector(), inter), log_grid(-1, 2, 0.5), tol=1e-12)
     w0 = res.tableaus[0].W
     for tab in res.tableaus[1:]:
         assert np.abs(tab.W - w0).max() <= 1e-10
@@ -121,10 +121,10 @@ def test_sweep_holds_one_n_by_t_array_per_grid_point():
         weights = np.repeat([1.0, 1.0, k + 1.0, k + 1.0], n)
         layers.append(LayerGraph.from_arrays(n, rows, cols, weights))
     net, grid = MultiplexNetwork(n, tuple(layers)), log_grid(-1, 1, 0.3)
-    sweep(net, Eigenvector(), all_to_all(t), grid)  # builds the layers' cached CSR
+    sweep(SupraProblem(net, Eigenvector(), all_to_all(t)), grid)  # builds the layers' cached CSR
     tracemalloc.start()
     try:
-        result = sweep(net, Eigenvector(), all_to_all(t), grid)
+        result = sweep(SupraProblem(net, Eigenvector(), all_to_all(t)), grid)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -138,19 +138,19 @@ def test_warm_and_cold_sweeps_agree():
     # the warm-started sweep against a cold solve at each grid point
     net, inter = random_instance(41, kind=Eigenvector(), min_gap=5e-3)
     grid = log_grid(-2, 2, 0.5)
-    warm = sweep(net, Eigenvector(), inter, grid, tol=1e-11)
+    warm = sweep(SupraProblem(net, Eigenvector(), inter), grid, tol=1e-11)
     assert not warm.failures
     for tab, omega in zip(warm.tableaus, grid.values):
-        problem = SupraProblem(network=net, kind=Eigenvector(), interlayer=inter, omega=omega)
-        cold = dominant_eigenpair(SupraOperator(problem), tol=1e-11)
+        problem = SupraProblem(network=net, kind=Eigenvector(), interlayer=inter)
+        cold = dominant_eigenpair(SupraOperator(problem, omega), tol=1e-11)
         assert cosine(tab.W.flatten(order="F"), cold.vector) >= 1 - 1e-8
 
 
 def test_sweep_is_deterministic():
     net, inter = random_instance(42, kind=Eigenvector())
     grid = log_grid(-1, 1, 0.5)
-    first = sweep(net, Eigenvector(), inter, grid)
-    second = sweep(net, Eigenvector(), inter, grid)
+    first = sweep(SupraProblem(net, Eigenvector(), inter), grid)
+    second = sweep(SupraProblem(net, Eigenvector(), inter), grid)
     assert np.array_equal(first.w_sensitivity, second.w_sensitivity)
     assert np.array_equal(first.z_sensitivity, second.z_sensitivity)
     for a, b in zip(first.tableaus, second.tableaus):
@@ -236,12 +236,14 @@ def test_two_block_instance_is_bimodal_and_flattens():
     net = MultiplexNetwork(4, layers)
     grid = log_grid(-2, 4, 0.2)
     weak_bridge = sweep(
-        net, Eigenvector(), block_communities(6, (3, 3), 1.0, 0.01), grid, tol=1e-8
+        SupraProblem(net, Eigenvector(), block_communities(6, (3, 3), 1.0, 0.01)), grid,
+        tol=1e-8
     )
     report = detect_regimes(weak_bridge.z_sensitivity, grid)
     assert len(report.peaks) >= 2
     strong_bridge = sweep(
-        net, Eigenvector(), block_communities(6, (3, 3), 1.0, 1.0), grid, tol=1e-8
+        SupraProblem(net, Eigenvector(), block_communities(6, (3, 3), 1.0, 1.0)), grid,
+        tol=1e-8
     )
     report_flat = detect_regimes(strong_bridge.z_sensitivity, grid)
     assert len(report_flat.peaks) <= len(report.peaks)
@@ -249,7 +251,7 @@ def test_two_block_instance_is_bimodal_and_flattens():
 
 def test_rank_trajectory_single_node():
     net = MultiplexNetwork(1, (LayerGraph(1, ((1, 1, 1.0),)),) * 2)
-    res = sweep(net, Eigenvector(), all_to_all(2), log_grid(0, 1, 0.5))
+    res = sweep(SupraProblem(net, Eigenvector(), all_to_all(2)), log_grid(0, 1, 0.5))
     ranks = rank_trajectory(res, 1)
     assert np.array_equal(ranks, np.ones_like(ranks))
 
@@ -260,7 +262,7 @@ def test_rank_trajectory_dominant_node_and_ties():
         3, tuple((i, j, 1.0) for i, j in [(1, 2), (2, 1), (1, 3), (3, 1)])
     )
     net = MultiplexNetwork(3, (star, star))
-    res = sweep(net, Eigenvector(), all_to_all(2), log_grid(0, 0.5, 0.5))
+    res = sweep(SupraProblem(net, Eigenvector(), all_to_all(2)), log_grid(0, 0.5, 0.5))
     assert np.array_equal(rank_trajectory(res, 1), np.ones((2, 2), dtype=int))
     assert np.array_equal(rank_trajectory(res, 2), np.full((2, 2), 2))
     assert np.array_equal(rank_trajectory(res, 3), np.full((2, 2), 3))
@@ -268,7 +270,7 @@ def test_rank_trajectory_dominant_node_and_ties():
 
 def test_rank_trajectory_node_out_of_range():
     net, inter = random_instance(44, kind=Eigenvector())
-    res = sweep(net, Eigenvector(), inter, log_grid(0, 0, 1))
+    res = sweep(SupraProblem(net, Eigenvector(), inter), log_grid(0, 0, 1))
     with pytest.raises(ValueError):
         rank_trajectory(res, net.n_nodes + 1)
 
@@ -276,7 +278,7 @@ def test_rank_trajectory_node_out_of_range():
 def test_correlation_flags_constant_degrees():
     net = MultiplexNetwork(3, (TRIANGLE,))
     inter = InterlayerMatrix(np.array([[1.0]]))
-    res = sweep(net, Eigenvector(), inter, log_grid(0, 0, 1))
+    res = sweep(SupraProblem(net, Eigenvector(), inter), log_grid(0, 0, 1))
     rows = correlate_with_degrees(res)
     assert rows[0].intralayer_constant
     assert math.isnan(rows[0].intralayer_vs_conditional)
@@ -289,7 +291,7 @@ def test_star_layers_total_degree_correlation_is_one_in_strong_limit():
     )
     net = MultiplexNetwork(4, (star, star, star))
     problem = SupraProblem(
-        network=net, kind=Eigenvector(), interlayer=all_to_all(3), omega=1.0
+        network=net, kind=Eigenvector(), interlayer=all_to_all(3)
     )
     res = strong_limit(problem)
     totals = np.array([6.0, 2.0, 2.0, 2.0])
@@ -300,7 +302,7 @@ def test_star_layers_total_degree_correlation_is_one_in_strong_limit():
 
 def test_pagerank_small_omega_correlation_matches_weak_limit():
     net, inter = random_instance(46, kind=PageRank())
-    problem = SupraProblem(network=net, kind=PageRank(), interlayer=inter, omega=1.0)
+    problem = SupraProblem(network=net, kind=PageRank(), interlayer=inter)
     weak = weak_limit(problem)
     # engine at omega = 1e-6 via a descending warm-start ladder
     _, tab = engine_ladder(
@@ -331,7 +333,7 @@ def test_sweep_matches_the_dense_oracle_at_near_degenerate_points(seed):
     # on seeds 0-4 is 3.4e-11 (2.2e-12 with ARPACK run to machine precision)
     net, inter = blocks_instance(seed)
     grid = log_grid(-2, 4, 0.2)
-    result = sweep(net, Eigenvector(), inter, grid)
+    result = sweep(SupraProblem(net, Eigenvector(), inter), grid)
     assert not result.failures
     for omega, tab in zip(grid.values, result.tableaus):
         _, vector = dense_symmetric_dominant(dense_supra_matrix(net, Eigenvector(), inter, omega))

@@ -9,11 +9,15 @@ from supracentrality import (
     LayerGraph,
     MultiplexNetwork,
     PageRank,
+    SupraOperator,
     SupraProblem,
     Eigenvector,
+    check_preconditions,
+    pagerank_versatility,
     tableau_from_vector,
     validate_network,
 )
+from supracentrality.types import check_omega
 from supracentrality.interlayer import chain_undirected
 
 
@@ -81,14 +85,29 @@ def test_pagerank_sigma_guard():
 def test_supraproblem_dimension_guard():
     net = MultiplexNetwork(2, (LayerGraph(2, ()),))
     with pytest.raises(ValueError):
-        SupraProblem(network=net, kind=Eigenvector(), interlayer=chain_undirected(2), omega=1.0)
-    with pytest.raises(ValueError):
-        SupraProblem(
-            network=net,
-            kind=Eigenvector(),
-            interlayer=InterlayerMatrix(np.ones((1, 1))),
-            omega=-1.0,
-        )
+        SupraProblem(network=net, kind=Eigenvector(), interlayer=chain_undirected(2))
+    # a negative omega is refused by every reader of omega
+    for read in _omega_readers(net):
+        with pytest.raises(ValueError, match=r"^omega must be nonnegative, got -1\.0$"):
+            read(-1.0)
+
+
+def test_supraproblem_is_the_omega_free_family():
+    assert [f.name for f in dataclasses.fields(SupraProblem)] == ["network", "kind", "interlayer"]
+    assert not hasattr(SupraProblem, "with_omega")
+
+
+def _omega_readers(net):
+    """Every function that reads a coupling strength, on a one-layer problem."""
+    inter = InterlayerMatrix(np.ones((1, 1)))
+    problem = SupraProblem(network=net, kind=Eigenvector(), interlayer=inter)
+    return (
+        check_omega,
+        lambda omega: SupraOperator(problem, omega),
+        SupraOperator(problem, 1.0).with_omega,
+        lambda omega: check_preconditions(problem, omega),
+        lambda omega: pagerank_versatility(net, inter, omega),
+    )
 
 
 def test_tableau_holds_only_w_and_derives_the_rest():
@@ -135,8 +154,9 @@ def test_interlayer_and_omega_reject_non_finite(value):
     with pytest.raises(ValueError, match="finite"):
         InterlayerMatrix(np.array([[1.0, value], [1.0, 0.0]]))
     net = MultiplexNetwork(1, (LayerGraph(1, ()),))
-    with pytest.raises(ValueError, match="finite"):
-        SupraProblem(net, Eigenvector(), InterlayerMatrix(np.ones((1, 1))), omega=value)
+    for read in _omega_readers(net):
+        with pytest.raises(ValueError, match=f"^omega must be finite, got {value}$"):
+            read(value)
 
 
 def test_validate_network_reports_every_edge_violation_in_sorted_order():
