@@ -10,6 +10,9 @@ preconditions fail; the last three warn once per failed grid point too.
 Usage errors include a ``blocks:`` interlayer spec with a repeated or
 unknown field and a ``--grid`` of more than ``sweeps.MAX_GRID_POINTS``
 points, refused before any solve.
+Every subcommand reads its inputs into one ``SupraProblem`` (``versatility``'s
+kind is ``PageRank`` with its ``--sigma`` and the ``only`` dangling policy),
+so a bad ``--sigma`` is reported before a bad ``--interlayer`` by all of them.
 All subcommands are deterministic: repeat runs with the same inputs produce
 byte-identical output files.
 
@@ -93,23 +96,18 @@ def _build_kind(args):
     return {"eigenvector": Eigenvector, "hub": Hub, "authority": Authority}[args.kind]()
 
 
-def _load_inputs(args):
-    """Network, centrality kind (None without --kind) and interlayer matrix,
-    built in that order so the first bad input is the one reported."""
+def _load_problem(args) -> SupraProblem:
+    """The coupled problem of the inputs, for every command.  The network,
+    the centrality kind and the interlayer matrix are built in that order,
+    so the first bad input is the one reported."""
     net = fileio.load_multiplex(
         args.network,
         node_labels_path=args.node_labels,
         layer_labels_path=args.layer_labels,
         n_nodes=args.nodes,
     )
-    kind = _build_kind(args) if "kind" in args else None
-    return net, kind, _build_interlayer(args.interlayer, net.n_layers)
-
-
-def _load_problem(args) -> SupraProblem:
-    """The coupled problem of the inputs, for every command but versatility."""
-    net, kind, interlayer = _load_inputs(args)
-    return SupraProblem(network=net, kind=kind, interlayer=interlayer)
+    kind = _build_kind(args)
+    return SupraProblem(net, kind, _build_interlayer(args.interlayer, net.n_layers))
 
 
 def _build_interlayer(spec: str, n_layers: int) -> InterlayerMatrix:
@@ -295,14 +293,12 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_versatility(args) -> int:
-    net, _, interlayer = _load_inputs(args)
-    values = pagerank_versatility(
-        net, interlayer, args.omega, args.sigma, tol=args.tol, max_iter=args.max_iter
-    )
+    problem = _load_problem(args)
+    values = pagerank_versatility(problem, args.omega, tol=args.tol, max_iter=args.max_iter)
     fileio.write_csv(
         args.out,
         ["node", "versatility"],
-        ([net.node_label(i), fileio.fmt(v)] for i, v in enumerate(values, start=1)),
+        ([problem.network.node_label(i), fileio.fmt(v)] for i, v in enumerate(values, start=1)),
     )
     return EXIT_OK
 
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.85)
     _add_solver_flags(p, tol=1e-12)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_versatility)
+    p.set_defaults(func=_cmd_versatility, kind="pagerank", dangling="only")
 
     return parser
 

@@ -4,7 +4,9 @@ Unlike the coupled centrality pipeline, which places per-layer *centrality*
 matrices on the block diagonal, versatility treats the whole block matrix
 diag(A_1, ..., A_T) + omega * (interlayer x I) as one big ordinary adjacency
 matrix, builds its PageRank matrix, and sums the dominant eigenvector's
-entries per node.
+entries per node.  It reads the same ``SupraProblem`` as every other mode:
+the network, the interlayer matrix and the problem's ``PageRank`` kind,
+whose sigma and dangling policy it applies to the supra-adjacency.
 """
 from __future__ import annotations
 
@@ -13,39 +15,38 @@ from scipy import sparse
 
 from .centrality import pagerank_from_adjacency
 from .engine import shifted_power_iteration
-from .types import (DanglingPolicy, InterlayerMatrix, MultiplexNetwork, PageRank, SupraProblem,
-                    check_omega)
+from .types import PageRank, SupraProblem, check_omega
 
 __all__ = ["pagerank_versatility"]
 
 
 def pagerank_versatility(
-    net: MultiplexNetwork,
-    interlayer: InterlayerMatrix,
+    problem: SupraProblem,
     omega: float,
-    sigma: float = 0.85,
     *,
-    dangling: DanglingPolicy = DanglingPolicy.DANGLING_ONLY,
     tol: float = 1e-12,
     max_iter: int = 100_000,
 ) -> np.ndarray:
     """Per-node PageRank versatility (length N, sums to 1).
 
-    The supra-adjacency matrix gets the dangling policy applied at the
-    node-layer level, is turned into the column-stochastic PageRank matrix
-    with teleportation ``sigma``, and its dominant eigenvector (normalized
-    to unit 1-norm, so it is a probability over node-layer pairs) is summed
-    across each node's layer copies.  Rankings are invariant to the
-    normalization choice; magnitudes are on the 1-norm scale.
+    The supra-adjacency matrix gets the problem kind's dangling policy
+    applied at the node-layer level, is turned into the column-stochastic
+    PageRank matrix with its teleportation ``sigma``, and its dominant
+    eigenvector (normalized to unit 1-norm, so it is a probability over
+    node-layer pairs) is summed across each node's layer copies.  Rankings
+    are invariant to the normalization choice; magnitudes are on the 1-norm
+    scale.  A problem whose kind is not ``PageRank`` raises ValueError.
     """
-    # the coupled problem owns the checks on sigma and the layer count
-    SupraProblem(network=net, kind=PageRank(sigma, dangling), interlayer=interlayer)
+    if not isinstance(problem.kind, PageRank):
+        raise ValueError(f"versatility needs a PageRank kind, got {problem.kind!r}")
     omega = check_omega(omega)
+    net = problem.network
     n, t = net.n_nodes, net.n_layers
     supra = sparse.block_diag([g.csr for g in net.layers], format="csr")
     if omega:
-        supra = supra + sparse.kron(omega * interlayer.values, sparse.identity(n), format="csr")
-    mat = pagerank_from_adjacency(supra, PageRank(sigma, dangling))
+        coupling = omega * problem.interlayer.values
+        supra = supra + sparse.kron(coupling, sparse.identity(n), format="csr")
+    mat = pagerank_from_adjacency(supra, problem.kind)
     pair = shifted_power_iteration(mat, tol=tol, max_iter=max_iter)
     vec = pair.vector
     total = float(vec.sum())

@@ -350,7 +350,9 @@ def test_criterion_11_versatility_oracle():
                 11_000 + case, kind=Eigenvector(), layer_cycles=False
             )
             omega = float(rng.uniform(0.1, 2.0))
-            got = pagerank_versatility(net, inter, omega=omega, sigma=0.85, tol=1e-13)
+            got = pagerank_versatility(
+                SupraProblem(net, PageRank(0.85), inter), omega=omega, tol=1e-13
+            )
             n, t = net.n_nodes, net.n_layers
             supra = np.zeros((n * t, n * t))
             for s, layer in enumerate(net.layers):

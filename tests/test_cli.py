@@ -85,6 +85,16 @@ def test_usage_errors(two_cycle_net, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [["centrality", "--kind", "pagerank"], ["versatility"]])
+def test_bad_sigma_is_reported_before_a_bad_interlayer(two_cycle_net, tmp_path, capsys, command):
+    code = dispatch(
+        [*command, "--network", str(two_cycle_net), "--sigma", "1.0",
+         "--interlayer", "nonsense", "--omega", "1", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: sigma must lie in [0, 1), got 1.0\n"
+
+
 @pytest.mark.parametrize("extra, field", [
     ("intra=5", "repeated blocks field 'intra'"),
     ("sizes=2,4", "repeated blocks field 'sizes'"),

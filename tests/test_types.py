@@ -106,7 +106,7 @@ def _omega_readers(net):
         lambda omega: SupraOperator(problem, omega),
         SupraOperator(problem, 1.0).with_omega,
         lambda omega: check_preconditions(problem, omega),
-        lambda omega: pagerank_versatility(net, inter, omega),
+        lambda omega: pagerank_versatility(SupraProblem(net, PageRank(), inter), omega),
     )
 
 

@@ -8,6 +8,7 @@ from supracentrality import (
     LayerGraph,
     MultiplexNetwork,
     PageRank,
+    SupraProblem,
     build_centrality_matrix,
     pagerank_versatility,
 )
@@ -39,7 +40,7 @@ def test_single_layer_reduces_to_monolayer_pagerank():
     g = LayerGraph(3, ((1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0), (1, 3, 2.0)))
     net = MultiplexNetwork(3, (g,))
     inter = InterlayerMatrix(np.array([[1.0]]))
-    got = pagerank_versatility(net, inter, omega=0.0, sigma=0.85)
+    got = pagerank_versatility(SupraProblem(net, PageRank(0.85), inter), omega=0.0)
     pr = dense_pagerank_matrix(dense_adjacency(g), 0.85)
     _, vec = dense_dominant_eigenpair(pr)
     expected = vec / vec.sum()
@@ -51,7 +52,9 @@ def test_single_layer_is_the_layer_pagerank_solve_exactly():
     # layer's own, so versatility is the layer's unshifted solve, bit for bit
     g = LayerGraph(4, ((1, 2, 1.0), (2, 3, 2.0), (3, 1, 1.0), (3, 4, 0.5), (1, 3, 3.0)))
     net = MultiplexNetwork(4, (g,))
-    got = pagerank_versatility(net, InterlayerMatrix(np.array([[1.0]])), omega=0.0)
+    got = pagerank_versatility(
+        SupraProblem(net, PageRank(), InterlayerMatrix(np.array([[1.0]]))), omega=0.0
+    )
     mat = build_centrality_matrix(g, PageRank())
     assert mat.shift == 0.0
     pair = shifted_power_iteration(mat, tol=1e-12)
@@ -61,7 +64,7 @@ def test_single_layer_is_the_layer_pagerank_solve_exactly():
 def test_duplicated_layers_decouple_at_zero_omega():
     g = LayerGraph(3, ((1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)))
     net = MultiplexNetwork(3, (g, g))
-    got = pagerank_versatility(net, all_to_all(2), omega=0.0, sigma=0.85)
+    got = pagerank_versatility(SupraProblem(net, PageRank(0.85), all_to_all(2)), omega=0.0)
     pr = dense_pagerank_matrix(dense_adjacency(g), 0.85)
     _, vec = dense_dominant_eigenpair(pr)
     expected = vec / vec.sum()  # two half-mass copies per node sum back to this
@@ -73,7 +76,8 @@ def test_matches_dense_oracle_on_random_instances():
     for seed in range(90, 96):
         net, inter = random_instance(seed, kind=Eigenvector(), layer_cycles=False)
         omega = float(rng.uniform(0.2, 3.0))
-        got = pagerank_versatility(net, inter, omega=omega, sigma=0.85, tol=1e-13)
+        problem = SupraProblem(net, PageRank(0.85), inter)
+        got = pagerank_versatility(problem, omega=omega, tol=1e-13)
         expected = _dense_versatility(net, inter, omega, 0.85)
         assert np.abs(got - expected).max() <= 1e-9
         assert got.min() > 0
@@ -83,7 +87,7 @@ def test_matches_dense_oracle_on_random_instances():
 def test_all_nodes_policy_matches_oracle():
     net, inter = random_instance(97, kind=Eigenvector(), layer_cycles=False)
     got = pagerank_versatility(
-        net, inter, omega=0.7, sigma=0.85, dangling=DanglingPolicy.ALL_NODES, tol=1e-13
+        SupraProblem(net, PageRank(0.85, DanglingPolicy.ALL_NODES), inter), omega=0.7, tol=1e-13
     )
     expected = _dense_versatility(net, inter, 0.7, 0.85, DanglingPolicy.ALL_NODES)
     assert np.abs(got - expected).max() <= 1e-9
@@ -91,7 +95,7 @@ def test_all_nodes_policy_matches_oracle():
 
 def test_ranking_invariant_to_normalization():
     net, inter = random_instance(98, kind=Eigenvector())
-    got = pagerank_versatility(net, inter, omega=1.0, sigma=0.85)
+    got = pagerank_versatility(SupraProblem(net, PageRank(0.85), inter), omega=1.0)
     assert np.array_equal(np.argsort(-got), np.argsort(-(got * 17.3)))
 
 
@@ -99,8 +103,11 @@ def test_parameter_guards():
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0))),))
     inter = InterlayerMatrix(np.array([[1.0]]))
     with pytest.raises(ValueError):
-        pagerank_versatility(net, inter, omega=1.0, sigma=1.0)
+        pagerank_versatility(SupraProblem(net, PageRank(1.0), inter), omega=1.0)
     with pytest.raises(ValueError):
-        pagerank_versatility(net, inter, omega=-1.0, sigma=0.85)
+        pagerank_versatility(SupraProblem(net, PageRank(0.85), inter), omega=-1.0)
     with pytest.raises(ValueError):
-        pagerank_versatility(net, all_to_all(3), omega=1.0, sigma=0.85)
+        pagerank_versatility(SupraProblem(net, PageRank(0.85), all_to_all(3)), omega=1.0)
+    refused = r"^versatility needs a PageRank kind, got Eigenvector\(\)$"
+    with pytest.raises(ValueError, match=refused):
+        pagerank_versatility(SupraProblem(net, Eigenvector(), inter), omega=1.0)
