@@ -5,6 +5,9 @@ limits as independent cross-checks.
 Each public name is imported from its submodule on first use, so
 ``import supracentrality`` loads no numpy: the command line
 (:mod:`supracentrality.cli`) sets its BLAS thread count before numpy starts.
+``_EXPORTS`` is the one list of public names; each submodule's ``__all__``
+reads its entry.  The solver defaults are declared in ``engine`` and
+``versatility``, PageRank's in ``types.PageRank``; the CLI's flags read them.
 """
 
 import importlib

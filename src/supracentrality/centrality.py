@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from . import _EXPORTS
 from .types import (
     Authority,
     CentralityKind,
@@ -28,11 +29,7 @@ from .types import (
     PageRank,
 )
 
-__all__ = [
-    "LayerCentralityMatrix",
-    "pagerank_from_adjacency",
-    "build_centrality_matrix",
-]
+__all__ = list(_EXPORTS["centrality"])
 
 # Hub/authority products can fill in badly for hub-heavy graphs; warn past this.
 DENSE_PRODUCT_WARN_NNZ = 10_000_000

@@ -11,7 +11,7 @@ Usage errors include a ``blocks:`` interlayer spec with a repeated or
 unknown field and a ``--grid`` of more than ``sweeps.MAX_GRID_POINTS``
 points, refused before any solve.
 Every subcommand reads its inputs into one ``SupraProblem`` (``versatility``'s
-kind is ``PageRank`` with its ``--sigma`` and the ``only`` dangling policy),
+kind is ``PageRank`` with its ``--sigma`` and the default dangling policy),
 so a bad ``--sigma`` is reported before a bad ``--interlayer`` by all of them.
 All subcommands are deterministic: repeat runs with the same inputs produce
 byte-identical output files.
@@ -47,7 +47,8 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fileio
-from .engine import NonConvergenceError, OperatorOverflowError, SupraOperator
+from .engine import (DEFAULT_MAX_ITER, DEFAULT_TOL, NonConvergenceError, OperatorOverflowError,
+                     SupraOperator)
 from .graph import check_preconditions
 from .interlayer import all_to_all, block_communities, chain_teleport, chain_undirected
 from .limits import (
@@ -80,7 +81,7 @@ from .types import (
     PageRank,
     SupraProblem,
 )
-from .versatility import pagerank_versatility
+from .versatility import DEFAULT_TOL as VERSATILITY_TOL, pagerank_versatility
 
 __all__ = ["dispatch", "main"]
 
@@ -310,18 +311,16 @@ def _add_kind_flags(parser) -> None:
         required=True,
         help="per-layer centrality matrix",
     )
-    parser.add_argument("--sigma", type=float, default=0.85, help="PageRank teleportation")
-    parser.add_argument(
-        "--dangling",
-        choices=["only", "all"],
-        default="only",
-        help="self-edge policy for dangling nodes (PageRank)",
-    )
+    parser.add_argument("--sigma", type=float, default=PageRank.sigma,
+                        help="PageRank teleportation")
+    parser.add_argument("--dangling", choices=[policy.value for policy in DanglingPolicy],
+                        default=PageRank.dangling.value,
+                        help="self-edge policy for dangling nodes (PageRank)")
 
 
-def _add_solver_flags(parser, tol: float = 1e-10) -> None:
+def _add_solver_flags(parser, tol: float = DEFAULT_TOL) -> None:
     parser.add_argument("--tol", type=float, default=tol, help="residual tolerance")
-    parser.add_argument("--max-iter", type=int, default=100_000, help="iteration budget")
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="iteration budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("versatility", parents=[common], help="PageRank versatility baseline")
     p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=0.85)
-    _add_solver_flags(p, tol=1e-12)
+    p.add_argument("--sigma", type=float, default=PageRank.sigma)
+    _add_solver_flags(p, tol=VERSATILITY_TOL)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_versatility, kind="pagerank", dangling="only")
+    p.set_defaults(func=_cmd_versatility, kind="pagerank", dangling=PageRank.dangling.value)
 
     return parser
 

@@ -18,6 +18,8 @@ aperiodic when c > 0, and reports the eigenvalue with the shift removed.
 ARPACK, or one dense ``eig`` below dimension 3, finds the dominant
 eigenvector that power iteration then accepts; the T x T matrices of the
 coupling limits take the dense ``eig``, :func:`dense_perron`, alone.
+``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER`` are the one declaration of the
+solvers' default stopping rule (relative tolerance and matvec budget).
 """
 from __future__ import annotations
 
@@ -32,19 +34,10 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
+from . import _EXPORTS
 from .types import CentralityTableau, SupraProblem, check_omega
 
-__all__ = [
-    "NonConvergenceError",
-    "NegativeEigenvectorError",
-    "OperatorOverflowError",
-    "EigenpairResult",
-    "SupraOperator",
-    "shifted_power_iteration",
-    "dominant_eigenpair",
-    "tableau_from_vector",
-    "stride_permutation",
-]
+__all__ = list(_EXPORTS["engine"])
 
 
 class NonConvergenceError(RuntimeError):
@@ -89,6 +82,8 @@ _NEGATIVE_FLOOR = 1e-9
 # at tol takes few steps; ratios of 10 and 1 moved W by 6.8e-11 and 2.6e-9
 _ARPACK_TOL_RATIO = 100
 DENSE_CLAMP = 1e-12  # dense Perron vector entries in (-DENSE_CLAMP, 0) become 0
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +148,8 @@ def shifted_power_iteration(
     op: Operator,
     side: Literal["right", "left"] = "right",
     *,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
 ) -> EigenpairResult:
     """Dominant right or left eigenpair of ``op`` by power iteration.
@@ -202,7 +197,8 @@ def shifted_power_iteration(
             raise NonConvergenceError(iteration, residual, "iterate collapsed to zero")
         x = y / norm_y
         lam_prev = lam_shifted
-    raise NonConvergenceError(max_iter, residual)
+    context = "the stopping rule compares two iterates, and the budget allows one"
+    raise NonConvergenceError(max_iter, residual, context if max_iter == 1 else "")
 
 
 class SupraOperator:
@@ -317,8 +313,8 @@ def dominant_eigenpair(
     op: Operator,
     side: Literal["right", "left"] = "right",
     *,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
 ) -> EigenpairResult:
     """Dominant right or left eigenpair of the operator ``op``.

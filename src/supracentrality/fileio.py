@@ -135,14 +135,14 @@ def load_labels(path, count: int) -> tuple[str, ...]:
 
 
 def _sorted_edges(path, layer, i, j, w, lines=None):
-    """The edge columns stably sorted by (layer, i, j), as contiguous arrays:
-    the one sort and repeated-key test of both parse paths.  Columns already
-    in strict order are copied, not sorted, so no strided view keeps the
-    parse's whole buffer alive.  A repeated key gives None, or,
-    with ``lines``, a ParseError at the earliest line that repeats a key; its
-    first line sorts right before it."""
+    """The edge columns stably sorted by (layer, i, j): the one sort and
+    repeated-key test of both parse paths.  Columns already in strict order
+    are returned as they are, views included: ``LayerGraph.from_arrays``
+    copies each layer's slice, so no layer keeps the parse's buffer alive.
+    A repeated key gives None, or, with ``lines``, a ParseError at the
+    earliest line that repeats a key; its first line sorts right before it."""
     if in_lex_order(layer, i, j, strict=True):
-        return layer.copy(), i.copy(), j.copy(), w.copy()
+        return layer, i, j, w
     order = np.lexsort((j, i, layer))
     layer, i, j = layer[order], i[order], j[order]
     if in_lex_order(layer, i, j, strict=True):

@@ -15,18 +15,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from . import _EXPORTS
 from .centrality import LayerCentralityMatrix
 from .types import MultiplexNetwork, SupraProblem, check_omega
 
-__all__ = [
-    "ConstantInputError",
-    "PreconditionReport",
-    "strongly_connected",
-    "check_preconditions",
-    "intralayer_degrees",
-    "total_degrees",
-    "pearson",
-]
+__all__ = list(_EXPORTS["graph"])
 
 
 class ConstantInputError(ValueError):

@@ -9,15 +9,10 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from . import _EXPORTS
 from .types import InterlayerMatrix
 
-__all__ = [
-    "all_to_all",
-    "chain_undirected",
-    "chain_teleport",
-    "block_communities",
-    "from_triplets",
-]
+__all__ = list(_EXPORTS["interlayer"])
 
 
 def all_to_all(n_layers: int, include_self: bool = True) -> InterlayerMatrix:

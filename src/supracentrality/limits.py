@@ -28,29 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .centrality import LayerCentralityMatrix
-from .engine import (EigenpairResult, NonConvergenceError, dense_perron,
+from .engine import (DEFAULT_MAX_ITER, EigenpairResult, NonConvergenceError, dense_perron,
                      shifted_power_iteration, tableau_from_vector)
 from .graph import layer_sum_components, strongly_connected
 from .interlayer import all_to_all, chain_undirected
 from .types import CentralityTableau, SupraProblem
 
-__all__ = [
-    "LimitPreconditionError",
-    "DegenerateLayerEigenvalueError",
-    "DegenerateInterlayerEigenvalueError",
-    "ReducibleDominatingSetError",
-    "NotApplicableError",
-    "LayerEigendata",
-    "WeakLimitResult",
-    "StrongLimitResult",
-    "CorollaryCheck",
-    "layer_eigendata",
-    "layer_spectral_radii",
-    "weak_limit",
-    "strong_limit",
-    "corollary_crosscheck",
-]
+__all__ = list(_EXPORTS["limits"])
 
 # Relative eigen-gap below which a dominant eigenvalue is treated as degenerate.
 LAYER_GAP_FLOOR = 1e-6
@@ -59,7 +45,7 @@ INTERLAYER_GAP_FLOOR = 1e-8
 REL_TOL_DOMINATING = 1e-9
 # Stopping rule of every N x N power iteration in this module.
 SOLVE_TOL = 1e-12
-SOLVE_MAX_ITER = 100_000
+SOLVE_MAX_ITER = DEFAULT_MAX_ITER
 
 
 class LimitPreconditionError(RuntimeError):

@@ -15,27 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (EigenpairResult, NegativeEigenvectorError, NonConvergenceError,
-                     SupraOperator, dominant_eigenpair, tableau_from_vector)
+from . import _EXPORTS
+from .engine import (DEFAULT_MAX_ITER, DEFAULT_TOL, EigenpairResult, NegativeEigenvectorError,
+                     NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector)
 from .graph import (ConstantInputError, PreconditionReport, check_preconditions,
                     intralayer_degrees, pearson, total_degrees)
 from .limits import REL_TOL_DOMINATING, dominating_layers, layer_spectral_radii
 from .types import CentralityTableau, SupraProblem
 
-__all__ = [
-    "OmegaGrid",
-    "SweepResult",
-    "RegimeInterval",
-    "RegimeReport",
-    "DegreeCorrelation",
-    "PreconditionFailure",
-    "log_grid",
-    "solve_point",
-    "sweep",
-    "detect_regimes",
-    "rank_trajectory",
-    "correlate_with_degrees",
-]
+__all__ = list(_EXPORTS["sweeps"])
 
 # log_grid refuses a grid of more points than this
 MAX_GRID_POINTS = 10_000
@@ -133,8 +121,8 @@ def sweep(
     problem: SupraProblem,
     grid: OmegaGrid,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SweepResult:
     """Run :func:`solve_point` on ``problem`` at every grid point, in
     increasing order.

@@ -22,23 +22,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse
 
+from . import _EXPORTS
+
 if TYPE_CHECKING:
     from .centrality import LayerCentralityMatrix
 
-__all__ = [
-    "LayerGraph",
-    "MultiplexNetwork",
-    "InterlayerMatrix",
-    "DanglingPolicy",
-    "Eigenvector",
-    "Hub",
-    "Authority",
-    "PageRank",
-    "CentralityKind",
-    "SupraProblem",
-    "CentralityTableau",
-    "validate_network",
-]
+__all__ = list(_EXPORTS["types"])
 
 
 def in_lex_order(*keys: np.ndarray, strict: bool = False) -> bool:

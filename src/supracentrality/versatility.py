@@ -7,25 +7,29 @@ matrix, builds its PageRank matrix, and sums the dominant eigenvector's
 entries per node.  It reads the same ``SupraProblem`` as every other mode:
 the network, the interlayer matrix and the problem's ``PageRank`` kind,
 whose sigma and dangling policy it applies to the supra-adjacency.
+Its solve defaults to this module's ``DEFAULT_TOL`` and the engine's budget.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
 
+from . import _EXPORTS
 from .centrality import pagerank_from_adjacency
-from .engine import shifted_power_iteration
+from .engine import DEFAULT_MAX_ITER, shifted_power_iteration
 from .types import PageRank, SupraProblem, check_omega
 
-__all__ = ["pagerank_versatility"]
+__all__ = list(_EXPORTS["versatility"])
+
+DEFAULT_TOL = 1e-12
 
 
 def pagerank_versatility(
     problem: SupraProblem,
     omega: float,
     *,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
     """Per-node PageRank versatility (length N, sums to 1).
 

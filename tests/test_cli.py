@@ -13,13 +13,14 @@ import pytest
 from supracentrality import (
     Eigenvector,
     OmegaGrid,
+    PageRank,
     SupraProblem,
     correlate_with_degrees,
     log_grid,
     rank_trajectory,
     sweep,
 )
-from supracentrality import cli, limits, sweeps
+from supracentrality import cli, engine, limits, sweeps, versatility
 from supracentrality.cli import dispatch
 from supracentrality.fileio import load_multiplex, read_tableau_csv
 from supracentrality.interlayer import all_to_all, chain_undirected
@@ -580,6 +581,18 @@ def test_versatility_honours_solver_flags(six_layer_net, tmp_path):
     assert dispatch(argv + ["--tol", "nan"]) == 1
 
 
+def test_one_iteration_budget_names_the_two_iterate_stopping_rule(two_cycle_net, tmp_path,
+                                                                   capsys):
+    # power iteration stops on two iterates' Rayleigh quotients, so a budget of
+    # one cannot converge even where the start vector is exact (residual 0)
+    code = dispatch(["versatility", "--network", str(two_cycle_net), "--interlayer", "alltoall",
+                     "--omega", "1", "--max-iter", "1", "--out", str(tmp_path / "v.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "no convergence after 1 iterations, residual 0.000e+00" in err
+    assert "the stopping rule compares two iterates" in err
+
+
 def test_limit_preconditions_exit_2(tmp_path, capsys):
     identity = tmp_path / "identity.tsv"
     identity.write_text("1 1 1\n2 2 1\n", encoding="utf-8")
@@ -919,8 +932,8 @@ def test_pagerank_row_whose_sum_overflows_ranks_as_the_unscaled_row(tmp_path):
 
 def test_flag_defaults_are_the_library_defaults():
     parser = cli.build_parser()
-    base = ["--network", "net.edges", "--interlayer", "chain", "--kind", "eigenvector",
-            "--out", "out"]
+    inputs = ["--network", "net.edges", "--interlayer", "chain"]
+    base = [*inputs, "--kind", "eigenvector", "--out", "out"]
     limit = parser.parse_args(["limit", "--which", "weak", *base])
     assert limit.rel_tol_dominating == limits.REL_TOL_DOMINATING
     assert limit.rel_tol_dominating == inspect.signature(
@@ -928,3 +941,20 @@ def test_flag_defaults_are_the_library_defaults():
     sweep_args = parser.parse_args(["sweep", "--grid=0,1,1", *base])
     assert sweep_args.prominence == inspect.signature(
         sweeps.detect_regimes).parameters["prominence_fraction"].default
+    solved = {
+        "centrality": (["--omega", "1", *base], engine.dominant_eigenpair),
+        "sweep": (["--grid=0,1,1", *base], sweeps.sweep),
+        "correlate": (["--grid=0,1,1", *base], sweeps.sweep),
+        "trajectory": (["--grid=0,1,1", "--node", "1", *base], sweeps.sweep),
+        "versatility": (["--omega", "1", *inputs, "--out", "out"],
+                        versatility.pagerank_versatility),
+    }
+    for command, (argv, solver) in solved.items():
+        args = parser.parse_args([command, *argv])
+        defaults = inspect.signature(solver).parameters
+        assert args.tol == defaults["tol"].default, command
+        assert args.max_iter == defaults["max_iter"].default, command
+    pagerank = PageRank()
+    for args in [parser.parse_args(["check", *inputs, "--kind", "eigenvector"]), limit,
+                 *(parser.parse_args([command, *argv]) for command, (argv, _) in solved.items())]:
+        assert (args.sigma, args.dangling) == (pagerank.sigma, pagerank.dangling.value)

@@ -342,18 +342,30 @@ def test_loaded_network_holds_one_edge_copy(tmp_path):
 
 
 def test_ordered_and_shuffled_files_parse_the_same(tmp_path):
-    ordered, shuffled = tmp_path / "ordered.edges", tmp_path / "shuffled.edges"
-    _write_random_edges(shuffled, 30, 400, layers=3)
-    lines = shuffled.read_text().splitlines(keepends=True)
-    ordered.write_text("".join(sorted(lines, key=lambda line: tuple(map(int, line.split()[:3])))))
-    nets = {}
-    for path in (ordered, shuffled):
-        with pytest.MonkeyPatch.context() as patch:
-            if path == ordered:  # an ordered file is not sorted again
-                patch.setattr(np, "lexsort", None)
-            columns = fileio._parse_edges_whole(path)
-            nets[path.name] = load_multiplex(path, n_nodes=30)
-        assert all(column.flags.c_contiguous for column in columns)
-    assert nets["ordered.edges"] == nets["shuffled.edges"]
-    for layer in nets["ordered.edges"].layers:
-        assert all(a.flags.c_contiguous for a in (layer.rows, layer.cols, layer.weights))
+    parse, parsed = fileio._parse_edges_whole, []
+
+    def recorded(path):
+        parsed.append(parse(path))
+        return parsed[-1]
+
+    # one layer too: scipy itself copies a layer's slice of a much longer column
+    for layers in (1, 3):
+        ordered, shuffled = (tmp_path / f"{name}{layers}.edges" for name in ("ordered", "shuffled"))
+        _write_random_edges(shuffled, 30, 400, layers=layers)
+        lines = sorted(shuffled.read_text().splitlines(keepends=True),
+                       key=lambda line: tuple(map(int, line.split()[:3])))
+        ordered.write_text("".join(lines))
+        nets = {}
+        for path in (ordered, shuffled):
+            with pytest.MonkeyPatch.context() as patch:
+                if path == ordered:  # an ordered file is not sorted again
+                    patch.setattr(np, "lexsort", None)
+                patch.setattr(fileio, "_parse_edges_whole", recorded)
+                nets[path] = load_multiplex(path, n_nodes=30)
+            # no layer keeps the parse's buffer alive: its CSR arrays are its own
+            assert not any(np.shares_memory(a, column) for layer in nets[path].layers
+                           for a in (layer.csr.indptr, layer.csr.indices, layer.csr.data)
+                           for column in parsed[-1])
+        assert nets[ordered] == nets[shuffled]
+        for layer in nets[ordered].layers:
+            assert all(a.flags.c_contiguous for a in (layer.rows, layer.cols, layer.weights))
