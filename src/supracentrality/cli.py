@@ -51,15 +51,8 @@ from .engine import (DEFAULT_MAX_ITER, DEFAULT_TOL, NonConvergenceError, Operato
                      SupraOperator)
 from .graph import check_preconditions
 from .interlayer import all_to_all, block_communities, chain_teleport, chain_undirected
-from .limits import (
-    REL_TOL_DOMINATING,
-    LimitPreconditionError,
-    NotApplicableError,
-    check_rel_tol_dominating,
-    corollary_crosscheck,
-    strong_limit,
-    weak_limit,
-)
+from .limits import (LimitPreconditionError, NotApplicableError, corollary_crosscheck,
+                     strong_limit, weak_limit)
 from .sweeps import (
     PROMINENCE_FRACTION,
     PreconditionFailure,
@@ -229,9 +222,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_limit(args) -> int:
     problem = _load_problem(args)
-    check_rel_tol_dominating(args.rel_tol_dominating)
     if args.which == "weak":
-        res = weak_limit(problem, args.rel_tol_dominating)
+        res = weak_limit(problem)
         payload = {
             "which": "weak",
             "dominating_set": list(res.dominating_set),
@@ -366,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", parents=[common], help="closed-form coupling limits")
     p.add_argument("--which", choices=["weak", "strong"], required=True)
     _add_kind_flags(p)
-    p.add_argument("--rel-tol-dominating", type=float, default=REL_TOL_DOMINATING)
     p.add_argument("--out", required=True, help="limit JSON")
     p.set_defaults(func=_cmd_limit)
 
@@ -399,17 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_grid_values(argv):
     # argparse mistakes a leading negative exponent in "--grid -2,4,0.2" for
     # an option; fold the value into the flag token
-    merged = []
-    skip = False
-    for pos, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--grid" and pos + 1 < len(argv):
-            merged.append(f"--grid={argv[pos + 1]}")
-            skip = True
-        else:
-            merged.append(token)
+    merged, tokens = [], iter(argv)
+    for token in tokens:
+        if token == "--grid":
+            token = next((f"--grid={value}" for value in tokens), token)
+        merged.append(token)
     return merged
 
 

@@ -227,7 +227,8 @@ class SupraOperator:
                 [max(m.max_row_sum(), float(m.column_sums().max(initial=0.0)))
                  for m in self.layers]
             )
-        self._coupling_sums = np.maximum(self.interlayer.sum(axis=0), self.interlayer.sum(axis=1))
+            self._coupling_sums = np.maximum(self.interlayer.sum(axis=0),
+                                             self.interlayer.sum(axis=1))
         self._check_scale()
 
         # one block-diagonal sparse matrix for all layers keeps apply() at a
@@ -417,6 +418,4 @@ def stride_permutation(n_nodes: int, n_layers: int) -> np.ndarray:
     """
     if n_nodes < 1 or n_layers < 1:
         raise ValueError("need at least one node and one layer")
-    k = np.arange(1, n_nodes * n_layers + 1, dtype=np.int64)
-    l = (k + n_nodes - 1) // n_nodes + n_layers * ((k - 1) % n_nodes)
-    return l - 1
+    return np.arange(n_nodes * n_layers, dtype=np.int64).reshape(n_nodes, n_layers).T.ravel()

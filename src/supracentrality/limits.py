@@ -9,12 +9,13 @@ aggregate: the eigenvector becomes separable, node weights solving the
 dominant eigenproblem of an aggregate matrix that averages the layer
 matrices with weights from the interlayer matrix's own dominant eigenpair.
 
-Every function here takes the problem alone, with no coupling strength:
-the limits are the two ends of its family.  Both solvers are independent
-of the iterative engine's path through the full coupled operator, so they
-double as cross-checks for it.  Each N x N matrix (a layer, the
-aggregate) is solved once per side, through one power iteration,
-``_solve``, at one fixed rule (``SOLVE_TOL``, ``SOLVE_MAX_ITER``):
+Every function here takes the problem alone, with no coupling strength
+and no tolerance: the limits are the two ends of its family, and the
+dominating set ties radii at one rule, ``REL_TOL_DOMINATING``.  Both
+solvers are independent of the iterative engine's path through the full
+coupled operator, so they double as cross-checks for it.  Each N x N
+matrix (a layer, the aggregate) is solved once per side, through one power
+iteration, ``_solve``, at one fixed rule (``SOLVE_TOL``, ``SOLVE_MAX_ITER``):
 ``_radius`` gives every layer's spectral radius, and only the matrices
 whose vectors are read (the dominating layers, the aggregate) go on to the
 gap guard and the left solve, ``_perron_pairs``.  T x T matrices
@@ -41,7 +42,7 @@ __all__ = list(_EXPORTS["limits"])
 # Relative eigen-gap below which a dominant eigenvalue is treated as degenerate.
 LAYER_GAP_FLOOR = 1e-6
 INTERLAYER_GAP_FLOOR = 1e-8
-# Spectral radii within this relative distance of the largest tie with it.
+# The one tie rule of the dominating set: radii this close (relative) to the largest.
 REL_TOL_DOMINATING = 1e-9
 # Stopping rule of every N x N power iteration in this module.
 SOLVE_TOL = 1e-12
@@ -193,25 +194,21 @@ def _perron_pairs(mat: LayerCentralityMatrix, where: str,
     return right, _solve(mat, where, "left")
 
 
-def layer_eigendata(
-    problem: SupraProblem, rel_tol_dominating: float = REL_TOL_DOMINATING
-) -> LayerEigendata:
+def layer_eigendata(problem: SupraProblem) -> LayerEigendata:
     """Spectral radius of every matrix in ``problem.layer_matrices``, and the
     dominant right/left eigenpair of each dominating layer.
 
     Every layer goes through ``_radius``.  Only the layers that
-    ``dominating_layers`` picks at ``rel_tol_dominating`` go on through
-    ``_perron_pairs``: the structural gap guard and the shifted power
-    iteration that accepts the coupled engine's solves.  A dominating
-    layer's reported radius is its right pair's eigenvalue.  Near-degeneracy
-    inside one irreducible block is not caught: it shows up as slow
-    convergence.
+    ``dominating_layers`` picks go on through ``_perron_pairs``: the
+    structural gap guard and the shifted power iteration that accepts the
+    coupled engine's solves.  A dominating layer's reported radius is its
+    right pair's eigenvalue.  Near-degeneracy inside one irreducible block
+    is not caught: it shows up as slow convergence.
     """
-    check_rel_tol_dominating(rel_tol_dominating)
     mats = problem.layer_matrices
     radii = [_radius(mat, f"layer {t}") for t, mat in enumerate(mats, start=1)]
     spectral_radii = np.array([value for value, _, _ in radii])
-    dominating = dominating_layers(spectral_radii, rel_tol_dominating)
+    dominating = dominating_layers(spectral_radii)
     pairs = [_perron_pairs(mats[t], f"layer {t + 1}", radii[t]) for t in dominating]
     spectral_radii[dominating] = [right.eigenvalue for right, _ in pairs]
     return LayerEigendata(
@@ -230,35 +227,26 @@ def layer_spectral_radii(problem: SupraProblem) -> np.ndarray:
                      for t, mat in enumerate(problem.layer_matrices, start=1)])
 
 
-def check_rel_tol_dominating(rel_tol_dominating: float) -> None:
-    """Raise ValueError unless the dominating-set tolerance is finite and in [0, 1)."""
-    if not 0.0 <= rel_tol_dominating < 1.0:
-        raise ValueError(
-            f"rel_tol_dominating must be finite and in [0, 1), got {rel_tol_dominating}"
-        )
-
-
-def dominating_layers(radii: np.ndarray, rel_tol_dominating: float) -> np.ndarray:
+def dominating_layers(radii: np.ndarray) -> np.ndarray:
     """0-based indices, ascending, of the layers whose spectral radius is
-    within ``rel_tol_dominating`` (relative) of the largest."""
-    return np.flatnonzero(radii >= (1.0 - rel_tol_dominating) * radii.max())
+    within ``REL_TOL_DOMINATING`` (relative) of the largest."""
+    return np.flatnonzero(radii >= (1.0 - REL_TOL_DOMINATING) * radii.max())
 
 
-def weak_limit(
-    problem: SupraProblem, rel_tol_dominating: float = REL_TOL_DOMINATING
-) -> WeakLimitResult:
+def weak_limit(problem: SupraProblem) -> WeakLimitResult:
     """Limit of the dominant eigenvector as the coupling strength tends to 0+.
 
     The dominating set collects the layers whose spectral radius is within
-    ``rel_tol_dominating`` (relative) of the maximum; radii are exact ties
-    mathematically, so the tolerance only absorbs solver round-off.  The
-    mixing weights alpha (right) and beta (left) solve the dominant
-    eigenproblem of X[a, b] = interlayer[ta, tb] * <u_ta, v_tb> / <u_ta, v_ta>
-    over the dominating layers.  With a single dominating layer this reduces
-    to localization: the limit vector is that layer's eigenvector.
+    ``REL_TOL_DOMINATING`` (relative) of the maximum; radii are exact ties
+    mathematically, so the tolerance only absorbs the round-off of solves at
+    ``SOLVE_TOL``.  The mixing weights alpha (right) and beta (left) solve
+    the dominant eigenproblem of X[a, b] = interlayer[ta, tb] * <u_ta, v_tb>
+    / <u_ta, v_ta> over the dominating layers.  With a single dominating
+    layer this reduces to localization: the limit vector is that layer's
+    eigenvector.
     """
     net = problem.network
-    data = layer_eigendata(problem, rel_tol_dominating)
+    data = layer_eigendata(problem)
     radii = data.spectral_radii
     lam0 = float(radii.max())
     dominating = data.dominating

@@ -20,7 +20,7 @@ from .engine import (DEFAULT_MAX_ITER, DEFAULT_TOL, EigenpairResult, NegativeEig
                      NonConvergenceError, SupraOperator, dominant_eigenpair, tableau_from_vector)
 from .graph import (ConstantInputError, PreconditionReport, check_preconditions,
                     intralayer_degrees, pearson, total_degrees)
-from .limits import REL_TOL_DOMINATING, dominating_layers, layer_spectral_radii
+from .limits import dominating_layers, layer_spectral_radii
 from .types import CentralityTableau, SupraProblem
 
 __all__ = list(_EXPORTS["sweeps"])
@@ -329,7 +329,7 @@ def reference_layer_by_spectral_radius(problem: SupraProblem) -> int:
     """1-based index of the layer whose centrality matrix has the largest
     spectral radius; radii tie as in the weak limit's dominating set, and a
     tie goes to the lowest index."""
-    return int(dominating_layers(layer_spectral_radii(problem), REL_TOL_DOMINATING)[0]) + 1
+    return int(dominating_layers(layer_spectral_radii(problem))[0]) + 1
 
 
 def correlate_with_degrees(

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from . import _EXPORTS
 from .centrality import pagerank_from_adjacency
-from .engine import DEFAULT_MAX_ITER, shifted_power_iteration
+from .engine import DEFAULT_MAX_ITER, OperatorOverflowError, shifted_power_iteration
 from .types import PageRank, SupraProblem, check_omega
 
 __all__ = list(_EXPORTS["versatility"])
@@ -39,7 +39,9 @@ def pagerank_versatility(
     eigenvector (normalized to unit 1-norm, so it is a probability over
     node-layer pairs) is summed across each node's layer copies.  Rankings
     are invariant to the normalization choice; magnitudes are on the 1-norm
-    scale.  A problem whose kind is not ``PageRank`` raises ValueError.
+    scale.  A problem whose kind is not ``PageRank`` raises ValueError, and
+    an ``omega`` at which the supra-adjacency overflows raises
+    ``engine.OperatorOverflowError``.
     """
     if not isinstance(problem.kind, PageRank):
         raise ValueError(f"versatility needs a PageRank kind, got {problem.kind!r}")
@@ -48,8 +50,12 @@ def pagerank_versatility(
     n, t = net.n_nodes, net.n_layers
     supra = sparse.block_diag([g.csr for g in net.layers], format="csr")
     if omega:
-        coupling = omega * problem.interlayer.values
+        with np.errstate(over="ignore"):
+            coupling = omega * problem.interlayer.values
         supra = supra + sparse.kron(coupling, sparse.identity(n), format="csr")
+        # the layers are finite, so only omega * interlayer, or its sum with a self-loop, is not
+        if not np.isfinite(supra.data).all():
+            raise OperatorOverflowError(f"the supra-adjacency overflows at omega {omega!r}")
     mat = pagerank_from_adjacency(supra, problem.kind)
     pair = shifted_power_iteration(mat, tol=tol, max_iter=max_iter)
     vec = pair.vector

@@ -20,7 +20,7 @@ from supracentrality import (
     rank_trajectory,
     sweep,
 )
-from supracentrality import cli, engine, limits, sweeps, versatility
+from supracentrality import cli, engine, sweeps, versatility
 from supracentrality.cli import dispatch
 from supracentrality.fileio import load_multiplex, read_tableau_csv
 from supracentrality.interlayer import all_to_all, chain_undirected
@@ -367,10 +367,11 @@ def test_non_finite_inputs_are_rejected(tmp_path, capsys):
 def test_non_finite_limit_and_sweep_flags_are_usage_errors(six_layer_net, tmp_path, capsys):
     base = ["--network", str(six_layer_net), "--kind", "eigenvector", "--interlayer",
             "alltoall"]
+    # the dominating-set tie rule is a library constant, not a flag
     code = dispatch(["limit", "--which", "weak", "--rel-tol-dominating", "nan",
                      "--out", str(tmp_path / "weak.json")] + base)
     assert code == 1
-    assert "rel_tol_dominating must be finite" in capsys.readouterr().err
+    assert "unrecognized arguments: --rel-tol-dominating nan" in capsys.readouterr().err
     code = dispatch(["sweep", "--grid", "-1,1,0.5", "--prominence", "nan",
                      "--out", str(tmp_path / "sweep.csv")] + base)
     assert code == 1
@@ -392,13 +393,6 @@ def test_bad_limit_and_sweep_flags_stop_before_any_solve(six_layer_net, tmp_path
                          "--out", str(out)] + base) == 1
         assert "prominence_fraction must be finite" in capsys.readouterr().err
         assert not out.exists()
-    out = tmp_path / "limit.json"
-    for which in ("weak", "strong"):
-        for value in ("nan", "5", "-0.5"):
-            assert dispatch(["limit", "--which", which, "--rel-tol-dominating", value,
-                             "--out", str(out)] + base) == 1
-            assert "rel_tol_dominating must be finite" in capsys.readouterr().err
-            assert not out.exists()
     # four nodes and six layers: the index checks need only the loaded network
     out = tmp_path / "indexed.csv"
     for flags, message in ((["trajectory", "--node", "0"], "node 0 out of range 1..4"),
@@ -909,6 +903,30 @@ def test_operator_whose_scale_overflows_exits_2_before_any_solve(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: the coupled operator overflows at omega 1e+308")
     assert not out.exists()
+    # interlayer weights past the float range: centrality's coupling sums and
+    # versatility's supra-adjacency are refused with one line each
+    cycle.write_text("1 1 2\n1 2 1\n2 1 2\n2 2 1\n", encoding="utf-8")
+    argv = ["--network", str(cycle), "--interlayer", "teleport:1e308", "--out", str(out)]
+    for command, message in ((["centrality", "--kind", "eigenvector", "--omega", "1"],
+                              "error: the coupled operator overflows at omega 1.0:"),
+                             (["versatility", "--omega", "10"],
+                              "error: the supra-adjacency overflows at omega 10.0")):
+        assert dispatch(command + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+        assert not out.exists()
+    assert dispatch(["versatility", "--omega", "1"] + argv) == 0
+
+
+@pytest.mark.parametrize("argv, merged", [
+    (["--grid", "-2,4,0.2", "--out", "x"], ["--grid=-2,4,0.2", "--out", "x"]),
+    (["--out", "x", "--grid"], ["--out", "x", "--grid"]),
+    (["--grid", "-1,0,1", "--grid", "0,1,1"], ["--grid=-1,0,1", "--grid=0,1,1"]),
+    (["--grid=-2,4,0.2", "--out", "x"], ["--grid=-2,4,0.2", "--out", "x"]),
+])
+def test_a_bare_grid_flag_takes_the_next_token_as_its_value(argv, merged):
+    assert cli._merge_grid_values(argv) == merged
 
 
 def test_pagerank_row_whose_sum_overflows_ranks_as_the_unscaled_row(tmp_path):
@@ -935,9 +953,6 @@ def test_flag_defaults_are_the_library_defaults():
     inputs = ["--network", "net.edges", "--interlayer", "chain"]
     base = [*inputs, "--kind", "eigenvector", "--out", "out"]
     limit = parser.parse_args(["limit", "--which", "weak", *base])
-    assert limit.rel_tol_dominating == limits.REL_TOL_DOMINATING
-    assert limit.rel_tol_dominating == inspect.signature(
-        limits.weak_limit).parameters["rel_tol_dominating"].default
     sweep_args = parser.parse_args(["sweep", "--grid=0,1,1", *base])
     assert sweep_args.prominence == inspect.signature(
         sweeps.detect_regimes).parameters["prominence_fraction"].default

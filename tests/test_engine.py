@@ -18,7 +18,7 @@ from supracentrality import (
     stride_permutation,
     tableau_from_vector,
 )
-from supracentrality.interlayer import chain_undirected
+from supracentrality.interlayer import chain_teleport, chain_undirected
 
 from _oracles import (
     blocks_instance,
@@ -327,3 +327,7 @@ def test_operator_whose_scale_overflows_is_refused():
     base = SupraOperator(_problem(_scaled(net, 1e-155), InterlayerMatrix(np.eye(1))), 0.0)
     with pytest.raises(OperatorOverflowError, match="omega 1e\\+155"):
         base.with_omega(1e155)
+    # interlayer sums past the float range, with no RuntimeWarning on the way
+    cycle = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
+    with pytest.raises(OperatorOverflowError, match="at omega 1.0:"):
+        SupraOperator(_problem(MultiplexNetwork(2, (cycle, cycle)), chain_teleport(2, 1e308)), 1.0)

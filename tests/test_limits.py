@@ -232,6 +232,17 @@ def test_weak_limit_symmetric_identical_layers_gives_interlayer_matrix():
     assert np.abs(res.X - inter.values).max() <= 1e-12
 
 
+@pytest.mark.parametrize("delta, dominating", [(1e-12, (1, 2)), (1e-6, (2,))])
+def test_weak_limit_ties_radii_within_the_one_relative_tolerance(delta, dominating):
+    # radii 1 and 1 + delta: a gap of 1e-12 is round-off at REL_TOL_DOMINATING, 1e-6 is not
+    weights = (1.0, 1.0 + delta)
+    net = MultiplexNetwork(2, tuple(LayerGraph(2, ((1, 2, w), (2, 1, w))) for w in weights))
+    res = weak_limit(_problem(net, all_to_all(2)))
+    assert res.dominating_set == dominating
+    assert limits.dominating_layers(res.layer_data.spectral_radii).tolist() == [
+        t - 1 for t in dominating]
+
+
 def test_weak_limit_localization_onto_dominating_layer():
     lonely = LayerGraph(3, ((1, 2, 1.0), (2, 1, 1.0)))
     net = MultiplexNetwork(3, (TRIANGLE, lonely))

@@ -7,13 +7,14 @@ from supracentrality import (
     InterlayerMatrix,
     LayerGraph,
     MultiplexNetwork,
+    OperatorOverflowError,
     PageRank,
     SupraProblem,
     build_centrality_matrix,
     pagerank_versatility,
 )
 from supracentrality.engine import shifted_power_iteration
-from supracentrality.interlayer import all_to_all
+from supracentrality.interlayer import all_to_all, chain_teleport
 
 from _oracles import (
     dense_adjacency,
@@ -111,3 +112,18 @@ def test_parameter_guards():
     refused = r"^versatility needs a PageRank kind, got Eigenvector\(\)$"
     with pytest.raises(ValueError, match=refused):
         pagerank_versatility(SupraProblem(net, Eigenvector(), inter), omega=1.0)
+
+
+def test_coupling_that_overflows_is_refused_before_the_solve():
+    cycle = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
+    problem = SupraProblem(MultiplexNetwork(2, (cycle, cycle)), PageRank(),
+                           chain_teleport(2, 1e308))
+    with pytest.raises(OperatorOverflowError, match="overflows at omega 10.0"):
+        pagerank_versatility(problem, 10.0)
+    assert pagerank_versatility(problem, 1.0) == pytest.approx([0.5, 0.5], abs=1e-12)
+    # a finite coupling whose sum with a self-loop overflows
+    looped = LayerGraph(2, ((1, 1, 1e308), (2, 2, 1.0)))
+    problem = SupraProblem(MultiplexNetwork(2, (looped, cycle)), PageRank(),
+                           chain_teleport(2, 1e308))
+    with pytest.raises(OperatorOverflowError, match="overflows at omega 1.0"):
+        pagerank_versatility(problem, 1.0)
