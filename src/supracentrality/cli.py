@@ -25,6 +25,15 @@ or any other submodule) leaves the environment alone.  With the OpenBLAS
 that numpy's and scipy's wheels ship, output files are byte-identical across
 repeat runs and across core counts; other BLAS builds are untested.
 
+Importing this module also defers ``numpy.f2py``, ``numpy.testing``,
+``numpy.polynomial`` and ``numpy.ctypeslib``, each unless already imported:
+scipy's vendored ``array_api_compat`` runs ``from numpy import *``, which
+loads them all (about 8 MB and 80 ms of every command's start with numpy 2.4
+and scipy 1.17), and no command reads them.  Each is registered as a module
+that loads in full on its first attribute access, so code that uses one,
+``numpy.testing.assert_allclose`` say, works unchanged.  Importing the
+library leaves numpy alone, as it leaves the environment.
+
 :func:`main`, which the ``supracentrality`` script and ``python -m
 supracentrality`` run, calls :func:`gc.freeze` before the command: the
 objects the imports made move to the permanent generation, so neither a
@@ -37,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import os
 import sys
@@ -45,6 +55,32 @@ import sys
 # variable once, when numpy or scipy loads it, so this comes before the first
 # import that loads numpy; importing the package itself loads none.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy
+
+# numpy packages no command reads (see the module docstring); registered before
+# the first import that reaches scipy.sparse, whose ``from numpy import *``
+# would load them
+_DEFERRED_NUMPY = ("f2py", "testing", "polynomial", "ctypeslib")
+
+
+def _defer_numpy_packages() -> None:
+    """Register each package of ``_DEFERRED_NUMPY`` that is not imported yet
+    as a module that loads on its first attribute access."""
+    for name in _DEFERRED_NUMPY:
+        full = f"numpy.{name}"
+        spec = None if full in sys.modules else importlib.util.find_spec(full)
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        # numpy's own __getattr__ would import the package in full
+        setattr(numpy, name, module)
+
+
+_defer_numpy_packages()
 
 from . import fileio
 from .engine import (DEFAULT_MAX_ITER, DEFAULT_TOL, NonConvergenceError, OperatorOverflowError,

@@ -372,8 +372,17 @@ def dominant_eigenpair(
 def dense_perron(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Spectrum of the small dense matrix ``a``, its eigenvalue of largest
     real part (the Perron root when ``a`` is nonnegative), and that
-    eigenvalue's sign-fixed unit right and left eigenvectors."""
-    values, left, right = scipy.linalg.eig(a, left=True)
+    eigenvalue's sign-fixed unit right and left eigenvectors.
+
+    ``eig`` runs on ``a`` times 4**-e, with 2e near the binary exponent of its
+    largest |entry|, and the eigenvalues are scaled back: ``eig`` loses the
+    eigenvalues of entries near the float maximum, and a power of two scales
+    exactly (but for entries below 2**-1022 times the largest).
+    """
+    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) // 2
+    values, left, right = scipy.linalg.eig(np.ldexp(a, -2 * e), left=True)
+    half = 2.0 ** e  # 4.0 ** e overflows at the float maximum
+    values = values * half * half
     k = int(np.argmax(values.real))
     return (values, float(values[k].real),
             _fix_sign(right[:, k].real, DENSE_CLAMP), _fix_sign(left[:, k].real, DENSE_CLAMP))

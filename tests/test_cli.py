@@ -213,6 +213,36 @@ def test_limit_weak_accepts_a_tied_layer_that_does_not_dominate(tmp_path):
     assert payload["mlc"][1] == 0.0
 
 
+def test_limit_weak_refuses_dominating_layers_the_chain_does_not_connect(tmp_path, capsys):
+    # layers 1 and 3 (radius 1) dominate layer 2 (radius 0.5), and the chain
+    # couples each of them only through layer 2
+    net = tmp_path / "split.edges"
+    net.write_text("1 1 2\n1 2 1\n2 1 2 0.5\n2 2 1 0.5\n3 1 2\n3 2 1\n", encoding="utf-8")
+    base = ["--network", str(net), "--kind", "eigenvector", "--interlayer", "chain"]
+    assert dispatch(["check", *base]) == 0
+    capsys.readouterr()
+    out = tmp_path / "weak.json"
+    assert dispatch(["limit", "--which", "weak", *base, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: interlayer coupling restricted to the dominating layers (1, 3) is not "
+        "strongly connected; the limit mixing weights are not unique\n")
+    assert not out.exists()
+
+
+def test_limit_strong_names_an_interlayer_eigenvalue_near_the_float_maximum(tmp_path, capsys):
+    # teleport:1e308 on two layers has the double root 1e308 (to 1e-8); the
+    # dense eig must not lose it
+    net = tmp_path / "cycle.edges"
+    net.write_text("1 1 2\n1 2 1\n2 1 2\n2 2 1\n", encoding="utf-8")
+    out = tmp_path / "strong.json"
+    assert dispatch(["limit", "--which", "strong", "--network", str(net), "--kind", "eigenvector",
+                     "--interlayer", "teleport:1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: top interlayer eigenvalue 1e+308 has multiplicity 2 within relative "
+        "tolerance 1e-08\n")
+    assert not out.exists()
+
+
 def test_correlate_and_trajectory(six_layer_net, tmp_path):
     corr = tmp_path / "corr.csv"
     code = dispatch(
@@ -460,6 +490,74 @@ def test_package_import_leaves_scipy_signal_unloaded(six_layer_net, tmp_path):
     # five grid points, so the sweep reaches regime detection
     assert "regimes" in proc.stdout
     assert loaded == {name: [0, []] for name in loaded}
+
+
+_DEFERRAL_CHILD = """
+import json, sys, types
+import numpy
+before = set(sys.modules)
+from supracentrality import cli
+deferred = [f"numpy.{n}" for n in cli._DEFERRED_NUMPY if f"numpy.{n}" not in before]
+code = cli.dispatch(sys.argv[1:])
+
+def loaded(name):
+    # a deferred module turns into a plain module when it loads, and only
+    # then can its submodules load
+    return (type(sys.modules[name]) is types.ModuleType
+            or any(m.startswith(name + ".") for m in sys.modules))
+
+after_command = [m for m in deferred if loaded(m)]
+markers = [m for m in ("numpy.f2py.f2py2e", "numpy.testing._private.utils") if m in sys.modules]
+numpy.testing.assert_allclose(1.0, 1.0)
+print(json.dumps([code, deferred, after_command, markers, loaded("numpy.testing")]))
+"""
+
+_DEFERRAL_COMMANDS = {
+    "check": ["check", "--kind", "eigenvector"],
+    "centrality": ["centrality", "--kind", "eigenvector", "--omega", "1", "--out", "{out}/c.csv",
+                   "--summary", "{out}/c.json"],
+    "sweep": ["sweep", "--kind", "eigenvector", "--grid", "-1,1,0.5", "--out", "{out}/s.csv"],
+    "correlate": ["correlate", "--kind", "eigenvector", "--grid", "-1,1,0.5",
+                  "--out", "{out}/r.csv"],
+    "trajectory": ["trajectory", "--node", "2", "--kind", "eigenvector", "--grid", "-1,1,0.5",
+                   "--out", "{out}/t.csv"],
+    "limit_weak": ["limit", "--which", "weak", "--kind", "eigenvector", "--out", "{out}/w.json"],
+    "limit_strong": ["limit", "--which", "strong", "--kind", "eigenvector",
+                     "--out", "{out}/l.json"],
+    "versatility": ["versatility", "--omega", "1", "--out", "{out}/v.csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(_DEFERRAL_COMMANDS))
+def test_cli_defers_numpy_packages_no_command_reads(six_layer_net, tmp_path, command):
+    # numpy.f2py and numpy.testing are registered unloaded by the CLI import
+    # and stay so through a whole command; the first access still loads them
+    argv = [a.format(out=tmp_path) for a in _DEFERRAL_COMMANDS[command]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEFERRAL_CHILD, *argv, "--network", str(six_layer_net),
+         "--interlayer", "alltoall"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, deferred, after_command, markers, testing_loaded = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert {"numpy.f2py", "numpy.testing"} <= set(deferred)
+    assert after_command == []
+    assert markers == []
+    assert testing_loaded
+
+
+def test_library_import_defers_no_numpy_package():
+    # only the CLI registers deferred modules; the library leaves numpy as is
+    code = ("import json, sys, types; import supracentrality.fileio; "
+            "names = ('f2py', 'testing', 'polynomial', 'ctypeslib'); "
+            "print(json.dumps([n for n in names if type(sys.modules.get("
+            "'numpy.' + n, types)) is not types.ModuleType]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 _PARSE_AND_BUILD_CHILD = """

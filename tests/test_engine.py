@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from supracentrality import (
     Eigenvector,
@@ -18,6 +19,7 @@ from supracentrality import (
     stride_permutation,
     tableau_from_vector,
 )
+from supracentrality import engine
 from supracentrality.interlayer import chain_teleport, chain_undirected
 
 from _oracles import (
@@ -331,3 +333,23 @@ def test_operator_whose_scale_overflows_is_refused():
     cycle = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
     with pytest.raises(OperatorOverflowError, match="at omega 1.0:"):
         SupraOperator(_problem(MultiplexNetwork(2, (cycle, cycle)), chain_teleport(2, 1e308)), 1.0)
+
+
+def test_dense_perron_keeps_eigenvalues_near_the_float_maximum():
+    # unscaled, eig returns 1.48857e+138 twice for this matrix
+    values, root, right, left = engine.dense_perron(np.array([[1e308, 1.0], [1e308, 1e308]]))
+    assert root == 1e308
+    assert np.array_equal(values, [1e308, 1e308])
+    assert np.all(right >= 0) and np.all(left >= 0)
+    # the power-of-two scaling is exact: moderate matrices keep every bit
+    rng = np.random.default_rng(3)
+    for scale in (1e-3, 0.7, 1.0, 5.0, 1e3):
+        a = rng.random((6, 6)) * scale
+        values, left_vecs, right_vecs = scipy.linalg.eig(a, left=True)
+        k = int(np.argmax(values.real))
+        got = engine.dense_perron(a)
+        assert np.array_equal(got[0], values)
+        assert got[1] == values[k].real
+        for vector, reference in ((got[2], right_vecs), (got[3], left_vecs)):
+            assert np.array_equal(
+                vector, engine._fix_sign(reference[:, k].real, engine.DENSE_CLAMP))
