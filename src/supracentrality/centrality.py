@@ -11,6 +11,7 @@ read through its methods.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,6 +82,27 @@ class LayerCentralityMatrix:
             return 0.0
         return 0.1 * (1.0 + self.max_row_sum())
 
+    @cached_property
+    def largest_sum(self) -> tuple[float, int]:
+        """(s, e): s * 2**e is the largest row or column sum, uniform term
+        included.  Where that sum is past the float range, s is taken on the
+        matrix times 2**-e, e the binary exponent of the largest entry."""
+        with np.errstate(over="ignore"):
+            s = max(self.max_row_sum(), float(self.column_sums().max(initial=0.0)))
+        if math.isfinite(s):
+            return s, 0
+        e = math.frexp(self.max_abs_entry())[1]
+        return self.scaled(e).largest_sum[0], e
+
+    def scaled(self, k: int) -> LayerCentralityMatrix:
+        """The matrix times 2**-k."""
+        a = self.sparse
+        return LayerCentralityMatrix(
+            n=self.n, sparse=sparse.csr_matrix((np.ldexp(a.data, -k), a.indices, a.indptr),
+                                               shape=a.shape),
+            teleport_coeff=math.ldexp(self.teleport_coeff, -k),
+        )
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product C @ x."""
         return self.sparse @ x + (self.teleport_coeff * float(x.sum())) * (1.0 / self.n)
@@ -127,37 +149,31 @@ def pagerank_from_adjacency(a: sparse.csr_matrix, kind: PageRank) -> LayerCentra
 
     A' is ``a`` after the dangling policy has added unit self-edges (to
     dangling nodes only, or to every node), and D is the diagonal of A' row
-    sums.  ``a`` is not modified.  A row of A' whose sum overflows is first
-    divided by its largest weight, which leaves its normalized row as it is
-    in exact arithmetic; every other row keeps its bits.
+    sums.  ``a`` is not modified.  Each row of A' is first multiplied by
+    2**-e, e the binary exponent of its largest weight, which leaves its
+    normalized row as it is in exact arithmetic, so a row sum past the
+    float range or below its normal range normalizes as well, and a row of
+    normal weights keeps its bits.
     """
     n = a.shape[0]
-    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
-        row_sums = np.asarray(a.sum(axis=1)).ravel()
+    with np.errstate(over="ignore"):  # only a zero row sum is read
+        dangling = np.asarray(a.sum(axis=1)).ravel() == 0
     if kind.dangling is DanglingPolicy.ALL_NODES:
         a = (a + sparse.identity(n, format="csr")).tocsr()
-        row_sums = row_sums + 1.0
-    else:
-        dangling = row_sums == 0
-        if dangling.any():
-            a = (a + sparse.diags(dangling.astype(float))).tocsr()
-            row_sums = row_sums + dangling
-    if np.any(row_sums == 0):  # impossible by construction
-        raise AssertionError("zero row sum survived the dangling policy")
-    overflowed = ~np.isfinite(row_sums)
-    if overflowed.any():
-        row_max = np.where(overflowed, a.max(axis=1).toarray().ravel(), 1.0)
-        a = sparse.csr_matrix(
-            (a.data / np.repeat(row_max, np.diff(a.indptr)), a.indices, a.indptr), shape=a.shape
-        )
-        row_sums = np.where(overflowed, np.asarray(a.sum(axis=1)).ravel(), row_sums)
+    elif dangling.any():
+        a = (a + sparse.diags(dangling.astype(float))).tocsr()
 
     # one new data array over a's index arrays, then one transposing copy;
-    # the row sums and the data array are freed as soon as they are spent
-    scaled = a.data * np.repeat(1.0 / row_sums, np.diff(a.indptr)) * kind.sigma
+    # each temporary is freed as soon as it is spent
+    counts = np.diff(a.indptr)
+    data = np.ldexp(a.data, np.repeat(-np.frexp(a.max(axis=1).toarray().ravel())[1], counts))
+    row_sums = np.asarray(sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+                          .sum(axis=1)).ravel()
+    data *= np.repeat(1.0 / row_sums, counts)
+    data *= kind.sigma
     del row_sums
-    stochastic = sparse.csr_matrix((scaled, a.indices, a.indptr), shape=a.shape).T.tocsr()
-    del scaled
+    stochastic = sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape).T.tocsr()
+    del data
 
     return LayerCentralityMatrix(n=n, sparse=stochastic, teleport_coeff=1.0 - kind.sigma)
 

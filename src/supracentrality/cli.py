@@ -1,10 +1,12 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 usage error, 2 validation or precondition failure
-(unparsable or non-finite input, a coupled operator whose scale overflows,
-a coupling limit whose uniqueness precondition fails, or a solver vector
-that is not nonnegative where the uniqueness preconditions fail), 3
-eigensolver failure (non-convergence, or such a vector where they hold).
+(unparsable or non-finite input, an input too large to allocate, an entry
+of omega times the interlayer matrix or a dominant eigenvalue past the
+float range, a coupling limit whose uniqueness precondition fails, or a
+solver vector that is not nonnegative where the uniqueness preconditions
+fail), 3 eigensolver failure (non-convergence, or such a vector where they
+hold).
 ``centrality``, ``sweep``, ``correlate`` and ``trajectory`` warn when the
 preconditions fail; the last three warn once per failed grid point too.
 Usage errors include a ``blocks:`` interlayer spec with a repeated or
@@ -444,7 +446,7 @@ def dispatch(argv) -> int:
     try:
         return args.func(args)
     except (fileio.ParseError, fileio.ValidationError, LimitPreconditionError,
-            OperatorOverflowError, PreconditionFailure, OSError) as err:
+            OperatorOverflowError, PreconditionFailure, OSError, MemoryError) as err:
         code, error = EXIT_VALIDATION, err
     except NonConvergenceError as err:
         code, error = EXIT_NO_CONVERGENCE, err

@@ -13,8 +13,10 @@ i of layer t (both 1-based).
 
 Every solver takes an :class:`Operator` (a :class:`SupraOperator`, or one
 ``LayerCentralityMatrix``), which owns its shift c >= 0 by the one rule of
-``LayerCentralityMatrix.shift``.  Power iteration runs on C + c*I, which is
-aperiodic when c > 0, and reports the eigenvalue with the shift removed.
+``LayerCentralityMatrix.shift``.  Every solve runs on its operator times
+2**-k, by the one scaling rule of :func:`scale_operator`, and reports the
+eigenvalue and residual times 2**k.  Power iteration runs on C + c*I, which
+is aperiodic when c > 0, and reports the eigenvalue with the shift removed.
 ARPACK, or one dense ``eig`` below dimension 3, finds the dominant
 eigenvector that power iteration then accepts; the T x T matrices of the
 coupling limits take the dense ``eig``, :func:`dense_perron`, alone.
@@ -35,6 +37,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from . import _EXPORTS
+from .centrality import LayerCentralityMatrix
 from .types import CentralityTableau, SupraProblem, check_omega
 
 __all__ = list(_EXPORTS["engine"])
@@ -70,9 +73,9 @@ class NegativeEigenvectorError(NonConvergenceError):
 
 
 class OperatorOverflowError(ValueError):
-    """The coupled operator's products could overflow: with r the largest
-    absolute row or column sum of C(omega) + cI, ``dim * r**2``, which
-    bounds the squared norm of the product with a unit vector, is not finite.
+    """A value the solve must report is past the float range: the dominant
+    eigenvalue, which the solve finds as lambda times 2**k, or an entry of
+    omega times the interlayer matrix.
     """
 
 
@@ -129,19 +132,54 @@ def _unit_start(dim: int, start: np.ndarray | None) -> np.ndarray:
 
 
 class Operator(Protocol):
-    """What every eigensolve reads: a square nonnegative operator and its shift."""
+    """What every eigensolve reads: a square nonnegative operator, its shift,
+    and what the scaling rule reads.  ``largest_sum`` is a pair (s, e) whose
+    s * 2**e bounds the operator's row and column sums without overflow, and
+    ``scaled(k)`` is the operator times 2**-k."""
 
     dim: int
     shift: float
+    largest_sum: tuple[float, int]
 
     def apply(self, x: np.ndarray) -> np.ndarray: ...
     def apply_transpose(self, x: np.ndarray) -> np.ndarray: ...
+    def scaled(self, k: int) -> Operator: ...
 
 
 def _matvec(op: Operator, side: str):
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     return op.apply if side == "right" else op.apply_transpose
+
+
+def _scale_exponent(s: float, e: int, dim: int) -> int:
+    """k of the scaling rule for a ``dim``-dimensional operator whose largest
+    row or column sum is r = s * 2**e: 0 where 1 <= r and dim * (2r)**2 is
+    finite (2r bounds r plus the shift), so an operator at unit scale keeps
+    its bits, and otherwise the k that puts r * 2**-k in [1, 2).  A zero
+    operator takes 0."""
+    if s == 0:
+        return 0
+    m, p = math.frexp(s)
+    p += e  # r = m * 2**p with m in [0.5, 1)
+    r = math.ldexp(m, min(p, 1024))
+    return 0 if p >= 1 and math.isfinite(4.0 * dim * r * r) else p - 1
+
+
+def scale_operator(op: Operator) -> tuple[Operator, int]:
+    """``op`` times 2**-k, and k: the one scaling rule of every eigensolve
+    (``op`` itself where k = 0).  IEEE 754 multiplies by 2**k exactly while
+    the result stays normal, so the scaled operator has the same
+    eigenvectors and its eigenvalues are 2**-k times the operator's.  Its
+    shift follows the shift rule at the new scale."""
+    k = _scale_exponent(*op.largest_sum, op.dim)
+    return (op.scaled(k) if k else op), k
+
+
+def _unscaled(value: float, k: int) -> float:
+    """``value`` times 2**k, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, k))
 
 
 def shifted_power_iteration(
@@ -154,20 +192,23 @@ def shifted_power_iteration(
 ) -> EigenpairResult:
     """Dominant right or left eigenpair of ``op`` by power iteration.
 
-    Iterates x -> C x + c x, with C the operator (its transpose for the left
-    pair) and c = ``op.shift``, from the (positive) all-ones direction
-    unless ``start`` is given.  Converged when the residual and the change
-    in the Rayleigh quotient both fall below tol relative to the eigenvalue;
-    the reported eigenvalue has the shift subtracted.  After convergence the
-    vector's sign is fixed so its largest-magnitude entry is positive and
-    entries in (-tol, 0) are clamped to 0.
+    Iterates x -> C x + c x, with C the operator times 2**-k of
+    :func:`scale_operator` (its transpose for the left pair) and c its
+    shift, from the (positive) all-ones direction unless ``start`` is given.
+    Converged when the residual and the change in the Rayleigh quotient
+    both fall below tol relative to the eigenvalue; the reported eigenvalue
+    has the shift subtracted, and it and the residual are times 2**k.
+    After convergence the vector's sign is fixed so its largest-magnitude
+    entry is positive and entries in (-tol, 0) are clamped to 0.
 
     Raises NonConvergenceError after ``max_iter`` iterations, or as soon as
-    an iterate is not finite.
+    an iterate is not finite, and :class:`OperatorOverflowError` for an
+    eigenvalue past the float range.
     """
+    _check_budget(tol, max_iter)
+    op, k = scale_operator(op)
     matvec = _matvec(op, side)
     shift = op.shift
-    _check_budget(tol, max_iter)
     x = _unit_start(op.dim, start)
     lam_prev = None
     residual = np.inf
@@ -184,21 +225,21 @@ def shifted_power_iteration(
             and residual <= tol * scale
             and abs(lam_shifted - lam_prev) <= tol * scale
         ):
-            return EigenpairResult(
-                eigenvalue=lam,
-                vector=_fix_sign(x, tol),
-                iterations=iteration,
-                residual=residual,
-            )
+            if not math.isfinite(_unscaled(lam, k)):
+                raise OperatorOverflowError(
+                    f"the dominant eigenvalue, {lam!r} times 2**{k}, is past the float range")
+            return EigenpairResult(eigenvalue=_unscaled(lam, k), vector=_fix_sign(x, tol),
+                                   iterations=iteration, residual=_unscaled(residual, k))
         norm_y = float(np.linalg.norm(y))
-        if not math.isfinite(norm_y):
-            raise NonConvergenceError(iteration, residual, "iterate is not finite")
-        if norm_y == 0:
-            raise NonConvergenceError(iteration, residual, "iterate collapsed to zero")
+        if not math.isfinite(norm_y) or norm_y == 0:
+            context = "iterate collapsed to zero" if norm_y == 0 else "iterate is not finite"
+            break
         x = y / norm_y
         lam_prev = lam_shifted
-    context = "the stopping rule compares two iterates, and the budget allows one"
-    raise NonConvergenceError(max_iter, residual, context if max_iter == 1 else "")
+    else:
+        context = "the stopping rule compares two iterates, and the budget allows one"
+        context = context if max_iter == 1 else ""
+    raise NonConvergenceError(iteration, _unscaled(residual, k), context)
 
 
 class SupraOperator:
@@ -208,60 +249,71 @@ class SupraOperator:
     ``apply``/``apply_transpose``/``to_dense`` are the unshifted operator;
     only the eigensolver adds ``shift``, the largest of the layer matrices'
     shifts: where every layer is positive (PageRank) the coupled operator
-    has a positive diagonal and needs none.  Construction and ``with_omega``
-    raise ValueError for an ``omega`` that is not finite and nonnegative,
-    and :class:`OperatorOverflowError` for an operator whose products could
-    overflow, before any of them is computed.
+    has a positive diagonal and needs none.  Every solve runs on the
+    operator times 2**-k (:func:`scale_operator`), whose layer matrices and
+    coupling take the same factor.  Construction and ``with_omega`` raise
+    ValueError for an ``omega`` that is not finite and nonnegative, and
+    :class:`OperatorOverflowError` for one at which an entry of omega times
+    the interlayer matrix is past the float range.
     """
 
     def __init__(self, problem: SupraProblem, omega: float):
-        self.omega = check_omega(omega)
         self.problem = problem
-        self.layers = problem.layer_matrices
         self.interlayer = problem.interlayer.values
-        # a sum past the float range is refused by _check_scale, not warned about
-        with np.errstate(over="ignore"):
-            self.shift = max(m.shift for m in self.layers)
-            # largest row or column sum of each C_t and of A~ (all are nonnegative)
-            self._layer_sums = np.array(
-                [max(m.max_row_sum(), float(m.column_sums().max(initial=0.0)))
-                 for m in self.layers]
-            )
-            self._coupling_sums = np.maximum(self.interlayer.sum(axis=0),
-                                             self.interlayer.sum(axis=1))
-        self._check_scale()
+        # the products read A~ times 2**-j, whose largest entry lies in [1, 2),
+        # so A~ x cannot overflow, and omega times 2**j (_weight) for omega
+        self._j = math.frexp(self.interlayer.max(initial=0.0))[1] - 1
+        self._coupling = np.ldexp(self.interlayer, -self._j)
+        self._coupling_sums = np.maximum(self._coupling.sum(axis=0), self._coupling.sum(axis=1))
+        self._set_layers(problem.layer_matrices)
+        self._set_omega(omega)
 
+    def _set_layers(self, layers) -> None:
+        self.layers = layers
         # one block-diagonal sparse matrix for all layers keeps apply() at a
         # single matvec instead of a Python loop over layers; the uniform
         # PageRank terms stay as their coefficients, so each product adds them
         # as T scaled block sums instead of T dense N x N blocks
-        self._block_diag = sparse.block_diag([m.sparse for m in self.layers], format="csr")
-        coeffs = np.array([m.teleport_coeff for m in self.layers])
+        self._block_diag = sparse.block_diag([m.sparse for m in layers], format="csr")
+        coeffs = np.array([m.teleport_coeff for m in layers])
         self._tele_coeffs = coeffs if coeffs.any() else None  # None: no PageRank term
 
-    def _check_scale(self) -> None:
-        """Raise :class:`OperatorOverflowError` unless ``dim * r**2`` is
-        finite, r bounding |((C + cI) x)_i| for a unit x on either side."""
-        with np.errstate(over="ignore"):
-            sums = self._layer_sums + self.omega * self._coupling_sums
-        scale = float(sums.max()) + self.shift
-        if not math.isfinite(self.dim * scale * scale):
-            layer_scale = float(self._layer_sums.max()) + self.shift
-            layers_alone = not math.isfinite(self.dim * layer_scale * layer_scale)
-            where = ("at every omega, from its layer matrices alone" if layers_alone
-                     else f"at omega {self.omega!r}")
+    def _set_omega(self, omega: float) -> None:
+        self.omega = check_omega(omega)
+        if not math.isfinite(self.omega * float(self.interlayer.max(initial=0.0))):
             raise OperatorOverflowError(
-                f"the coupled operator overflows {where}: its largest absolute "
-                f"row or column sum {scale:.6g} squared, times dimension {self.dim}, is not finite"
-            )
+                f"an entry of omega times the interlayer matrix is past the float range "
+                f"at omega {self.omega!r}")
+        self._weight = math.ldexp(self.omega, self._j)
 
     def with_omega(self, omega: float) -> SupraOperator:
         """The same operator at coupling strength ``omega``, sharing the
         problem and the layer blocks, so a sweep builds them once."""
         out = copy.copy(self)
-        out.omega = check_omega(omega)
-        out._check_scale()
+        out._set_omega(omega)
         return out
+
+    def scaled(self, k: int) -> SupraOperator:
+        """The operator times 2**-k: its layer matrices and coupling times 2**-k."""
+        out = copy.copy(self)
+        out._set_layers(tuple(m.scaled(k) for m in self.layers))
+        out._weight = math.ldexp(self._weight, -k)
+        return out
+
+    @property
+    def shift(self) -> float:
+        return max(m.shift for m in self.layers)
+
+    @property
+    def largest_sum(self) -> tuple[float, int]:
+        """(s, e): s * 2**e bounds every row and column sum, block t's being
+        C_t's largest plus omega times row or column t of the interlayer
+        matrix; e is the largest of the layers' and the coupling's."""
+        layers = [m.largest_sum for m in self.layers]
+        e = max([e_t for _, e_t in layers] + [math.frexp(self._weight)[1] + 1])
+        weight = math.ldexp(self._weight, -e)
+        return max(math.ldexp(s_t, e_t - e) + weight * float(c)
+                   for (s_t, e_t), c in zip(layers, self._coupling_sums)), e
 
     @property
     def n_nodes(self) -> int:
@@ -277,13 +329,13 @@ class SupraOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Blockwise product: C_t x_t + omega * sum_t' A~[t,t'] x_t'."""
-        return self._product(x, self._block_diag, self.interlayer)
+        return self._product(x, self._block_diag, self._coupling)
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         """Product with the transposed operator."""
-        return self._product(x, self._block_diag.T, self.interlayer.T)
+        return self._product(x, self._block_diag.T, self._coupling.T)
 
-    def _product(self, x: np.ndarray, block_diag, interlayer: np.ndarray) -> np.ndarray:
+    def _product(self, x: np.ndarray, block_diag, coupling: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a vector of length {self.dim}, got {x.shape}")
@@ -291,8 +343,8 @@ class SupraOperator:
         out = (block_diag @ x).reshape(blocks.shape)
         if self._tele_coeffs is not None:  # the PageRank term (c_t / N) 1 1^T is symmetric
             out += ((self._tele_coeffs * blocks.sum(axis=1)) * (1.0 / self.n_nodes))[:, None]
-        if self.omega:
-            out += self.omega * (interlayer @ blocks)
+        if self._weight:
+            out += self._weight * (coupling @ blocks)
         return out.ravel()
 
     def to_dense(self) -> np.ndarray:
@@ -301,8 +353,8 @@ class SupraOperator:
         dense = np.zeros((n * t, n * t))
         for tt, mat in enumerate(self.layers):
             dense[tt * n : (tt + 1) * n, tt * n : (tt + 1) * n] = mat.to_dense()
-        if self.omega:
-            dense += self.omega * np.kron(self.interlayer, np.eye(n))
+        if self._weight:
+            dense += self._weight * np.kron(self._coupling, np.eye(n))
         return dense
 
 
@@ -331,9 +383,10 @@ def dominant_eigenpair(
     pass the previous solution as ``start`` when sweeping over coupling
     strengths.  A vector that is not nonnegative (an entry below -1e-9)
     raises :class:`NegativeEigenvectorError`, a :class:`NonConvergenceError`.
+    Both steps run on ``op`` times 2**-k (:func:`scale_operator`).
     """
-    matvec = _matvec(op, side)
     _check_budget(tol, max_iter)
+    matvec = _matvec(scale_operator(op)[0], side)
     dim = op.dim
     v0 = _unit_start(dim, start)
     spent = 0
@@ -374,18 +427,19 @@ def dense_perron(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarr
     real part (the Perron root when ``a`` is nonnegative), and that
     eigenvalue's sign-fixed unit right and left eigenvectors.
 
-    ``eig`` runs on ``a`` times 4**-e, with 2e near the binary exponent of its
-    largest |entry|, and the eigenvalues are scaled back: ``eig`` loses the
-    eigenvalues of entries near the float maximum, and a power of two scales
-    exactly (but for entries below 2**-1022 times the largest).
+    ``eig`` runs on ``a`` times 2**-k, k by the scaling rule of
+    :func:`scale_operator` read on |a|, and the eigenvalues are scaled
+    back: ``eig`` loses the eigenvalues of entries near the float maximum,
+    and a power of two scales exactly (but for entries below 2**-1022 times
+    the largest).
     """
-    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) // 2
-    values, left, right = scipy.linalg.eig(np.ldexp(a, -2 * e), left=True)
-    half = 2.0 ** e  # 4.0 ** e overflows at the float maximum
-    values = values * half * half
-    k = int(np.argmax(values.real))
-    return (values, float(values[k].real),
-            _fix_sign(right[:, k].real, DENSE_CLAMP), _fix_sign(left[:, k].real, DENSE_CLAMP))
+    k = scale_operator(LayerCentralityMatrix(len(a), sparse.csr_matrix(np.abs(a))))[1]
+    values, left, right = scipy.linalg.eig(np.ldexp(a, -k), left=True)
+    # two factors, since 2.0 ** k alone overflows at k = 1024
+    values = values * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)
+    top = int(np.argmax(values.real))
+    return (values, float(values[top].real), _fix_sign(right[:, top].real, DENSE_CLAMP),
+            _fix_sign(left[:, top].real, DENSE_CLAMP))
 
 
 def tableau_from_vector(

@@ -32,7 +32,7 @@ import numpy as np
 from . import _EXPORTS
 from .centrality import LayerCentralityMatrix
 from .engine import (DEFAULT_MAX_ITER, EigenpairResult, NonConvergenceError, dense_perron,
-                     shifted_power_iteration, tableau_from_vector)
+                     scale_operator, shifted_power_iteration, tableau_from_vector)
 from .graph import layer_sum_components, strongly_connected
 from .interlayer import all_to_all, chain_undirected
 from .types import CentralityTableau, SupraProblem
@@ -183,12 +183,15 @@ def _perron_pairs(mat: LayerCentralityMatrix, where: str,
     A reducible ``mat`` whose two largest strong component radii (plus the
     shift) lie within LAYER_GAP_FLOOR raises DegenerateLayerEigenvalueError
     before any iteration on the whole matrix (Perron-Frobenius and Rothblum
-    1975).  Errors name ``where``.
+    1975).  The radii and the shift are compared at the scale the solves
+    run at, ``mat`` times 2**-k.  Errors name ``where``.
     """
     _, right, blocks = radius
     if blocks is not None:
         second, top = np.sort(blocks)[-2:]
-        if second + mat.shift >= (1.0 - LAYER_GAP_FLOOR) * (top + mat.shift):
+        scaled, k = scale_operator(mat)
+        low, high = math.ldexp(second, -k) + scaled.shift, math.ldexp(top, -k) + scaled.shift
+        if low >= (1.0 - LAYER_GAP_FLOOR) * high:
             raise DegenerateLayerEigenvalueError(where, top, second)
         right = _solve(mat, where)
     return right, _solve(mat, where, "left")

@@ -131,7 +131,8 @@ def sweep(
     start), which saves matvecs where the dominant eigenvalue cluster is
     nearly degenerate (strong coupling).  A failed point is recorded and
     the sweep continues; the next solve falls back to the default start.
-    An operator that overflows at the largest grid value raises
+    A largest grid value at which an entry of omega times the interlayer
+    matrix is past the float range raises
     :class:`~supracentrality.engine.OperatorOverflowError` before the first
     solve.
     """

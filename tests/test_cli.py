@@ -394,6 +394,17 @@ def test_non_finite_inputs_are_rejected(tmp_path, capsys):
     assert f"{inter}:2: non-finite weight 'nan'" in capsys.readouterr().err
 
 
+def test_a_node_count_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 2**58 nodes: an 8-byte index per node is 2 EiB, which malloc refuses at once
+    net = tmp_path / "cycle.edges"
+    net.write_text("1 1 2\n1 2 1\n", encoding="utf-8")
+    assert dispatch(["check", "--network", str(net), "--kind", "eigenvector",
+                     "--interlayer", "alltoall", "--nodes", str(2 ** 58)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
+
+
 def test_non_finite_limit_and_sweep_flags_are_usage_errors(six_layer_net, tmp_path, capsys):
     base = ["--network", str(six_layer_net), "--kind", "eigenvector", "--interlayer",
             "alltoall"]
@@ -974,39 +985,18 @@ def test_operator_whose_scale_overflows_exits_2_before_any_solve(tmp_path, capsy
         raise AssertionError("a solve ran")
 
     monkeypatch.setattr(sweeps, "dominant_eigenpair", no_solve)
-    huge = tmp_path / "huge.edges"
-    huge.write_text("1 1 1 1e308\n1 2 2 1.0\n", encoding="utf-8")
     out = tmp_path / "out.csv"
-    argv = ["--network", str(huge), "--kind", "eigenvector", "--interlayer", "alltoall",
-            "--out", str(out)]
-    # the layer matrix alone overflows, so no omega is named
-    for omega in ("1e308", "1"):
-        assert dispatch(["centrality", *argv, "--omega", omega]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the coupled operator overflows at every omega, from its "
-                              "layer matrices alone")
-        assert err.count("\n") == 1
-    # a row sum past the float range is refused the same way
-    huge.write_text("1 1 2 1e308\n1 1 3 1e308\n1 2 1 1\n1 3 1 1\n", encoding="utf-8")
-    assert dispatch(["centrality", *argv, "--omega", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the coupled operator overflows at every omega, from its "
-                          "layer matrices alone: its largest absolute row or column sum inf")
-    assert err.count("\n") == 1
-    # a sweep refuses its largest omega before the first grid point's solve
+    # interlayer weights past the float range once omega multiplies them:
+    # centrality's coupling and versatility's supra-adjacency are refused with
+    # one line each, and a sweep refuses its largest omega before the first
+    # grid point's solve
     cycle = tmp_path / "cycle.edges"
-    cycle.write_text("1 1 2\n1 2 1\n", encoding="utf-8")
-    argv[1] = str(cycle)
-    assert dispatch(["sweep", *argv, "--grid", "0,308,154"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the coupled operator overflows at omega 1e+308")
-    assert not out.exists()
-    # interlayer weights past the float range: centrality's coupling sums and
-    # versatility's supra-adjacency are refused with one line each
     cycle.write_text("1 1 2\n1 2 1\n2 1 2\n2 2 1\n", encoding="utf-8")
     argv = ["--network", str(cycle), "--interlayer", "teleport:1e308", "--out", str(out)]
-    for command, message in ((["centrality", "--kind", "eigenvector", "--omega", "1"],
-                              "error: the coupled operator overflows at omega 1.0:"),
+    eigenvector = ["--kind", "eigenvector"]
+    ours = "error: an entry of omega times the interlayer matrix is past the float range at omega"
+    for command, message in ((["centrality", *eigenvector, "--omega", "10"], f"{ours} 10.0"),
+                             (["sweep", *eigenvector, "--grid", "0,1,1"], f"{ours} 10.0"),
                              (["versatility", "--omega", "10"],
                               "error: the supra-adjacency overflows at omega 10.0")):
         assert dispatch(command + argv) == 2
@@ -1015,6 +1005,114 @@ def test_operator_whose_scale_overflows_exits_2_before_any_solve(tmp_path, capsy
         assert err.count("\n") == 1
         assert not out.exists()
     assert dispatch(["versatility", "--omega", "1"] + argv) == 0
+
+
+def test_weights_near_the_float_range_solve_and_only_the_eigenvalue_overflows(tmp_path,
+                                                                             capsys):
+    # each solve runs at 2**-k; pytest turns a RuntimeWarning into an error
+    def joint(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return np.array([[float(v) for v in r[1:]] for r in list(csv.reader(fh))[1:]])
+
+    huge = tmp_path / "huge.edges"
+    out = tmp_path / "out.csv"
+    summary = tmp_path / "summary.json"
+    argv = ["centrality", "--network", str(huge), "--kind", "eigenvector", "--interlayer",
+            "alltoall", "--out", str(out), "--summary", str(summary)]
+    huge.write_text("1 1 1 1e308\n1 2 2 1.0\n", encoding="utf-8")
+    assert dispatch([*argv, "--omega", "1"]) == 0
+    assert np.array_equal(joint(out), [[1.0], [0.0]])
+    assert json.loads(summary.read_text())["lambda_max"] == 1e308
+    # 2e308 is past the float range: one error line (after the warnings of a
+    # reducible layer), and no file
+    out.unlink()
+    assert dispatch([*argv, "--omega", "1e308"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: the dominant eigenvalue, ")
+    assert errors[0].endswith(" times 2**1024, is past the float range")
+    assert not out.exists()
+    # a row sum past the float range: the star 1 <-> 2, 1 <-> 3 of weight 1e308
+    # has lambda sqrt(2) * 1e308 (the coupling adds 1) and W (sqrt(2), 1, 1) / 2
+    huge.write_text("1 1 2 1e308\n1 1 3 1e308\n1 2 1 1e308\n1 3 1 1e308\n", encoding="utf-8")
+    assert dispatch([*argv, "--omega", "1"]) == 0
+    assert json.loads(summary.read_text())["lambda_max"] == pytest.approx(
+        math.sqrt(2.0) * 1e308, rel=1e-12)
+    assert np.allclose(joint(out)[:, 0], [0.5 ** 0.5, 0.5, 0.5], rtol=0, atol=1e-12)
+    # a sweep up to omega = 1e308 on the two-cycle: lambda = 1 + omega at every point
+    huge.write_text("1 1 2\n1 2 1\n", encoding="utf-8")
+    sweep_csv = tmp_path / "sweep.csv"
+    assert dispatch(["sweep", "--network", str(huge), "--kind", "eigenvector", "--interlayer",
+                     "alltoall", "--grid", "0,308,154", "--out", str(sweep_csv)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _reparsed(sweep_csv)[:, 1] == pytest.approx([2.0, 1e154, 1e308], rel=1e-12)
+
+
+# two layers on three nodes: a 3-cycle with a chord, and a path both ways
+_WITNESS = "1 1 2 {s}\n1 2 3 {s}\n1 3 1 {s}\n1 1 3 {s}\n2 1 2 {s}\n2 2 1 {s}\n2 2 3 {s}\n2 3 2 {s}\n"
+
+
+def _witness_run(tmp_path, capsys, s: str) -> dict:
+    """Every command on the witness file with weights s at omega s (a sweep
+    over 10**(e-2), ..., 10**(e+2), e = log10 s), each exiting 0 with
+    nothing on standard error, and what each writes, parsed."""
+    net = tmp_path / f"witness_{s}.edges"
+    net.write_text(_WITNESS.format(s=s), encoding="utf-8")
+    e = round(math.log10(float(s)))
+    base = ["--network", str(net), "--interlayer", "alltoall"]
+    eigenvector = [*base, "--kind", "eigenvector"]
+    out = {name: tmp_path / f"{name}_{s}" for name in
+           ("joint", "summary", "sweep", "weak", "strong", "versatility")}
+    for argv in (["centrality", *eigenvector, "--omega", s, "--out", str(out["joint"]),
+                  "--summary", str(out["summary"])],
+                 ["sweep", *eigenvector, f"--grid={e - 2},{e + 2},1", "--out", str(out["sweep"])],
+                 ["limit", "--which", "weak", *eigenvector, "--out", str(out["weak"])],
+                 ["limit", "--which", "strong", *eigenvector, "--out", str(out["strong"])],
+                 ["versatility", *base, "--omega", s, "--out", str(out["versatility"])]):
+        assert dispatch(argv) == 0, argv[0]
+        assert capsys.readouterr().err == "", argv[0]
+    parsed = {name: json.loads(out[name].read_text()) for name in ("summary", "weak", "strong")}
+    parsed.update((name, _reparsed(out[name])) for name in ("joint", "sweep", "versatility"))
+    return parsed
+
+
+@pytest.mark.parametrize("s", ["1e-5", "1e-8", "1e-10", "1e-150", "1e-290", "1e160", "1e300"])
+def test_witness_scaled_by_s_gives_the_unit_answer_times_s(tmp_path, capsys, s):
+    # every weight and omega times s: lambda times s, every vector unchanged
+    unit, scaled = _witness_run(tmp_path, capsys, "1"), _witness_run(tmp_path, capsys, s)
+    factor = float(s)
+    close = {"rtol": 0, "atol": 1e-9}
+    assert np.allclose(scaled["joint"], unit["joint"], **close)
+    assert np.allclose(scaled["versatility"], unit["versatility"], **close)
+    assert scaled["summary"]["lambda_max"] == pytest.approx(
+        factor * unit["summary"]["lambda_max"], rel=1e-9)
+    # sweep columns: omega, lambda_max, two sensitivities, then the marginals
+    assert np.allclose(scaled["sweep"][:, :2] / factor, unit["sweep"][:, :2], rtol=1e-9, atol=0)
+    assert np.allclose(scaled["sweep"][:, 2:], unit["sweep"][:, 2:], equal_nan=True, **close)
+    for which, scaled_keys in (("weak", ("lambda_max_at_zero",)), ("strong", ("x_eigenvalue",))):
+        for key, value in unit[which].items():
+            if key in scaled_keys:
+                assert scaled[which][key] == pytest.approx(factor * value, rel=1e-9), key
+            elif isinstance(value, list):
+                assert np.allclose(scaled[which][key], value, **close), key
+            elif isinstance(value, float):
+                assert scaled[which][key] == pytest.approx(value, rel=1e-9), key
+
+
+def test_pagerank_subnormal_weights_rank_as_unit_weights(tmp_path):
+    # PageRank divides each row by its sum: a row of weights 1e-315, whose sum
+    # is subnormal, is first scaled by a power of two, so every file is the unit one
+    written = []
+    for s in ("1", "1e-315"):
+        net = tmp_path / f"pagerank_{s}.edges"
+        net.write_text(_WITNESS.format(s=s), encoding="utf-8")
+        base = ["--network", str(net), "--kind", "pagerank", "--interlayer", "alltoall"]
+        files = [tmp_path / f"{name}_{s}" for name in ("joint", "weak", "strong")]
+        assert dispatch(["centrality", *base, "--omega", "1", "--out", str(files[0])]) == 0
+        for which, path in zip(("weak", "strong"), files[1:]):
+            assert dispatch(["limit", "--which", which, *base, "--out", str(path)]) == 0
+        written.append([path.read_bytes() for path in files])
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("argv, merged", [

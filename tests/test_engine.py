@@ -38,9 +38,11 @@ def _problem(net, inter, kind=Eigenvector()):
 
 
 def _operator(dim, shift, apply, apply_transpose=None):
-    """A stand-in with the four members every eigensolve reads."""
+    """A stand-in with the members every eigensolve reads.  Its largest row
+    or column sum reads 1, so the scaling rule keeps it as it is (k = 0)
+    and never asks for ``scaled``."""
     return SimpleNamespace(dim=dim, shift=shift, apply=apply,
-                           apply_transpose=apply_transpose or apply)
+                           apply_transpose=apply_transpose or apply, largest_sum=(1.0, 0))
 
 
 def _with_shift(op, shift):
@@ -322,17 +324,32 @@ def test_huge_weights_solve_to_the_unscaled_vector():
 
 
 def test_operator_whose_scale_overflows_is_refused():
+    # dim * r**2 past the float range no longer refuses: the solve runs at 2**-k
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 1, 1e308), (2, 2, 1.0))),))
-    with pytest.raises(OperatorOverflowError, match="at every omega, from its layer matrices"):
-        SupraOperator(_problem(net, InterlayerMatrix(np.eye(1))), 1.0)
-    # at omega = 0, r = 1.1e153 (the shift adds a tenth) and 2 * r**2 is finite
+    pair = dominant_eigenpair(SupraOperator(_problem(net, InterlayerMatrix(np.eye(1))), 1.0))
+    assert pair.eigenvalue == 1e308
+    assert np.array_equal(pair.vector, [1.0, 0.0])
     base = SupraOperator(_problem(_scaled(net, 1e-155), InterlayerMatrix(np.eye(1))), 0.0)
-    with pytest.raises(OperatorOverflowError, match="omega 1e\\+155"):
-        base.with_omega(1e155)
-    # interlayer sums past the float range, with no RuntimeWarning on the way
-    cycle = LayerGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
-    with pytest.raises(OperatorOverflowError, match="at omega 1.0:"):
-        SupraOperator(_problem(MultiplexNetwork(2, (cycle, cycle)), chain_teleport(2, 1e308)), 1.0)
+    pair = dominant_eigenpair(base.with_omega(1e155))
+    assert pair.eigenvalue == pytest.approx(1.01e155, rel=1e-12)
+    assert np.array_equal(pair.vector, [1.0, 0.0])
+    # an interlayer row sum past the float range: A~ = [[a, a], [1, 1]], a = 1e308,
+    # has Perron root a + 1 and vector (a, 1) / |(a, 1)|; each layer, a 2-cycle of
+    # weight 1e307, adds its radius 1e307 and the vector (1, 1) / sqrt 2
+    cycle = LayerGraph(2, ((1, 2, 1e307), (2, 1, 1e307)))
+    problem = _problem(MultiplexNetwork(2, (cycle, cycle)),
+                       InterlayerMatrix(np.array([[1e308, 1e308], [1.0, 1.0]])))
+    pair = dominant_eigenpair(SupraOperator(problem, 1.0))
+    assert pair.eigenvalue == pytest.approx(1.1e308, rel=1e-12)
+    assert np.allclose(pair.vector, [0.5 ** 0.5] * 2 + [0.0] * 2, rtol=0, atol=1e-12)
+    # still refused: an entry of omega * A~, or the eigenvalue, past the float range
+    with pytest.raises(OperatorOverflowError, match="interlayer matrix is past the float "
+                                                    "range at omega 10.0"):
+        SupraOperator(problem, 10.0)
+    with pytest.raises(OperatorOverflowError, match="at omega 1e\\+300"):
+        SupraOperator(problem, 1.0).with_omega(1e300)
+    with pytest.raises(OperatorOverflowError, match="dominant eigenvalue.*past the float range"):
+        dominant_eigenpair(SupraOperator(_problem(net, InterlayerMatrix(np.eye(1))), 1e308))
 
 
 def test_dense_perron_keeps_eigenvalues_near_the_float_maximum():

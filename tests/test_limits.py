@@ -137,6 +137,26 @@ def test_layer_gap_guard_rejects_dag_layer_before_iterating(monkeypatch):
         layer_eigendata(_layers(net))
 
 
+@pytest.mark.parametrize("edges", [
+    # a 2-cycle of radius 2 feeding a 2-cycle of radius 1 (two block solves)
+    ((1, 2, 2.0), (2, 1, 2.0), (2, 3, 1.0), (3, 4, 1.0), (4, 3, 1.0)),
+    # self-loops of weight 2 and 1: the block radii are diagonal entries
+    ((1, 1, 2.0), (1, 2, 1.0), (2, 2, 1.0)),
+], ids=["cycle_blocks", "single_node_blocks"])
+def test_layer_gap_guard_compares_block_radii_at_the_solve_scale(edges):
+    # at weights 1e-8 an unscaled shift near 0.1 would tie the radii 2e-8 and 1e-8
+    def problem(s):
+        layer = LayerGraph(max(j for _, j, _ in edges), tuple((i, j, w * s) for i, j, w in edges))
+        return _problem(MultiplexNetwork(layer.n_nodes, (layer,)), all_to_all(1))
+
+    unit, scaled = weak_limit(problem(1.0)), weak_limit(problem(1e-8))
+    assert scaled.tableau.lambda_max == pytest.approx(2e-8, rel=1e-12)
+    for got, expected in ((scaled.layer_data.right, unit.layer_data.right),
+                          (scaled.layer_data.left, unit.layer_data.left),
+                          (scaled.tableau.W, unit.tableau.W)):
+        assert np.allclose(got, expected, rtol=0, atol=1e-9)
+
+
 # a weighted directed 4-cycle (radius 3) beside two 2-cycles (radius 1, tied)
 CYCLE_3 = LayerGraph(4, ((1, 2, 3.0), (2, 3, 3.0), (3, 4, 3.0), (4, 1, 3.0)))
 TWO_TWO_CYCLES = LayerGraph(4, ((1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)))
