@@ -82,18 +82,6 @@ class LayerCentralityMatrix:
             return 0.0
         return 0.1 * (1.0 + self.max_row_sum())
 
-    @cached_property
-    def largest_sum(self) -> tuple[float, int]:
-        """(s, e): s * 2**e is the largest row or column sum, uniform term
-        included.  Where that sum is past the float range, s is taken on the
-        matrix times 2**-e, e the binary exponent of the largest entry."""
-        with np.errstate(over="ignore"):
-            s = max(self.max_row_sum(), float(self.column_sums().max(initial=0.0)))
-        if math.isfinite(s):
-            return s, 0
-        e = math.frexp(self.max_abs_entry())[1]
-        return self.scaled(e).largest_sum[0], e
-
     def scaled(self, k: int) -> LayerCentralityMatrix:
         """The matrix times 2**-k."""
         a = self.sparse
@@ -129,15 +117,16 @@ class LayerCentralityMatrix:
         rows = rows + self.teleport_coeff * (1.0 / self.n) * self.n
         return float(rows.max()) if rows.size else 0.0
 
-    def column_sums(self) -> np.ndarray:
-        return np.asarray(self.sparse.sum(axis=0)).ravel() + self.teleport_coeff
-
     def max_abs_entry(self) -> float:
         """Largest |entry| in O(nnz): each stored entry plus the uniform term,
         and that term alone if a structural zero exists (nnz < n^2 in
         duplicate-free CSR, as built layer matrices and their sums are)."""
         term = self.teleport_coeff * (1.0 / self.n)
-        largest = float(np.abs(self.sparse.data + term).max(initial=0.0))
+        # |x + term| peaks at the smallest or the largest stored x, so no
+        # nnz-sized temporary is made (every solve reads this)
+        data = self.sparse.data
+        ends = (data.min(), data.max()) if data.size else ()
+        largest = float(max((abs(x + term) for x in ends), default=0.0))
         if self.sparse.nnz < self.n * self.n:
             largest = max(largest, abs(float(term)))
         return largest

@@ -37,7 +37,6 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from . import _EXPORTS
-from .centrality import LayerCentralityMatrix
 from .types import CentralityTableau, SupraProblem, check_omega
 
 __all__ = list(_EXPORTS["engine"])
@@ -87,6 +86,9 @@ _ARPACK_TOL_RATIO = 100
 DENSE_CLAMP = 1e-12  # dense Perron vector entries in (-DENSE_CLAMP, 0) become 0
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+# operators whose largest entry is below 2**UNIT_SCALE_FLOOR run scaled
+UNIT_SCALE_FLOOR = -4
+_EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +135,15 @@ def _unit_start(dim: int, start: np.ndarray | None) -> np.ndarray:
 
 class Operator(Protocol):
     """What every eigensolve reads: a square nonnegative operator, its shift,
-    and what the scaling rule reads.  ``largest_sum`` is a pair (s, e) whose
-    s * 2**e bounds the operator's row and column sums without overflow, and
-    ``scaled(k)`` is the operator times 2**-k."""
+    its largest absolute entry and ``scaled(k)``, the operator times 2**-k,
+    for the scaling rule."""
 
     dim: int
     shift: float
-    largest_sum: tuple[float, int]
 
     def apply(self, x: np.ndarray) -> np.ndarray: ...
     def apply_transpose(self, x: np.ndarray) -> np.ndarray: ...
+    def max_abs_entry(self) -> float: ...
     def scaled(self, k: int) -> Operator: ...
 
 
@@ -152,18 +153,18 @@ def _matvec(op: Operator, side: str):
     return op.apply if side == "right" else op.apply_transpose
 
 
-def _scale_exponent(s: float, e: int, dim: int) -> int:
+def _scale_exponent(largest: float, dim: int) -> int:
     """k of the scaling rule for a ``dim``-dimensional operator whose largest
-    row or column sum is r = s * 2**e: 0 where 1 <= r and dim * (2r)**2 is
-    finite (2r bounds r plus the shift), so an operator at unit scale keeps
-    its bits, and otherwise the k that puts r * 2**-k in [1, 2).  A zero
-    operator takes 0."""
-    if s == 0:
+    absolute entry is ``largest``: 0 where 2**UNIT_SCALE_FLOOR <= largest and
+    dim * (2 * dim * largest)**2 is finite (2 * dim * largest bounds a row
+    sum plus the shift), so an operator at unit scale keeps its bits, and
+    otherwise the k that puts largest * 2**-k in [1, 2).  A zero operator
+    takes 0."""
+    if largest == 0:
         return 0
-    m, p = math.frexp(s)
-    p += e  # r = m * 2**p with m in [0.5, 1)
-    r = math.ldexp(m, min(p, 1024))
-    return 0 if p >= 1 and math.isfinite(4.0 * dim * r * r) else p - 1
+    k = math.frexp(largest)[1] - 1
+    bound = 2.0 * dim * largest
+    return 0 if k >= UNIT_SCALE_FLOOR and math.isfinite(dim * bound * bound) else k
 
 
 def scale_operator(op: Operator) -> tuple[Operator, int]:
@@ -171,8 +172,9 @@ def scale_operator(op: Operator) -> tuple[Operator, int]:
     (``op`` itself where k = 0).  IEEE 754 multiplies by 2**k exactly while
     the result stays normal, so the scaled operator has the same
     eigenvectors and its eigenvalues are 2**-k times the operator's.  Its
-    shift follows the shift rule at the new scale."""
-    k = _scale_exponent(*op.largest_sum, op.dim)
+    shift follows the shift rule at the new scale, and once its largest
+    entry lies in [1, 2) no row sum can overflow."""
+    k = _scale_exponent(op.max_abs_entry(), op.dim)
     return (op.scaled(k) if k else op), k
 
 
@@ -198,6 +200,9 @@ def shifted_power_iteration(
     Converged when the residual and the change in the Rayleigh quotient
     both fall below tol relative to the eigenvalue; the reported eigenvalue
     has the shift subtracted, and it and the residual are times 2**k.
+    Where the shift is so much larger than the eigenvalue that subtracting
+    it leaves no digit to tol, the eigenvalue is read from C x alone, and
+    the vector is accepted only if its residual at C meets tol.
     After convergence the vector's sign is fixed so its largest-magnitude
     entry is positive and entries in (-tol, 0) are clamped to 0.
 
@@ -206,16 +211,20 @@ def shifted_power_iteration(
     eigenvalue past the float range.
     """
     _check_budget(tol, max_iter)
-    op, k = scale_operator(op)
+    return _power_iteration(*scale_operator(op), side, tol, max_iter, start)
+
+
+def _power_iteration(op: Operator, k: int, side: str, tol: float, max_iter: int,
+                     start: np.ndarray | None) -> EigenpairResult:
+    """:func:`shifted_power_iteration` on ``op``, the operator times 2**-k."""
     matvec = _matvec(op, side)
     shift = op.shift
     x = _unit_start(op.dim, start)
     lam_prev = None
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        y = matvec(x)
-        if shift:
-            y = y + shift * x
+        z = matvec(x)
+        y = z + shift * x if shift else z
         lam_shifted = float(x @ y)
         residual = float(np.linalg.norm(y - lam_shifted * x))
         lam = lam_shifted - shift
@@ -225,6 +234,13 @@ def shifted_power_iteration(
             and residual <= tol * scale
             and abs(lam_shifted - lam_prev) <= tol * scale
         ):
+            if tol * abs(lam) < _EPS * shift:  # lam_shifted - shift rounds lam away
+                # BLAS nrm2 neither underflows nor overflows at any scale
+                lam = float(x @ z)
+                residual = float(scipy.linalg.norm(z - lam * x))
+                if residual > tol * lam:
+                    context = "the shift swamps the eigenvalue, and C x misses tol"
+                    break
             if not math.isfinite(_unscaled(lam, k)):
                 raise OperatorOverflowError(
                     f"the dominant eigenvalue, {lam!r} times 2**{k}, is past the float range")
@@ -264,12 +280,12 @@ class SupraOperator:
         # so A~ x cannot overflow, and omega times 2**j (_weight) for omega
         self._j = math.frexp(self.interlayer.max(initial=0.0))[1] - 1
         self._coupling = np.ldexp(self.interlayer, -self._j)
-        self._coupling_sums = np.maximum(self._coupling.sum(axis=0), self._coupling.sum(axis=1))
         self._set_layers(problem.layer_matrices)
         self._set_omega(omega)
 
     def _set_layers(self, layers) -> None:
         self.layers = layers
+        self._layer_entry = max(m.max_abs_entry() for m in layers)
         # one block-diagonal sparse matrix for all layers keeps apply() at a
         # single matvec instead of a Python loop over layers; the uniform
         # PageRank terms stay as their coefficients, so each product adds them
@@ -304,16 +320,10 @@ class SupraOperator:
     def shift(self) -> float:
         return max(m.shift for m in self.layers)
 
-    @property
-    def largest_sum(self) -> tuple[float, int]:
-        """(s, e): s * 2**e bounds every row and column sum, block t's being
-        C_t's largest plus omega times row or column t of the interlayer
-        matrix; e is the largest of the layers' and the coupling's."""
-        layers = [m.largest_sum for m in self.layers]
-        e = max([e_t for _, e_t in layers] + [math.frexp(self._weight)[1] + 1])
-        weight = math.ldexp(self._weight, -e)
-        return max(math.ldexp(s_t, e_t - e) + weight * float(c)
-                   for (s_t, e_t), c in zip(layers, self._coupling_sums)), e
+    def max_abs_entry(self) -> float:
+        """The largest absolute entry of the layer matrices and of omega
+        times the interlayer matrix."""
+        return max(self._layer_entry, self._weight * float(self._coupling.max(initial=0.0)))
 
     @property
     def n_nodes(self) -> int:
@@ -386,7 +396,8 @@ def dominant_eigenpair(
     Both steps run on ``op`` times 2**-k (:func:`scale_operator`).
     """
     _check_budget(tol, max_iter)
-    matvec = _matvec(scale_operator(op)[0], side)
+    op, k = scale_operator(op)
+    matvec = _matvec(op, side)
     dim = op.dim
     v0 = _unit_start(dim, start)
     spent = 0
@@ -414,7 +425,7 @@ def dominant_eigenpair(
     if spent == max_iter:
         raise NonConvergenceError(spent, math.inf, "budget spent before power iteration")
     try:
-        pair = shifted_power_iteration(op, side, tol=tol, max_iter=max_iter - spent, start=start)
+        pair = _power_iteration(op, k, side, tol, max_iter - spent, start)
     except NonConvergenceError as err:
         raise NonConvergenceError(err.iterations + spent, err.residual, err.context) from err
     if pair.vector.min(initial=0.0) < -_NEGATIVE_FLOOR:
@@ -433,7 +444,7 @@ def dense_perron(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarr
     and a power of two scales exactly (but for entries below 2**-1022 times
     the largest).
     """
-    k = scale_operator(LayerCentralityMatrix(len(a), sparse.csr_matrix(np.abs(a))))[1]
+    k = _scale_exponent(float(np.abs(a).max(initial=0.0)), len(a))
     values, left, right = scipy.linalg.eig(np.ldexp(a, -k), left=True)
     # two factors, since 2.0 ** k alone overflows at k = 1024
     values = values * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)

@@ -1030,7 +1030,7 @@ def test_weights_near_the_float_range_solve_and_only_the_eigenvalue_overflows(tm
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert errors[0].startswith("error: the dominant eigenvalue, ")
-    assert errors[0].endswith(" times 2**1024, is past the float range")
+    assert errors[0].endswith(" times 2**1023, is past the float range")
     assert not out.exists()
     # a row sum past the float range: the star 1 <-> 2, 1 <-> 3 of weight 1e308
     # has lambda sqrt(2) * 1e308 (the coupling adds 1) and W (sqrt(2), 1, 1) / 2
@@ -1039,6 +1039,18 @@ def test_weights_near_the_float_range_solve_and_only_the_eigenvalue_overflows(tm
     assert json.loads(summary.read_text())["lambda_max"] == pytest.approx(
         math.sqrt(2.0) * 1e308, rel=1e-12)
     assert np.allclose(joint(out)[:, 0], [0.5 ** 0.5, 0.5, 0.5], rtol=0, atol=1e-12)
+    # the star 1 -> 2, 1 -> 3 of weight 1e308 with unit edges back: lambda =
+    # sqrt(2e308) + 1 lies 1e153 times below the shift, and at every scale
+    # either the products or the residual leave the float range, so no vector
+    # is accepted: one error line, and no file
+    out.unlink()
+    huge.write_text("1 1 2 1e308\n1 1 3 1e308\n1 2 1 1\n1 3 1 1\n", encoding="utf-8")
+    assert dispatch([*argv, "--omega", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no convergence after ")
+    assert err.endswith("(the shift swamps the eigenvalue, and C x misses tol)\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
     # a sweep up to omega = 1e308 on the two-cycle: lambda = 1 + omega at every point
     huge.write_text("1 1 2\n1 2 1\n", encoding="utf-8")
     sweep_csv = tmp_path / "sweep.csv"
@@ -1046,6 +1058,25 @@ def test_weights_near_the_float_range_solve_and_only_the_eigenvalue_overflows(tm
                      "alltoall", "--grid", "0,308,154", "--out", str(sweep_csv)]) == 0
     assert capsys.readouterr().err == ""
     assert _reparsed(sweep_csv)[:, 1] == pytest.approx([2.0, 1e154, 1e308], rel=1e-12)
+
+
+@pytest.mark.parametrize("w", ["1e30", "1e100", "1e200"])
+def test_an_eigenvalue_far_below_the_shift_is_read_from_the_product_alone(tmp_path, w):
+    # the star 1 -> 2, 1 -> 3 of weight w with unit edges back (and the unit
+    # coupling of one layer) has lambda = sqrt(2 w) + 1 and W proportional to
+    # (1, 1 / sqrt(2 w), 1 / sqrt(2 w)); the shift 0.1 * (1 + 2 w) rounds
+    # lambda away when it is subtracted, so lambda is read from C x
+    net = tmp_path / "star.edges"
+    net.write_text(f"1 1 2 {w}\n1 1 3 {w}\n1 2 1 1\n1 3 1 1\n", encoding="utf-8")
+    out, summary = tmp_path / "joint.csv", tmp_path / "summary.json"
+    assert dispatch(["centrality", "--network", str(net), "--kind", "eigenvector",
+                     "--interlayer", "alltoall", "--omega", "1", "--out", str(out),
+                     "--summary", str(summary)]) == 0
+    root = math.sqrt(2.0 * float(w))
+    assert json.loads(summary.read_text())["lambda_max"] == pytest.approx(root + 1.0, rel=1e-12)
+    expected = np.array([1.0, 1.0 / root, 1.0 / root])
+    assert np.allclose(_reparsed(out)[:, 1], expected / np.linalg.norm(expected),
+                       rtol=1e-12, atol=0)
 
 
 # two layers on three nodes: a 3-cycle with a chord, and a path both ways

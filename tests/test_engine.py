@@ -1,12 +1,15 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
 from supracentrality import (
     Eigenvector,
     InterlayerMatrix,
+    LayerCentralityMatrix,
     LayerGraph,
     MultiplexNetwork,
     NonConvergenceError,
@@ -38,11 +41,12 @@ def _problem(net, inter, kind=Eigenvector()):
 
 
 def _operator(dim, shift, apply, apply_transpose=None):
-    """A stand-in with the members every eigensolve reads.  Its largest row
-    or column sum reads 1, so the scaling rule keeps it as it is (k = 0)
+    """A stand-in with the members every eigensolve reads.  Its largest
+    absolute entry reads 1, so the scaling rule keeps it as it is (k = 0)
     and never asks for ``scaled``."""
     return SimpleNamespace(dim=dim, shift=shift, apply=apply,
-                           apply_transpose=apply_transpose or apply, largest_sum=(1.0, 0))
+                           apply_transpose=apply_transpose or apply,
+                           max_abs_entry=lambda: 1.0)
 
 
 def _with_shift(op, shift):
@@ -314,8 +318,25 @@ def _scaled(net, factor):
         for g in net.layers))
 
 
+def test_scaling_rule_reads_the_largest_entry_and_keeps_unit_scale():
+    # a largest entry from 2**-4 up, while dim * (2 * dim * entry)**2 is finite,
+    # keeps the operator as it is, bit for bit (row sums below 1 included);
+    # elsewhere the scaled largest entry lies in [1, 2)
+    def layer(weight):
+        return LayerCentralityMatrix(3, sparse.csr_matrix(np.full((3, 3), weight)))
+
+    for weight in (0.0625, 0.1, 0.3, 1.0, 1e100):
+        op = layer(weight)
+        scaled, k = engine.scale_operator(op)
+        assert scaled is op and k == 0
+    for weight in (0.05, 1e-300, 1e154, 1e308):
+        scaled, k = engine.scale_operator(layer(weight))
+        assert k == math.frexp(weight)[1] - 1
+        assert 1.0 <= scaled.max_abs_entry() < 2.0
+
+
 def test_huge_weights_solve_to_the_unscaled_vector():
-    # C(omega) scaled by 1e100 has the same eigenvector; dim * r**2 stays finite
+    # C(omega) scaled by 1e100 has the same eigenvector, and runs unscaled
     net, inter = random_instance(23, kind=Eigenvector(), min_gap=5e-3)
     pair = dominant_eigenpair(SupraOperator(_problem(net, inter), 1.5))
     huge = dominant_eigenpair(SupraOperator(_problem(_scaled(net, 1e100), inter), 1.5e100))
@@ -324,7 +345,7 @@ def test_huge_weights_solve_to_the_unscaled_vector():
 
 
 def test_operator_whose_scale_overflows_is_refused():
-    # dim * r**2 past the float range no longer refuses: the solve runs at 2**-k
+    # a row sum past the float range no longer refuses: the solve runs at 2**-k
     net = MultiplexNetwork(2, (LayerGraph(2, ((1, 1, 1e308), (2, 2, 1.0))),))
     pair = dominant_eigenpair(SupraOperator(_problem(net, InterlayerMatrix(np.eye(1))), 1.0))
     assert pair.eigenvalue == 1e308
