@@ -283,6 +283,9 @@ def _cmd_limit(args) -> int:
         }
     payload["mnc"] = [float(v) for v in res.tableau.mnc]
     payload["mlc"] = [float(v) for v in res.tableau.mlc]
+    # the result (the strong limit's aggregate) is not kept alive while the
+    # cross-check builds its own signed sum
+    del res
     try:
         check = corollary_crosscheck(problem)
         payload["corollary_check"] = {
@@ -326,11 +329,9 @@ def _cmd_trajectory(args) -> int:
 def _cmd_versatility(args) -> int:
     problem = _load_problem(args)
     values = pagerank_versatility(problem, args.omega, tol=args.tol, max_iter=args.max_iter)
-    fileio.write_csv(
-        args.out,
-        ["node", "versatility"],
-        ([problem.network.node_label(i), fileio.fmt(v)] for i, v in enumerate(values, start=1)),
-    )
+    net = problem.network
+    fileio.write_number_csv(args.out, ["node", "versatility"], values[:, None].tolist(),
+                            labels=[net.node_label(i) for i in range(1, net.n_nodes + 1)])
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Literal, Protocol
@@ -86,6 +87,10 @@ _ARPACK_TOL_RATIO = 100
 DENSE_CLAMP = 1e-12  # dense Perron vector entries in (-DENSE_CLAMP, 0) become 0
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+# ARPACK asks for a random vector when its Krylov space breaks down (an
+# operator of 3 rows does on every solve); scipy from 1.15 on draws it from
+# OS entropy unless given a seed, older releases from their own fixed seed
+_ARPACK_SEED = {"rng": 0} if "rng" in inspect.signature(eigs).parameters else {}
 # operators whose largest entry is below 2**UNIT_SCALE_FLOOR run scaled
 UNIT_SCALE_FLOOR = -4
 _EPS = 2.0 ** -52  # float64 machine epsilon
@@ -287,10 +292,15 @@ class SupraOperator:
         self.layers = layers
         self._layer_entry = max(m.max_abs_entry() for m in layers)
         # one block-diagonal sparse matrix for all layers keeps apply() at a
-        # single matvec instead of a Python loop over layers; the uniform
-        # PageRank terms stay as their coefficients, so each product adds them
-        # as T scaled block sums instead of T dense N x N blocks
+        # single matvec instead of a Python loop over layers
         self._block_diag = sparse.block_diag([m.sparse for m in layers], format="csr")
+        # a PageRank layer is A_t^T diag(s_t) + diag(w_t) over its graph's CSR
+        # (the layers share one kind): the products take the stacked s and w
+        pagerank = layers[0].row_factors is not None
+        self._row_factors = np.concatenate([m.row_factors for m in layers]) if pagerank else None
+        self._self_weights = np.concatenate([m.self_weights for m in layers]) if pagerank else None
+        # the uniform PageRank terms stay as their coefficients, so each product
+        # adds them as T scaled block sums instead of T dense N x N blocks
         coeffs = np.array([m.teleport_coeff for m in layers])
         self._tele_coeffs = coeffs if coeffs.any() else None  # None: no PageRank term
 
@@ -339,23 +349,55 @@ class SupraOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Blockwise product: C_t x_t + omega * sum_t' A~[t,t'] x_t'."""
-        return self._product(x, self._block_diag, self._coupling)
+        return self._product(x, transpose=False)
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         """Product with the transposed operator."""
-        return self._product(x, self._block_diag.T, self._coupling.T)
+        return self._product(x, transpose=True)
 
-    def _product(self, x: np.ndarray, block_diag, coupling: np.ndarray) -> np.ndarray:
+    def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """C x or C^T x with at most two length-NT temporaries: the result
+        and one spare buffer."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a vector of length {self.dim}, got {x.shape}")
         blocks = x.reshape(self.n_layers, self.n_nodes)
-        out = (block_diag @ x).reshape(blocks.shape)
+        block_diag, spare = self._block_diag, None
+        if self._row_factors is None:
+            out = (block_diag.T if transpose else block_diag) @ x
+        elif transpose:  # C_t^T x_t = s_t * (A_t x_t) + w_t * x_t
+            out = block_diag @ x
+            out *= self._row_factors
+            spare = self._self_weights * x
+            out += spare
+        else:  # C_t x_t = A_t^T (s_t * x_t) + w_t * x_t
+            spare = self._row_factors * x
+            out = block_diag.T @ spare
+            out += np.multiply(self._self_weights, x, out=spare)
+        out = out.reshape(blocks.shape)
         if self._tele_coeffs is not None:  # the PageRank term (c_t / N) 1 1^T is symmetric
             out += ((self._tele_coeffs * blocks.sum(axis=1)) * (1.0 / self.n_nodes))[:, None]
         if self._weight:
-            out += self._weight * (coupling @ blocks)
+            coupling = self._coupling.T if transpose else self._coupling
+            spare = np.matmul(coupling, blocks,
+                              out=None if spare is None else spare.reshape(blocks.shape))
+            spare *= self._weight
+            out += spare
         return out.ravel()
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal: each layer matrix's plus omega * A~[t, t] (inf past
+        the float range)."""
+        with np.errstate(over="ignore"):
+            return np.concatenate([m.diagonal() + self._weight * c
+                                   for m, c in zip(self.layers, np.diag(self._coupling))])
+
+    def row_max(self) -> np.ndarray:
+        """Each row's largest entry (the operator is nonnegative)."""
+        coupling = self._weight * self._coupling  # omega * A~
+        rows = np.concatenate([np.maximum(m.row_max(), coupling[t].max(initial=0.0))
+                               for t, m in enumerate(self.layers)])
+        return np.maximum(rows, self.diagonal())
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator (tests and small problems only)."""
@@ -413,7 +455,7 @@ def dominant_eigenpair(
         if dim >= 3:
             _, vecs = eigs(
                 LinearOperator((dim, dim), matvec=counted, dtype=float),
-                k=1, which="LR", v0=v0, tol=tol / _ARPACK_TOL_RATIO,
+                k=1, which="LR", v0=v0, tol=tol / _ARPACK_TOL_RATIO, **_ARPACK_SEED,
             )
             start = _fix_sign(vecs[:, 0].real, tol)
         else:

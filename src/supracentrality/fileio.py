@@ -13,8 +13,8 @@ Interlayer triplet files use columns ``t t_prime weight`` with the same
 conventions; weights must be finite.  Label files are ``index<TAB>label``
 lines.  Every input file is UTF-8: a byte that does not decode is a
 :class:`ParseError` naming its line.  Every output goes through
-:func:`fmt` (17 significant digits, so every value re-parses exactly),
-:func:`write_csv` and :func:`write_json`.
+:func:`fmt`'s rule (17 significant digits, so every value re-parses
+exactly), :func:`write_csv`, :func:`write_number_csv` and :func:`write_json`.
 """
 from __future__ import annotations
 
@@ -50,6 +50,7 @@ __all__ = [
     "write_summary_json",
     "write_sweep_csv",
     "write_csv",
+    "write_number_csv",
     "write_json",
     "fmt",
 ]
@@ -74,9 +75,40 @@ class ValidationError(ValueError):
         super().__init__("invalid network:\n  " + "\n  ".join(self.violations))
 
 
+# the one number format: 17 significant digits, which re-parse exactly
+_NUMBER = "%.17g"
+# a field holding none of these, and not empty, is one that csv.writer leaves unquoted
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
 def fmt(value: float) -> str:
     """A number as text with 17 significant digits, which re-parses exactly."""
-    return format(float(value), ".17g")
+    return _NUMBER % float(value)
+
+
+def _csv_field(label: str) -> str:
+    """``label`` as ``csv.writer`` writes it in a row of several fields."""
+    if label and not _CSV_SPECIAL.search(label):
+        return label
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((label, ""))
+    return buffer.getvalue()[:-2]  # less the empty last field and the line end
+
+
+def write_number_csv(path, header: list[str], rows, labels=None) -> None:
+    """CSV of ``header`` (through ``csv.writer``) and one line per row of
+    numbers in ``rows``, formatted by :func:`fmt`'s rule in one operation
+    per row, after that row's entry of ``labels`` (if given) quoted as
+    ``csv.writer`` quotes it.  Each row holds one number per header field
+    (less the label's)."""
+    line = ",".join([_NUMBER] * (len(header) - (labels is not None))) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        if labels is None:
+            fh.writelines(line % tuple(row) for row in rows)
+        else:
+            fh.writelines(f"{_csv_field(label)},{line % tuple(row)}"
+                          for label, row in zip(labels, rows))
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -336,11 +368,11 @@ def load_interlayer(path, n_layers: int) -> InterlayerMatrix:
 
 def write_tableau_csv(tableau: CentralityTableau, net: MultiplexNetwork, path) -> None:
     """Joint-centrality CSV: header ``node,<layer labels>``, one row per node."""
-    write_csv(
+    write_number_csv(
         path,
         ["node"] + [net.layer_label(t) for t in range(1, net.n_layers + 1)],
-        ([net.node_label(i)] + [fmt(v) for v in tableau.W[i - 1, :]]
-         for i in range(1, net.n_nodes + 1)),
+        tableau.W.tolist(),
+        labels=[net.node_label(i) for i in range(1, net.n_nodes + 1)],
     )
 
 
@@ -400,6 +432,6 @@ def write_sweep_csv(result: SweepResult, path) -> None:
                 values = [omega, math.nan, w_s, z_s] + [math.nan] * (net.n_layers + net.n_nodes)
             else:
                 values = [omega, tab.lambda_max, w_s, z_s, *tab.mlc, *tab.mnc]
-            yield [fmt(v) for v in values]
+            yield values
 
-    write_csv(path, header, rows())
+    write_number_csv(path, header, rows())

@@ -29,10 +29,16 @@ class ConstantInputError(ValueError):
 def _strong_components(matrix) -> tuple[int, np.ndarray]:
     """Number of strong components of the digraph with an edge wherever the
     entry is > 0, and each node's component label; O(N + nnz) when sparse.
-    The > 0 matters: csgraph counts stored zeros (PageRank, sigma=0) as edges."""
+    csgraph reads only a CSR matrix's index arrays, so a float64 CSR whose
+    stored entries are all > 0 goes as it is, read-only arrays included;
+    dense input, or a stored entry <= 0 (PageRank with sigma = 0 stores
+    zeros, which csgraph would count as edges), goes through ``> 0``."""
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    return csgraph.connected_components(matrix > 0, directed=True, connection="strong")
+    if not (sparse.issparse(matrix) and matrix.format == "csr"
+            and matrix.dtype == np.float64 and matrix.data.min(initial=1.0) > 0):
+        matrix = matrix > 0
+    return csgraph.connected_components(matrix, directed=True, connection="strong")
 
 
 def strongly_connected(matrix) -> bool:
@@ -47,10 +53,11 @@ def layer_sum_components(
 ) -> tuple[int, np.ndarray]:
     """Strong components (Frobenius normal form blocks) of the entrywise sum
     of the layer matrices.  A PageRank term (c / N) 1 1^T with c > 0 makes
-    the sum positive: one component."""
+    the sum positive: one component.  A lone matrix is not copied."""
     if any(m.uniformly_positive for m in layer_matrices):
         return 1, np.zeros(layer_matrices[0].n, dtype=np.int32)
-    return _strong_components(sum(m.sparse for m in layer_matrices))
+    first, *rest = (m.sparse for m in layer_matrices)
+    return _strong_components(sum(rest, first))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from supracentrality import (
     DanglingPolicy,
     Eigenvector,
     Hub,
+    LayerCentralityMatrix,
     LayerGraph,
     PageRank,
     build_centrality_matrix,
@@ -101,6 +102,64 @@ def test_pagerank_row_whose_sum_overflows_is_rescaled_and_others_keep_their_bits
     assert np.array_equal(got[:, 1:], expected[:, 1:])  # column j holds row j of D^-1 A'
     # a unit self-edge next to 2.5e308 weighs nothing
     assert np.allclose(got[:, 0], 0.85 * np.array([0.0, 0.4, 0.6]) + 0.05, rtol=1e-15, atol=0)
+
+
+def test_pagerank_layer_stores_no_copy():
+    g = LayerGraph(3, ((1, 2, 1.0), (2, 3, 2.0), (3, 1, 0.5)))
+    for policy in DanglingPolicy:
+        m = build_centrality_matrix(g, PageRank(dangling=policy))
+        assert m.sparse is g.csr
+        assert m.row_factors.shape == m.self_weights.shape == (3,)
+
+
+# a self-loop on node 1, and node 4 dangling with in-edges from 1 and 3
+LOOPED = LayerGraph(5, ((1, 1, 2.0), (1, 2, 1.0), (1, 4, 0.5), (2, 3, 3.0), (3, 1, 1.0),
+                        (3, 4, 1.5), (5, 2, 0.25)))
+
+
+@pytest.mark.parametrize("policy", list(DanglingPolicy))
+def test_every_pagerank_method_matches_the_dense_oracle(policy):
+    kind = PageRank(sigma=0.7, dangling=policy)
+    m = build_centrality_matrix(LOOPED, kind)
+    dense = dense_pagerank_matrix(dense_adjacency(LOOPED), kind.sigma, policy)
+    close = {"rtol": 1e-14, "atol": 1e-15}
+    assert np.allclose(m.to_dense(), dense, **close)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = rng.standard_normal(LOOPED.n_nodes)
+        assert np.allclose(m.apply(x), dense @ x, **close)
+        assert np.allclose(m.apply_transpose(x), dense.T @ x, **close)
+    assert np.allclose(m.diagonal(), np.diag(dense), **close)
+    assert np.allclose(m.row_max(), dense.max(axis=1), **close)
+    assert m.max_row_sum() == pytest.approx(dense.sum(axis=1).max(), rel=1e-14)
+    assert m.max_abs_entry() == pytest.approx(dense.max(), rel=1e-14)
+    assert m.uniformly_positive and m.shift == 0.0
+    nodes = np.array([0, 3, 4])
+    block = m.principal_block(nodes)
+    assert block.row_factors is None
+    assert np.allclose(block.to_dense(), dense[np.ix_(nodes, nodes)], **close)
+    scaled = m.scaled(-3)
+    assert scaled.sparse is m.sparse
+    assert np.array_equal(scaled.apply(np.ones(5)), 8.0 * m.apply(np.ones(5)))
+    other = build_centrality_matrix(LOOPED, Eigenvector())
+    total = LayerCentralityMatrix.weighted_sum((m, other), (0.5, -2.0))
+    assert total.row_factors is None
+    assert np.allclose(total.to_dense(), 0.5 * dense - 2.0 * dense_adjacency(LOOPED), **close)
+
+
+@pytest.mark.parametrize("weight", ["1e-315", "1e308"])
+def test_pagerank_rows_outside_the_normal_range_match_the_unit_rows(weight):
+    # such rows are normalized in a copy of the data, the rest keep their bits
+    unit = LayerGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 1, 1.0), (3, 1, 0.5)))
+    extreme = LayerGraph(3, ((1, 2, float(weight)), (1, 3, float(weight)), (2, 1, 1.0),
+                             (3, 1, 0.5)))
+    got = build_centrality_matrix(extreme, PageRank())
+    expected = build_centrality_matrix(unit, PageRank())
+    assert got.sparse is not extreme.csr
+    assert np.allclose(got.to_dense(), expected.to_dense(), rtol=1e-15, atol=0)
+    assert np.array_equal(got.to_dense()[:, 1:], expected.to_dense()[:, 1:])
+    x = np.array([0.2, 0.3, 0.5])
+    assert np.allclose(got.apply(x), expected.apply(x), rtol=1e-15, atol=0)
 
 
 def test_pagerank_sigma_guard():

@@ -212,6 +212,25 @@ def test_single_cell_tableau_has_two_lines(tmp_path):
     assert path.read_text(encoding="utf-8").count("\n") == 2
 
 
+EDGE_VALUES = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308]
+
+
+def test_number_rows_are_fmt_and_csv_writer_quoting(tmp_path):
+    # each row is formatted in one operation: the same text as fmt per field,
+    # and labels quoted as csv.writer quotes them
+    labels = ['a, "b"', "plain", 'say "hi"', "line\nbreak", "", "béta"]
+    rows = [EDGE_VALUES[k:] + EDGE_VALUES[:k] for k in range(len(labels))]
+    header = ["node", *(f"c{k}" for k in range(len(EDGE_VALUES)))]
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    fileio.write_number_csv(got, header, rows, labels=labels)
+    fileio.write_csv(expected, header,
+                     ([label, *(fileio.fmt(v) for v in row)] for label, row in zip(labels, rows)))
+    assert got.read_bytes() == expected.read_bytes()
+    fileio.write_number_csv(got, header[1:], rows)
+    fileio.write_csv(expected, header[1:], ([fileio.fmt(v) for v in row] for row in rows))
+    assert got.read_bytes() == expected.read_bytes()
+
+
 def test_summary_json_fields(tmp_path):
     net, problem, pair, tab = _tiny_solution()
     report = check_preconditions(problem, 0.5)

@@ -172,3 +172,23 @@ def test_pearson_errors():
         pearson([1], [2])
     with pytest.raises(ValueError):
         pearson([1, 2], [1, 2, 3])
+
+
+def test_a_graph_csr_goes_to_csgraph_as_it_is(monkeypatch):
+    # csgraph reads only the index arrays: a float64 CSR of positive entries,
+    # read-only arrays included, is not copied; a lone layer is not summed
+    from supracentrality import graph
+
+    passed = []
+    components = graph.csgraph.connected_components
+
+    def recording(matrix, **kwargs):
+        passed.append(matrix)
+        return components(matrix, **kwargs)
+
+    monkeypatch.setattr(graph.csgraph, "connected_components", recording)
+    assert not PAW.csr.indices.flags.writeable
+    assert strongly_connected(PAW.csr)
+    mat = LayerCentralityMatrix(n=PAW.n_nodes, sparse=PAW.csr)
+    assert layer_sum_components((mat,))[0] == 1
+    assert len(passed) == 2 and all(m is PAW.csr for m in passed)

@@ -1,3 +1,8 @@
+import pathlib
+import sys
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
@@ -9,9 +14,12 @@ from supracentrality import (
     MultiplexNetwork,
     OperatorOverflowError,
     PageRank,
+    SupraOperator,
     SupraProblem,
     build_centrality_matrix,
+    fileio,
     pagerank_versatility,
+    versatility,
 )
 from supracentrality.engine import shifted_power_iteration
 from supracentrality.interlayer import all_to_all, chain_teleport
@@ -127,3 +135,70 @@ def test_coupling_that_overflows_is_refused_before_the_solve():
                            chain_teleport(2, 1e308))
     with pytest.raises(OperatorOverflowError, match="overflows at omega 1.0"):
         pagerank_versatility(problem, 1.0)
+
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _load_workloads():
+    # executed from its source text, so nothing is written next to it; its
+    # dataclasses look their module up in sys.modules while it runs
+    name = "bench_workloads"
+    module = types.ModuleType(name)
+    module.__file__ = str(WORKLOADS)
+    sys.modules[name] = module
+    try:
+        exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def test_versatility_peak_stays_within_two_and_a_half_graph_csrs(tmp_path):
+    # the PageRank form runs over the coupled eigenvector operator: no kron, no
+    # supra CSR and no transposed copy, only the operator's block diagonal
+    _load_workloads().generate_pagerank_temporal(1, str(tmp_path))
+    net = fileio.load_multiplex(str(tmp_path / "pagerank.edges"), n_nodes=6000)
+    problem = SupraProblem(net, PageRank(0.85), chain_teleport(net.n_layers, 0.01))
+    csr_bytes = sum(g.csr.data.nbytes + g.csr.indices.nbytes + g.csr.indptr.nbytes
+                    for g in net.layers)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = pagerank_versatility(problem, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert got.sum() == pytest.approx(1.0, abs=1e-12)
+    assert peak <= 2.5 * csr_bytes
+
+
+def test_supra_pagerank_is_an_operator_over_the_coupled_adjacency(monkeypatch):
+    seen = []
+
+    def recording(mat, **kwargs):
+        seen.append(mat)
+        return shifted_power_iteration(mat, **kwargs)
+
+    monkeypatch.setattr(versatility, "shifted_power_iteration", recording)
+    net, inter = random_instance(99, kind=Eigenvector(), layer_cycles=False)
+    got = pagerank_versatility(SupraProblem(net, PageRank(0.85), inter), omega=0.4, tol=1e-13)
+    (mat,) = seen
+    assert isinstance(mat.sparse, SupraOperator)
+    assert mat.sparse.problem.kind == Eigenvector()
+    assert np.abs(got - _dense_versatility(net, inter, 0.4, 0.85)).max() <= 1e-9
+
+
+def test_all_nodes_self_edges_keep_their_weight_when_the_adjacency_is_rescaled():
+    # row sums near 1e300 are past the range the row factors keep their digits
+    # in, so the supra-adjacency is taken at 2**-k; its unit self-edges go along
+    # and weigh 1e-300 against the rows, as they do unscaled
+    cycle = LayerGraph(3, ((1, 2, 1.0), (2, 3, 2.0), (3, 1, 1.0), (1, 3, 0.5)))
+    heavy = LayerGraph(3, tuple((i, j, w * 1e300) for i, j, w in cycle.entries))
+    net, inter = MultiplexNetwork(3, (cycle, cycle)), all_to_all(2)
+    expected = pagerank_versatility(SupraProblem(net, PageRank(), inter), omega=1.0)
+    got = pagerank_versatility(
+        SupraProblem(MultiplexNetwork(3, (heavy, heavy)),
+                     PageRank(dangling=DanglingPolicy.ALL_NODES), inter), omega=1e300)
+    assert np.abs(got - expected).max() <= 1e-12
