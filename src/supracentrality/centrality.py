@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -31,6 +32,9 @@ from .types import (
     LayerGraph,
     PageRank,
 )
+
+if TYPE_CHECKING:
+    from .engine import Operator
 
 __all__ = list(_EXPORTS["centrality"])
 
@@ -74,20 +78,24 @@ class LayerCentralityMatrix:
     Explicit: C = ``sparse + (teleport_coeff / n) 1 1^T``.  PageRank
     (``row_factors`` set): C = ``sparse^T diag(row_factors) +
     diag(self_weights) + (teleport_coeff / n) 1 1^T``, an operator over the
-    adjacency ``sparse`` as it is, a layer graph's own CSR (or, for the
-    versatility baseline, the coupled operator, of which only the
-    ``engine.Operator`` methods are read), with the row factors sigma / d
-    and the dangling self-edge weights as two length-N vectors.  The
-    uniform rank-one term is only present for PageRank (teleport_coeff =
-    1 - sigma) and for sums that include PageRank matrices; each uniform
-    entry is computed as ``teleport_coeff * (1.0 / n)``.  Only this class
-    reads the form; other modules ask it for entries, blocks and sums, and
-    ``weighted_sum`` and ``principal_block`` give explicit results.  It is
-    an ``engine.Operator``: the eigensolvers take it as it is.
+    adjacency ``sparse`` as it is, a layer graph's own CSR, with the row
+    factors sigma / d and the dangling self-edge weights as two length-N
+    vectors.  For the versatility baseline ``sparse`` is the coupled
+    operator instead, an ``engine.Operator`` with ``diagonal`` and
+    ``row_max``; on that form only the ``engine.Operator`` methods work,
+    since ``to_dense``, ``principal_block``, ``weighted_sum`` and
+    ``row_max`` read ``sparse`` as a CSR matrix (``row_max`` the explicit
+    form's alone).  The uniform rank-one term is only present for PageRank
+    (teleport_coeff = 1 - sigma) and for sums that include PageRank
+    matrices; each uniform entry is computed as ``teleport_coeff * (1.0 /
+    n)``.  Only this class reads the form; other modules ask it for
+    entries, blocks and sums, and ``weighted_sum`` and ``principal_block``
+    give explicit results.  It is an ``engine.Operator``: the eigensolvers
+    take it as it is.
     """
 
     n: int
-    sparse: sparse.csr_matrix
+    sparse: sparse.csr_matrix | Operator
     teleport_coeff: float = 0.0
     row_factors: np.ndarray | None = None
     self_weights: np.ndarray | None = None
@@ -194,8 +202,10 @@ class LayerCentralityMatrix:
         return float(rows.max()) if rows.size else 0.0
 
     def row_max(self) -> np.ndarray:
-        """Each row's largest entry (of a nonnegative matrix)."""
-        return _row_max(self._explicit()) + self.teleport_coeff * (1.0 / self.n)
+        """Each row's largest entry, of the explicit form (a nonnegative matrix)."""
+        if self.row_factors is not None:
+            raise TypeError("row_max reads the explicit form, and this is a PageRank operator")
+        return _row_max(self.sparse) + self.teleport_coeff * (1.0 / self.n)
 
     def max_abs_entry(self) -> float:
         """Largest |entry| in O(nnz): each stored entry plus the uniform term,
@@ -238,12 +248,11 @@ def _normalize_rows(a: sparse.csr_matrix, far: np.ndarray, sums: np.ndarray,
             np.where(far, 1.0, sums), np.where(far, scaled_loops / divisors, loops))
 
 
-def _with_self_edges(sums: np.ndarray, kind: PageRank, unit: float):
-    """Row sums plus the dangling policy's self-edges, and those self-edges:
-    ``unit`` (a unit weight at the adjacency's scale) on every row, or 1 on
-    each row with no other entry (its weight cancels when it is divided)."""
+def _with_self_edges(sums: np.ndarray, kind: PageRank):
+    """Row sums plus the dangling policy's unit self-edges, and those
+    self-edges: on every row, or on each row with no other entry."""
     if kind.dangling is DanglingPolicy.ALL_NODES:
-        loops = np.full(sums.shape, unit)
+        loops = np.ones(sums.shape)
     else:
         loops = (sums == 0).astype(float)
     return sums + loops, loops
@@ -257,26 +266,22 @@ def pagerank_from_adjacency(a, kind: PageRank) -> LayerCentralityMatrix:
     A' is ``a`` after the dangling policy has added unit self-edges (to
     dangling nodes only, or to every node), D is the diagonal of A' row
     sums, s = sigma / D and w = s times the self-edges.  ``a`` is a CSR
-    matrix, held as it is, or an operator with ``apply``,
-    ``apply_transpose``, ``diagonal``, ``row_max``, ``max_abs_entry`` and
-    ``scaled`` (versatility's coupled adjacency).  A row whose sum is past
-    2**511 or below 2**-511 (where a factor s would lose digits on the
-    iterate) is rescaled, which leaves PageRank as it is in exact
-    arithmetic: a CSR row is multiplied by 2**-e, e the binary exponent of
-    its largest weight, and normalized in a copy of the data, and the other
-    rows keep their bits; an operator is taken at 2**-k, its largest entry
-    in [1, 2), with its unit self-edges.
+    matrix, held as it is, or an operator with ``dim``, ``apply``,
+    ``apply_transpose``, ``diagonal``, ``row_max`` and ``to_csr``
+    (versatility's coupled adjacency).  A row whose sum is past 2**511 or
+    below 2**-511 (where a factor s would lose digits on the iterate) is
+    multiplied by 2**-e, e the binary exponent of its largest weight, and
+    normalized in a copy of the data (of an operator's ``to_csr``, then),
+    which leaves PageRank as it is in exact arithmetic, and the other rows
+    keep their bits.
     """
     ones = np.ones(a.shape[0] if sparse.issparse(a) else a.dim)
     with np.errstate(over="ignore"):  # a row sum past the float range is rescaled
-        sums, loops = _with_self_edges(_times(a, ones), kind, 1.0)
+        sums, loops = _with_self_edges(_times(a, ones), kind)
     far = (sums < 1.0 / _ROW_SUM_LIMIT) | (sums > _ROW_SUM_LIMIT)
-    if far.any() and sparse.issparse(a):
+    if far.any():
+        a = a if sparse.issparse(a) else a.to_csr()
         a, sums, loops = _normalize_rows(a, far, sums, loops)
-    elif far.any():
-        k = math.frexp(a.max_abs_entry())[1] - 1
-        a = a.scaled(k)
-        sums, loops = _with_self_edges(_times(a, ones), kind, math.ldexp(1.0, -k))
     factors = kind.sigma / sums
     return LayerCentralityMatrix(n=ones.size, sparse=a, teleport_coeff=1.0 - kind.sigma,
                                  row_factors=factors, self_weights=factors * loops)

@@ -288,12 +288,16 @@ class SupraOperator:
         self._set_layers(problem.layer_matrices)
         self._set_omega(omega)
 
-    def _set_layers(self, layers) -> None:
+    def _set_layers(self, layers, block_diag: sparse.csr_matrix | None = None) -> None:
+        """Take ``layers``; ``block_diag`` is their matrices' block diagonal
+        where it is already built."""
         self.layers = layers
         self._layer_entry = max(m.max_abs_entry() for m in layers)
         # one block-diagonal sparse matrix for all layers keeps apply() at a
         # single matvec instead of a Python loop over layers
-        self._block_diag = sparse.block_diag([m.sparse for m in layers], format="csr")
+        if block_diag is None:
+            block_diag = sparse.block_diag([m.sparse for m in layers], format="csr")
+        self._block_diag = block_diag
         # a PageRank layer is A_t^T diag(s_t) + diag(w_t) over its graph's CSR
         # (the layers share one kind): the products take the stacked s and w
         pagerank = layers[0].row_factors is not None
@@ -320,9 +324,12 @@ class SupraOperator:
         return out
 
     def scaled(self, k: int) -> SupraOperator:
-        """The operator times 2**-k: its layer matrices and coupling times 2**-k."""
+        """The operator times 2**-k: its layer matrices and coupling times 2**-k.
+        Scaled PageRank layers keep their adjacencies, and so the block diagonal."""
         out = copy.copy(self)
-        out._set_layers(tuple(m.scaled(k) for m in self.layers))
+        layers = tuple(m.scaled(k) for m in self.layers)
+        same = all(s.sparse is m.sparse for s, m in zip(layers, self.layers))
+        out._set_layers(layers, self._block_diag if same else None)
         out._weight = math.ldexp(self._weight, -k)
         return out
 
@@ -398,6 +405,17 @@ class SupraOperator:
         rows = np.concatenate([np.maximum(m.row_max(), coupling[t].max(initial=0.0))
                                for t, m in enumerate(self.layers)])
         return np.maximum(rows, self.diagonal())
+
+    def to_csr(self) -> sparse.csr_matrix:
+        """The operator as one CSR matrix, where its layer matrices are their
+        ``sparse`` alone (no row factors and no uniform term: the Eigenvector
+        kind)."""
+        if self._row_factors is not None or self._tele_coeffs is not None:
+            raise TypeError("a PageRank layer matrix is not its CSR matrix alone")
+        if not self._weight:
+            return self._block_diag
+        return self._block_diag + sparse.kron(self._weight * self._coupling,
+                                              sparse.identity(self.n_nodes), format="csr")
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator (tests and small problems only)."""

@@ -7,7 +7,8 @@ matrix, takes its PageRank matrix, and sums the dominant eigenvector's
 entries per node.  That block matrix is the Eigenvector-kind coupled
 operator at omega, and its PageRank matrix is the one PageRank form of
 ``centrality.pagerank_from_adjacency`` over it, so nothing of NT x NT size
-is stored beyond the operator's block diagonal.  It reads the same
+is stored beyond the operator's block diagonal (save its explicit CSR where
+a row sum is out of that function's range).  It reads the same
 ``SupraProblem`` as every other mode: the network, the interlayer matrix and
 the problem's ``PageRank`` kind, whose sigma and dangling policy it applies
 to the supra-adjacency.  Its solve defaults to this module's

@@ -417,3 +417,25 @@ def test_arpack_restart_vectors_come_from_a_fixed_seed(monkeypatch):
     assert len(outcomes) == 1
     takes_seed = "rng" in inspect.signature(eigs).parameters
     assert set(seen) == {0 if takes_seed else None}
+
+
+def test_scaled_pagerank_operator_keeps_its_block_diagonal():
+    # a scaled PageRank layer keeps its graph's CSR, so the coupled operator
+    # at 2**-k reads the same block diagonal; explicit layers get a new one
+    net, inter = random_instance(5, kind=PageRank(0.85))
+    op = SupraOperator(_problem(net, inter, PageRank(0.85)), 0.5)
+    x = np.random.default_rng(0).standard_normal(op.dim)
+    scaled = op.scaled(3)
+    assert scaled._block_diag is op._block_diag
+    assert np.array_equal(scaled.apply(x), op.apply(x) / 8)
+    explicit = SupraOperator(_problem(net, inter), 0.5)
+    assert explicit.scaled(3)._block_diag is not explicit._block_diag
+
+
+def test_to_csr_is_the_operator_of_explicit_layers():
+    net, inter = random_instance(6, kind=Eigenvector())
+    for omega in (0.0, 0.7):
+        op = SupraOperator(_problem(net, inter), omega)
+        assert np.allclose(op.to_csr().toarray(), op.to_dense(), rtol=1e-15, atol=0)
+    with pytest.raises(TypeError):
+        SupraOperator(_problem(net, inter, PageRank(0.85)), 0.5).to_csr()

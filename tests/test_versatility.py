@@ -192,8 +192,8 @@ def test_supra_pagerank_is_an_operator_over_the_coupled_adjacency(monkeypatch):
 
 def test_all_nodes_self_edges_keep_their_weight_when_the_adjacency_is_rescaled():
     # row sums near 1e300 are past the range the row factors keep their digits
-    # in, so the supra-adjacency is taken at 2**-k; its unit self-edges go along
-    # and weigh 1e-300 against the rows, as they do unscaled
+    # in, so those rows of the supra-adjacency are normalized in a CSR copy;
+    # their unit self-edges go along and weigh 1e-300 against them, as unscaled
     cycle = LayerGraph(3, ((1, 2, 1.0), (2, 3, 2.0), (3, 1, 1.0), (1, 3, 0.5)))
     heavy = LayerGraph(3, tuple((i, j, w * 1e300) for i, j, w in cycle.entries))
     net, inter = MultiplexNetwork(3, (cycle, cycle)), all_to_all(2)
@@ -201,4 +201,23 @@ def test_all_nodes_self_edges_keep_their_weight_when_the_adjacency_is_rescaled()
     got = pagerank_versatility(
         SupraProblem(MultiplexNetwork(3, (heavy, heavy)),
                      PageRank(dangling=DanglingPolicy.ALL_NODES), inter), omega=1e300)
+    assert np.abs(got - expected).max() <= 1e-12
+
+
+def _times_weight(graph, factor):
+    return LayerGraph(graph.n_nodes, tuple((i, j, w * factor) for i, j, w in graph.entries))
+
+
+@pytest.mark.parametrize("heavy, light", [(1e300, 1e-30), (1.0, 1e-315)])
+def test_layers_whose_scales_are_past_the_float_range_apart_match_the_unit_layers(heavy, light):
+    # at omega = 0 the row sums of the two layers are further apart than one
+    # power of two can bring into range; each row is normalized by its own, so
+    # the light layer keeps its own PageRank next to the heavy one
+    cycle = LayerGraph(4, ((1, 2, 1.0), (2, 3, 2.0), (3, 4, 1.0), (4, 1, 0.5), (1, 3, 1.0)))
+    star = LayerGraph(4, ((1, 2, 1.0), (1, 3, 3.0), (2, 1, 1.0), (3, 1, 1.0), (4, 1, 2.0)))
+    inter = all_to_all(2)
+    expected = pagerank_versatility(
+        SupraProblem(MultiplexNetwork(4, (cycle, star)), PageRank(), inter), omega=0.0)
+    scaled = MultiplexNetwork(4, (_times_weight(cycle, heavy), _times_weight(star, light)))
+    got = pagerank_versatility(SupraProblem(scaled, PageRank(), inter), omega=0.0)
     assert np.abs(got - expected).max() <= 1e-12
