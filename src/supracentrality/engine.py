@@ -183,10 +183,21 @@ def scale_operator(op: Operator) -> tuple[Operator, int]:
     return (op.scaled(k) if k else op), k
 
 
-def _unscaled(value: float, k: int) -> float:
+def unscaled(value: float, k: int) -> float:
     """``value`` times 2**k, inf past the float range."""
     with np.errstate(over="ignore"):
         return float(np.ldexp(value, k))
+
+
+def unscaled_pair(pair: EigenpairResult, k: int) -> EigenpairResult:
+    """``pair``, found on an operator times 2**-k, as the operator's own:
+    eigenvalue and residual times 2**k.  Raises :class:`OperatorOverflowError`
+    for an eigenvalue past the float range."""
+    lam = unscaled(pair.eigenvalue, k)
+    if not math.isfinite(lam):
+        raise OperatorOverflowError(
+            f"the dominant eigenvalue, {pair.eigenvalue!r} times 2**{k}, is past the float range")
+    return dataclasses.replace(pair, eigenvalue=lam, residual=unscaled(pair.residual, k))
 
 
 def shifted_power_iteration(
@@ -246,11 +257,8 @@ def _power_iteration(op: Operator, k: int, side: str, tol: float, max_iter: int,
                 if residual > tol * lam:
                     context = "the shift swamps the eigenvalue, and C x misses tol"
                     break
-            if not math.isfinite(_unscaled(lam, k)):
-                raise OperatorOverflowError(
-                    f"the dominant eigenvalue, {lam!r} times 2**{k}, is past the float range")
-            return EigenpairResult(eigenvalue=_unscaled(lam, k), vector=_fix_sign(x, tol),
-                                   iterations=iteration, residual=_unscaled(residual, k))
+            return unscaled_pair(EigenpairResult(eigenvalue=lam, vector=_fix_sign(x, tol),
+                                                 iterations=iteration, residual=residual), k)
         norm_y = float(np.linalg.norm(y))
         if not math.isfinite(norm_y) or norm_y == 0:
             context = "iterate collapsed to zero" if norm_y == 0 else "iterate is not finite"
@@ -260,7 +268,34 @@ def _power_iteration(op: Operator, k: int, side: str, tol: float, max_iter: int,
     else:
         context = "the stopping rule compares two iterates, and the budget allows one"
         context = context if max_iter == 1 else ""
-    raise NonConvergenceError(iteration, _unscaled(residual, k), context)
+    raise NonConvergenceError(iteration, unscaled(residual, k), context)
+
+
+def _block_diagonal(mats) -> sparse.csr_matrix:
+    """The block-diagonal CSR matrix of the square CSR matrices ``mats``,
+    equal bit for bit to scipy's ``block_diag`` in CSR format, written
+    straight from their ``indptr``, ``indices`` and ``data`` into arrays of
+    the result's size: no COO triplets.  Block t's rows and columns are
+    offset by the rows before it; the index dtype is scipy's, int32 unless
+    the dimension or the entry count is past its range; and, as in scipy's
+    COO round trip, ``sum_duplicates`` leaves the indices sorted (a check
+    alone where every block's already are) and the sorted-indices flag set."""
+    dim = sum(m.shape[0] for m in mats)
+    nnz = sum(m.nnz for m in mats)
+    index = np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    row = entry = 0
+    for m in mats:
+        rows, count = m.shape[0], m.nnz
+        np.add(m.indptr[1:], entry, out=indptr[row + 1:row + rows + 1])
+        np.add(m.indices[:count], row, out=indices[entry:entry + count])
+        data[entry:entry + count] = m.data[:count]
+        row, entry = row + rows, entry + count
+    out = sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    out.sum_duplicates()
+    return out
 
 
 class SupraOperator:
@@ -294,9 +329,11 @@ class SupraOperator:
         self.layers = layers
         self._layer_entry = max(m.max_abs_entry() for m in layers)
         # one block-diagonal sparse matrix for all layers keeps apply() at a
-        # single matvec instead of a Python loop over layers
+        # single matvec instead of a Python loop over layers; it is copied once
+        # from the layers' CSR arrays (_block_diagonal), and with_omega and
+        # scaled share it or its index arrays
         if block_diag is None:
-            block_diag = sparse.block_diag([m.sparse for m in layers], format="csr")
+            block_diag = _block_diagonal([m.sparse for m in layers])
         self._block_diag = block_diag
         # a PageRank layer is A_t^T diag(s_t) + diag(w_t) over its graph's CSR
         # (the layers share one kind): the products take the stacked s and w
@@ -325,11 +362,18 @@ class SupraOperator:
 
     def scaled(self, k: int) -> SupraOperator:
         """The operator times 2**-k: its layer matrices and coupling times 2**-k.
-        Scaled PageRank layers keep their adjacencies, and so the block diagonal."""
+        Scaled PageRank layers keep their adjacencies, and so the block
+        diagonal; explicit layers take its data times 2**-k, which shares its
+        index arrays."""
         out = copy.copy(self)
         layers = tuple(m.scaled(k) for m in self.layers)
-        same = all(s.sparse is m.sparse for s, m in zip(layers, self.layers))
-        out._set_layers(layers, self._block_diag if same else None)
+        block_diag = self._block_diag
+        if any(s.sparse is not m.sparse for s, m in zip(layers, self.layers)):
+            block_diag = sparse.csr_matrix(
+                (np.ldexp(block_diag.data, -k), block_diag.indices, block_diag.indptr),
+                shape=block_diag.shape)
+            block_diag.has_sorted_indices = self._block_diag.has_sorted_indices
+        out._set_layers(layers, block_diag)
         out._weight = math.ldexp(self._weight, -k)
         return out
 

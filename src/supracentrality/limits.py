@@ -32,7 +32,8 @@ import numpy as np
 from . import _EXPORTS
 from .centrality import LayerCentralityMatrix
 from .engine import (DEFAULT_MAX_ITER, EigenpairResult, NonConvergenceError, dense_perron,
-                     scale_operator, shifted_power_iteration, tableau_from_vector)
+                     scale_operator, shifted_power_iteration, tableau_from_vector, unscaled,
+                     unscaled_pair)
 from .graph import layer_sum_components, strongly_connected
 from .interlayer import all_to_all, chain_undirected
 from .types import CentralityTableau, SupraProblem
@@ -142,15 +143,17 @@ class StrongLimitResult:
         return self.aggregate.to_dense()
 
 
-def _solve(mat, where: str, side: str = "right"):
+def _solve(mat, where: str, side: str = "right", k: int = 0):
     """The module's one N x N eigensolve: a shifted power iteration at
     ``SOLVE_TOL`` and ``SOLVE_MAX_ITER`` whose NonConvergenceError names
-    ``where``."""
+    ``where``.  ``mat`` is the matrix times 2**-k: the eigenvalue and the
+    residual, an error's included, are reported times 2**k."""
     try:
-        return shifted_power_iteration(mat, side, tol=SOLVE_TOL, max_iter=SOLVE_MAX_ITER)
+        pair = shifted_power_iteration(mat, side, tol=SOLVE_TOL, max_iter=SOLVE_MAX_ITER)
     except NonConvergenceError as err:
         context = f"{where}: {err.context}" if err.context else where
-        raise NonConvergenceError(err.iterations, err.residual, context) from err
+        raise NonConvergenceError(err.iterations, unscaled(err.residual, k), context) from err
+    return unscaled_pair(pair, k)
 
 
 def _radius(mat: LayerCentralityMatrix, where: str):
@@ -184,17 +187,18 @@ def _perron_pairs(mat: LayerCentralityMatrix, where: str,
     shift) lie within LAYER_GAP_FLOOR raises DegenerateLayerEigenvalueError
     before any iteration on the whole matrix (Perron-Frobenius and Rothblum
     1975).  The radii and the shift are compared at the scale the solves
-    run at, ``mat`` times 2**-k.  Errors name ``where``.
+    run at, ``mat`` times 2**-k, built once for the guard and both solves.
+    Errors name ``where``.
     """
     _, right, blocks = radius
-    if blocks is not None:
-        second, top = np.sort(blocks)[-2:]
-        scaled, k = scale_operator(mat)
-        low, high = math.ldexp(second, -k) + scaled.shift, math.ldexp(top, -k) + scaled.shift
-        if low >= (1.0 - LAYER_GAP_FLOOR) * high:
-            raise DegenerateLayerEigenvalueError(where, top, second)
-        right = _solve(mat, where)
-    return right, _solve(mat, where, "left")
+    if blocks is None:
+        return right, _solve(mat, where, "left")
+    second, top = np.sort(blocks)[-2:]
+    scaled, k = scale_operator(mat)
+    low, high = math.ldexp(second, -k) + scaled.shift, math.ldexp(top, -k) + scaled.shift
+    if low >= (1.0 - LAYER_GAP_FLOOR) * high:
+        raise DegenerateLayerEigenvalueError(where, top, second)
+    return _solve(scaled, where, k=k), _solve(scaled, where, "left", k)
 
 
 def layer_eigendata(problem: SupraProblem) -> LayerEigendata:

@@ -4,8 +4,13 @@ Everything here is deliberately separate from the library's code paths:
 dense layer matrices are rebuilt from first principles, the coupled matrix
 is materialized with numpy.kron, and eigenpairs come from a long dense
 power iteration.  Tests compare the library against these routes.
+``bench_workloads`` loads the benchmark's generators, for tests at its sizes.
 """
 from __future__ import annotations
+
+import pathlib
+import sys
+import types
 
 import numpy as np
 
@@ -273,3 +278,22 @@ def blocks_instance(seed: int, *, n: int = 30) -> tuple[MultiplexNetwork, Interl
         layers.append(LayerGraph(n, tuple(
             (i + 1, j + 1, 1.0) for i, j in zip(rows.tolist(), cols.tolist()))))
     return MultiplexNetwork(n, tuple(layers)), block_communities(6, (3, 3), 1.0, 0.01)
+
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def bench_workloads():
+    """The benchmark's seeded workload generators, ``bench/workloads.py``."""
+    # executed from its source text, so nothing is written next to it; its
+    # dataclasses look their module up in sys.modules while it runs
+    name = "bench_workloads"
+    module = types.ModuleType(name)
+    module.__file__ = str(WORKLOADS)
+    sys.modules[name] = module
+    try:
+        exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,9 @@ from scipy import sparse
 from scipy.sparse.linalg import eigs
 
 from supracentrality import (
+    Authority,
     Eigenvector,
+    Hub,
     InterlayerMatrix,
     LayerCentralityMatrix,
     LayerGraph,
@@ -20,6 +23,7 @@ from supracentrality import (
     SupraOperator,
     SupraProblem,
     dominant_eigenpair,
+    fileio,
     shifted_power_iteration,
     stride_permutation,
     tableau_from_vector,
@@ -28,6 +32,7 @@ from supracentrality import engine
 from supracentrality.interlayer import chain_teleport, chain_undirected
 
 from _oracles import (
+    bench_workloads,
     blocks_instance,
     cosine,
     dense_dominant_eigenpair,
@@ -429,7 +434,67 @@ def test_scaled_pagerank_operator_keeps_its_block_diagonal():
     assert scaled._block_diag is op._block_diag
     assert np.array_equal(scaled.apply(x), op.apply(x) / 8)
     explicit = SupraOperator(_problem(net, inter), 0.5)
-    assert explicit.scaled(3)._block_diag is not explicit._block_diag
+    block_diag, scaled = explicit._block_diag, explicit.scaled(3)._block_diag
+    assert scaled is not block_diag
+    # explicit layers: the data times 2**-3 over the parent's own index arrays
+    assert np.shares_memory(scaled.indices, block_diag.indices)
+    assert np.shares_memory(scaled.indptr, block_diag.indptr)
+    assert np.ldexp(block_diag.data, -3).tobytes() == scaled.data.tobytes()
+    assert scaled.has_sorted_indices
+
+
+def _same_csr(got, expected):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.shape == expected.shape
+    assert got.has_sorted_indices == expected.has_sorted_indices
+
+
+# node 4 of layer 1 and node 3 of layer 3 have no out-edges, and layer 2 none at all
+SPARSE_LAYERS = MultiplexNetwork(4, (
+    LayerGraph(4, ((1, 2, 1.0), (2, 3, 2.0), (3, 1, 0.5), (3, 4, 1.5))),
+    LayerGraph(4, ()),
+    LayerGraph(4, ((1, 3, 0.75), (2, 1, 3.0), (2, 4, 1.0), (4, 2, 0.25))),
+))
+
+
+@pytest.mark.parametrize("kind", [Eigenvector(), Hub(), Authority(), PageRank(0.85)],
+                         ids=["eigenvector", "hub", "authority", "pagerank"])
+def test_block_diagonal_is_scipys_bit_for_bit(kind):
+    op = SupraOperator(_problem(SPARSE_LAYERS, chain_undirected(3), kind), 0.5)
+    _same_csr(op._block_diag, sparse.block_diag([m.sparse for m in op.layers], format="csr"))
+
+
+def test_block_diagonal_sorts_and_sums_like_scipy():
+    # blocks with no entries, and a block with unsorted and duplicate indices
+    # and an explicit zero, which scipy's COO round trip sorts and sums
+    mats = [sparse.csr_matrix((3, 3)), sparse.csr_matrix((2, 2))]
+    _same_csr(engine._block_diagonal(mats), sparse.block_diag(mats, format="csr"))
+    unsorted = sparse.csr_matrix((np.array([1.0, 2.0, 0.0, 3.0, 4.0]), np.array([2, 0, 1, 1, 1]),
+                                  np.array([0, 3, 3, 5])), shape=(3, 3))
+    mats = [mats[0], unsorted, sparse.csr_matrix(np.eye(2))]
+    _same_csr(engine._block_diagonal(mats), sparse.block_diag(mats, format="csr"))
+
+
+def test_operator_build_peaks_within_one_and_three_quarter_block_diagonals(tmp_path):
+    # the block diagonal is written straight from the layers' CSR arrays;
+    # through scipy's block_diag and its COO triplets the build peaked at 2.31 times it
+    bench_workloads().generate_pagerank_temporal(1, str(tmp_path))
+    net = fileio.load_multiplex(str(tmp_path / "pagerank.edges"), n_nodes=6000)
+    problem = SupraProblem(net, PageRank(0.85), chain_teleport(net.n_layers, 0.01))
+    assert problem.layer_matrices  # built before tracing: the peak is the operator's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op = SupraOperator(problem, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block_diag = op._block_diag
+    assert peak <= 1.75 * (block_diag.data.nbytes + block_diag.indices.nbytes
+                           + block_diag.indptr.nbytes)
 
 
 def test_to_csr_is_the_operator_of_explicit_layers():

@@ -23,6 +23,7 @@ from supracentrality import (
     layer_eigendata,
     layer_spectral_radii,
     log_grid,
+    shifted_power_iteration,
     strong_limit,
     sweep,
     tableau_from_vector,
@@ -137,24 +138,57 @@ def test_layer_gap_guard_rejects_dag_layer_before_iterating(monkeypatch):
         layer_eigendata(_layers(net))
 
 
-@pytest.mark.parametrize("edges", [
+# reducible layers whose dominant block has radius 2 and the next radius 1
+REDUCIBLE_EDGES = pytest.mark.parametrize("edges", [
     # a 2-cycle of radius 2 feeding a 2-cycle of radius 1 (two block solves)
     ((1, 2, 2.0), (2, 1, 2.0), (2, 3, 1.0), (3, 4, 1.0), (4, 3, 1.0)),
     # self-loops of weight 2 and 1: the block radii are diagonal entries
     ((1, 1, 2.0), (1, 2, 1.0), (2, 2, 1.0)),
 ], ids=["cycle_blocks", "single_node_blocks"])
+
+
+def _reducible_problem(edges, s):
+    layer = LayerGraph(max(j for _, j, _ in edges), tuple((i, j, w * s) for i, j, w in edges))
+    return _problem(MultiplexNetwork(layer.n_nodes, (layer,)), all_to_all(1))
+
+
+@REDUCIBLE_EDGES
 def test_layer_gap_guard_compares_block_radii_at_the_solve_scale(edges):
     # at weights 1e-8 an unscaled shift near 0.1 would tie the radii 2e-8 and 1e-8
-    def problem(s):
-        layer = LayerGraph(max(j for _, j, _ in edges), tuple((i, j, w * s) for i, j, w in edges))
-        return _problem(MultiplexNetwork(layer.n_nodes, (layer,)), all_to_all(1))
-
-    unit, scaled = weak_limit(problem(1.0)), weak_limit(problem(1e-8))
+    unit, scaled = (weak_limit(_reducible_problem(edges, s)) for s in (1.0, 1e-8))
     assert scaled.tableau.lambda_max == pytest.approx(2e-8, rel=1e-12)
     for got, expected in ((scaled.layer_data.right, unit.layer_data.right),
                           (scaled.layer_data.left, unit.layer_data.left),
                           (scaled.tableau.W, unit.tableau.W)):
         assert np.allclose(got, expected, rtol=0, atol=1e-9)
+
+
+@REDUCIBLE_EDGES
+def test_layer_gap_guard_scales_once_for_both_solves(edges, monkeypatch):
+    # weights 1e-8 run at 2**26 times: the guard's scaled copy serves both
+    # solves, which keep it as it is and report what solving the layer does
+    (mat,) = _reducible_problem(edges, 1e-8).layer_matrices
+    radius = limits._radius(mat, "layer 1")
+    calls = []
+    scaled = LayerCentralityMatrix.scaled
+    monkeypatch.setattr(LayerCentralityMatrix, "scaled",
+                        lambda self, k: calls.append(k) or scaled(self, k))
+    pairs = limits._perron_pairs(mat, "layer 1", radius)
+    assert calls == [-26]
+    for side, got in zip(("right", "left"), pairs):
+        expected = shifted_power_iteration(mat, side, tol=limits.SOLVE_TOL,
+                                           max_iter=limits.SOLVE_MAX_ITER)
+        assert (got.eigenvalue, got.residual, got.iterations) == (
+            expected.eigenvalue, expected.residual, expected.iterations)
+        assert got.vector.tobytes() == expected.vector.tobytes()
+    # an error's residual is reported at the layer's scale too
+    monkeypatch.setattr(limits, "SOLVE_MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError) as err:
+        limits._perron_pairs(mat, "layer 1", radius)
+    with pytest.raises(NonConvergenceError) as direct:
+        shifted_power_iteration(mat, tol=limits.SOLVE_TOL, max_iter=1)
+    assert err.value.residual == direct.value.residual
+    assert err.value.context == f"layer 1: {direct.value.context}"
 
 
 # a weighted directed 4-cycle (radius 3) beside two 2-cycles (radius 1, tied)

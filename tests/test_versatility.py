@@ -1,7 +1,4 @@
-import pathlib
-import sys
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -25,6 +22,7 @@ from supracentrality.engine import shifted_power_iteration
 from supracentrality.interlayer import all_to_all, chain_teleport
 
 from _oracles import (
+    bench_workloads,
     dense_adjacency,
     dense_dominant_eigenpair,
     dense_pagerank_matrix,
@@ -137,28 +135,10 @@ def test_coupling_that_overflows_is_refused_before_the_solve():
         pagerank_versatility(problem, 1.0)
 
 
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
-def _load_workloads():
-    # executed from its source text, so nothing is written next to it; its
-    # dataclasses look their module up in sys.modules while it runs
-    name = "bench_workloads"
-    module = types.ModuleType(name)
-    module.__file__ = str(WORKLOADS)
-    sys.modules[name] = module
-    try:
-        exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"),
-             module.__dict__)
-    finally:
-        del sys.modules[name]
-    return module
-
-
 def test_versatility_peak_stays_within_two_and_a_half_graph_csrs(tmp_path):
     # the PageRank form runs over the coupled eigenvector operator: no kron, no
     # supra CSR and no transposed copy, only the operator's block diagonal
-    _load_workloads().generate_pagerank_temporal(1, str(tmp_path))
+    bench_workloads().generate_pagerank_temporal(1, str(tmp_path))
     net = fileio.load_multiplex(str(tmp_path / "pagerank.edges"), n_nodes=6000)
     problem = SupraProblem(net, PageRank(0.85), chain_teleport(net.n_layers, 0.01))
     csr_bytes = sum(g.csr.data.nbytes + g.csr.indices.nbytes + g.csr.indptr.nbytes
