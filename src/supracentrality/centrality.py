@@ -71,6 +71,33 @@ def _explicit_pagerank(a: sparse.csr_matrix, factors: np.ndarray,
     return out
 
 
+def _block_diagonal(mats) -> sparse.csr_matrix:
+    """The block-diagonal CSR matrix of the square CSR matrices ``mats``,
+    equal bit for bit to scipy's ``block_diag`` in CSR format, written
+    straight from their ``indptr``, ``indices`` and ``data`` into arrays of
+    the result's size: no COO triplets.  Block t's rows and columns are
+    offset by the rows before it; the index dtype is scipy's, int32 unless
+    the dimension or the entry count is past its range; and, as in scipy's
+    COO round trip, ``sum_duplicates`` leaves the indices sorted (a check
+    alone where every block's already are) and the sorted-indices flag set."""
+    dim = sum(m.shape[0] for m in mats)
+    nnz = sum(m.nnz for m in mats)
+    index = np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    row = entry = 0
+    for m in mats:
+        rows, count = m.shape[0], m.nnz
+        np.add(m.indptr[1:], entry, out=indptr[row + 1:row + rows + 1])
+        np.add(m.indices[:count], row, out=indices[entry:entry + count])
+        data[entry:entry + count] = m.data[:count]
+        row, entry = row + rows, entry + count
+    out = sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    out.sum_duplicates()
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class LayerCentralityMatrix:
     """A nonnegative N x N matrix C in one of two storage forms.
@@ -89,9 +116,10 @@ class LayerCentralityMatrix:
     (teleport_coeff = 1 - sigma) and for sums that include PageRank
     matrices; each uniform entry is computed as ``teleport_coeff * (1.0 /
     n)``.  Only this class reads the form; other modules ask it for
-    entries, blocks and sums, and ``weighted_sum`` and ``principal_block``
-    give explicit results.  It is an ``engine.Operator``: the eigensolvers
-    take it as it is.
+    entries, blocks and sums, ``weighted_sum`` and ``principal_block``
+    give explicit results, and ``block_diagonal`` gives several matrices'
+    block diagonal in their shared form, less their uniform terms.  It is
+    an ``engine.Operator``: the eigensolvers take it as it is.
     """
 
     n: int
@@ -110,6 +138,19 @@ class LayerCentralityMatrix:
         return cls(
             n=mats[0].n, sparse=sum(w * m._explicit() for w, m in pairs),
             teleport_coeff=sum(w * m.teleport_coeff for w, m in pairs),
+        )
+
+    @classmethod
+    def block_diagonal(cls, mats: tuple[LayerCentralityMatrix, ...]) -> LayerCentralityMatrix:
+        """diag(mats[0], ..., mats[-1]) without their uniform terms, in the
+        form the matrices share (one kind, CSR ``sparse``): the block
+        diagonal of their ``sparse`` (:func:`_block_diagonal`) and, for
+        PageRank, their stacked row factors and self-edge weights."""
+        pagerank = mats[0].row_factors is not None
+        return cls(
+            n=sum(m.n for m in mats), sparse=_block_diagonal([m.sparse for m in mats]),
+            row_factors=np.concatenate([m.row_factors for m in mats]) if pagerank else None,
+            self_weights=np.concatenate([m.self_weights for m in mats]) if pagerank else None,
         )
 
     @property
@@ -143,35 +184,38 @@ class LayerCentralityMatrix:
             return dataclasses.replace(self, teleport_coeff=c,
                                        row_factors=np.ldexp(self.row_factors, -k),
                                        self_weights=np.ldexp(self.self_weights, -k))
+        # the data times 2**-k over the same index arrays, still sorted
         a = self.sparse
-        return LayerCentralityMatrix(
-            n=self.n, sparse=sparse.csr_matrix((np.ldexp(a.data, -k), a.indices, a.indptr),
-                                               shape=a.shape),
-            teleport_coeff=c,
-        )
+        out = sparse.csr_matrix((np.ldexp(a.data, -k), a.indices, a.indptr), shape=a.shape)
+        out.has_sorted_indices = a.has_sorted_indices
+        return LayerCentralityMatrix(n=self.n, sparse=out, teleport_coeff=c)
 
     def _uniform(self, x: np.ndarray) -> float:
         return (self.teleport_coeff * float(x.sum())) * (1.0 / self.n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product C @ x."""
+        """Matrix-vector product C @ x (an explicit one with no uniform term
+        is one sparse product)."""
         if self.row_factors is None:
-            return self.sparse @ x + self._uniform(x)
-        # A^T (s * x) + w * x, the second product in the first one's buffer
-        spare = self.row_factors * x
-        out = _times(self.sparse, spare, transpose=True)
-        out += np.multiply(self.self_weights, x, out=spare)
-        out += self._uniform(x)
+            out = self.sparse @ x
+        else:  # A^T (s * x) + w * x, the second product in the first one's buffer
+            spare = self.row_factors * x
+            out = _times(self.sparse, spare, transpose=True)
+            out += np.multiply(self.self_weights, x, out=spare)
+        if self.teleport_coeff:
+            out += self._uniform(x)
         return out
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product C.T @ x (1 1^T is symmetric)."""
         if self.row_factors is None:
-            return self.sparse.T @ x + self._uniform(x)
-        out = _times(self.sparse, x)
-        out *= self.row_factors
-        out += self.self_weights * x
-        out += self._uniform(x)
+            out = self.sparse.T @ x
+        else:  # s * (A x) + w * x
+            out = _times(self.sparse, x)
+            out *= self.row_factors
+            out += self.self_weights * x
+        if self.teleport_coeff:
+            out += self._uniform(x)
         return out
 
     def to_dense(self) -> np.ndarray:

@@ -7,7 +7,9 @@ The coupled operator on length-N*T vectors is
 i.e. the block matrix with the layer centrality matrices on the diagonal and
 omega-scaled identity couplings off the diagonal.  A :class:`SupraOperator`
 is one problem at one omega, and ``with_omega`` moves it along the
-problem's family.  It is applied blockwise and never materialized.
+problem's family.  Its diagonal blocks are one ``LayerCentralityMatrix``
+(``LayerCentralityMatrix.block_diagonal``), whose product it adds to each
+block's uniform term and the coupling; it is never materialized.
 Vectors are ordered node-major within layer: entry N*(t-1) + i holds node
 i of layer t (both 1-based).
 
@@ -38,6 +40,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from . import _EXPORTS
+from .centrality import LayerCentralityMatrix
 from .types import CentralityTableau, SupraProblem, check_omega
 
 __all__ = list(_EXPORTS["engine"])
@@ -271,42 +274,21 @@ def _power_iteration(op: Operator, k: int, side: str, tol: float, max_iter: int,
     raise NonConvergenceError(iteration, unscaled(residual, k), context)
 
 
-def _block_diagonal(mats) -> sparse.csr_matrix:
-    """The block-diagonal CSR matrix of the square CSR matrices ``mats``,
-    equal bit for bit to scipy's ``block_diag`` in CSR format, written
-    straight from their ``indptr``, ``indices`` and ``data`` into arrays of
-    the result's size: no COO triplets.  Block t's rows and columns are
-    offset by the rows before it; the index dtype is scipy's, int32 unless
-    the dimension or the entry count is past its range; and, as in scipy's
-    COO round trip, ``sum_duplicates`` leaves the indices sorted (a check
-    alone where every block's already are) and the sorted-indices flag set."""
-    dim = sum(m.shape[0] for m in mats)
-    nnz = sum(m.nnz for m in mats)
-    index = np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(dim + 1, dtype=index)
-    indices = np.empty(nnz, dtype=index)
-    data = np.empty(nnz)
-    row = entry = 0
-    for m in mats:
-        rows, count = m.shape[0], m.nnz
-        np.add(m.indptr[1:], entry, out=indptr[row + 1:row + rows + 1])
-        np.add(m.indices[:count], row, out=indices[entry:entry + count])
-        data[entry:entry + count] = m.data[:count]
-        row, entry = row + rows, entry + count
-    out = sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    out.sum_duplicates()
-    return out
-
-
 class SupraOperator:
     """The coupled operator of one problem at coupling strength ``omega``,
     applied blockwise.
 
+    It holds the block diagonal diag(C_1, ..., C_T) as one
+    ``LayerCentralityMatrix`` in the layers' own storage form
+    (``LayerCentralityMatrix.block_diagonal``), their one uniform
+    coefficient (the layers share one kind) and the coupling, so each
+    product is that matrix's product plus T scaled block sums and
+    omega * (A~ x I).  ``layers`` are the problem's layer matrices.
     ``apply``/``apply_transpose``/``to_dense`` are the unshifted operator;
-    only the eigensolver adds ``shift``, the largest of the layer matrices'
-    shifts: where every layer is positive (PageRank) the coupled operator
-    has a positive diagonal and needs none.  Every solve runs on the
-    operator times 2**-k (:func:`scale_operator`), whose layer matrices and
+    only the eigensolver adds ``shift``: none where the uniform term makes
+    every layer positive (PageRank), else the block diagonal's, by the one
+    shift rule.  Every solve runs on the operator times 2**-k
+    (:func:`scale_operator`), whose block diagonal, uniform term and
     coupling take the same factor.  Construction and ``with_omega`` raise
     ValueError for an ``omega`` that is not finite and nonnegative, and
     :class:`OperatorOverflowError` for one at which an entry of omega times
@@ -315,35 +297,20 @@ class SupraOperator:
 
     def __init__(self, problem: SupraProblem, omega: float):
         self.problem = problem
+        self.layers = problem.layer_matrices
         self.interlayer = problem.interlayer.values
         # the products read A~ times 2**-j, whose largest entry lies in [1, 2),
         # so A~ x cannot overflow, and omega times 2**j (_weight) for omega
         self._j = math.frexp(self.interlayer.max(initial=0.0))[1] - 1
         self._coupling = np.ldexp(self.interlayer, -self._j)
-        self._set_layers(problem.layer_matrices)
+        # read off each layer before the block diagonal exists, so no
+        # NT-sized temporary is made and none adds to its peak
+        self._entry = max(m.max_abs_entry() for m in self.layers)
+        # copied once from the layers' CSR arrays; with_omega shares it, and
+        # scaled shares it (PageRank) or its index arrays
+        self._blocks = LayerCentralityMatrix.block_diagonal(self.layers)
+        self._teleport = self.layers[0].teleport_coeff
         self._set_omega(omega)
-
-    def _set_layers(self, layers, block_diag: sparse.csr_matrix | None = None) -> None:
-        """Take ``layers``; ``block_diag`` is their matrices' block diagonal
-        where it is already built."""
-        self.layers = layers
-        self._layer_entry = max(m.max_abs_entry() for m in layers)
-        # one block-diagonal sparse matrix for all layers keeps apply() at a
-        # single matvec instead of a Python loop over layers; it is copied once
-        # from the layers' CSR arrays (_block_diagonal), and with_omega and
-        # scaled share it or its index arrays
-        if block_diag is None:
-            block_diag = _block_diagonal([m.sparse for m in layers])
-        self._block_diag = block_diag
-        # a PageRank layer is A_t^T diag(s_t) + diag(w_t) over its graph's CSR
-        # (the layers share one kind): the products take the stacked s and w
-        pagerank = layers[0].row_factors is not None
-        self._row_factors = np.concatenate([m.row_factors for m in layers]) if pagerank else None
-        self._self_weights = np.concatenate([m.self_weights for m in layers]) if pagerank else None
-        # the uniform PageRank terms stay as their coefficients, so each product
-        # adds them as T scaled block sums instead of T dense N x N blocks
-        coeffs = np.array([m.teleport_coeff for m in layers])
-        self._tele_coeffs = coeffs if coeffs.any() else None  # None: no PageRank term
 
     def _set_omega(self, omega: float) -> None:
         self.omega = check_omega(omega)
@@ -355,36 +322,29 @@ class SupraOperator:
 
     def with_omega(self, omega: float) -> SupraOperator:
         """The same operator at coupling strength ``omega``, sharing the
-        problem and the layer blocks, so a sweep builds them once."""
+        problem and the block diagonal, so a sweep builds them once."""
         out = copy.copy(self)
         out._set_omega(omega)
         return out
 
     def scaled(self, k: int) -> SupraOperator:
-        """The operator times 2**-k: its layer matrices and coupling times 2**-k.
-        Scaled PageRank layers keep their adjacencies, and so the block
-        diagonal; explicit layers take its data times 2**-k, which shares its
-        index arrays."""
+        """The operator times 2**-k: its block diagonal, uniform coefficient,
+        largest entry and coupling weight times 2**-k."""
         out = copy.copy(self)
-        layers = tuple(m.scaled(k) for m in self.layers)
-        block_diag = self._block_diag
-        if any(s.sparse is not m.sparse for s, m in zip(layers, self.layers)):
-            block_diag = sparse.csr_matrix(
-                (np.ldexp(block_diag.data, -k), block_diag.indices, block_diag.indptr),
-                shape=block_diag.shape)
-            block_diag.has_sorted_indices = self._block_diag.has_sorted_indices
-        out._set_layers(layers, block_diag)
+        out._blocks = self._blocks.scaled(k)
+        out._teleport = math.ldexp(self._teleport, -k)
+        out._entry = math.ldexp(self._entry, -k)
         out._weight = math.ldexp(self._weight, -k)
         return out
 
     @property
     def shift(self) -> float:
-        return max(m.shift for m in self.layers)
+        return 0.0 if self._teleport > 0 else self._blocks.shift
 
     def max_abs_entry(self) -> float:
         """The largest absolute entry of the layer matrices and of omega
         times the interlayer matrix."""
-        return max(self._layer_entry, self._weight * float(self._coupling.max(initial=0.0)))
+        return max(self._entry, self._weight * float(self._coupling.max(initial=0.0)))
 
     @property
     def n_nodes(self) -> int:
@@ -407,31 +367,19 @@ class SupraOperator:
         return self._product(x, transpose=True)
 
     def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """C x or C^T x with at most two length-NT temporaries: the result
-        and one spare buffer."""
+        """C x or C^T x with at most two length-NT temporaries: the block
+        diagonal's product, then the uniform term (c / N) 1 1^T of each
+        block, which is symmetric, and the coupling."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a vector of length {self.dim}, got {x.shape}")
         blocks = x.reshape(self.n_layers, self.n_nodes)
-        block_diag, spare = self._block_diag, None
-        if self._row_factors is None:
-            out = (block_diag.T if transpose else block_diag) @ x
-        elif transpose:  # C_t^T x_t = s_t * (A_t x_t) + w_t * x_t
-            out = block_diag @ x
-            out *= self._row_factors
-            spare = self._self_weights * x
-            out += spare
-        else:  # C_t x_t = A_t^T (s_t * x_t) + w_t * x_t
-            spare = self._row_factors * x
-            out = block_diag.T @ spare
-            out += np.multiply(self._self_weights, x, out=spare)
+        out = (self._blocks.apply_transpose if transpose else self._blocks.apply)(x)
         out = out.reshape(blocks.shape)
-        if self._tele_coeffs is not None:  # the PageRank term (c_t / N) 1 1^T is symmetric
-            out += ((self._tele_coeffs * blocks.sum(axis=1)) * (1.0 / self.n_nodes))[:, None]
+        if self._teleport:
+            out += ((self._teleport * blocks.sum(axis=1)) * (1.0 / self.n_nodes))[:, None]
         if self._weight:
-            coupling = self._coupling.T if transpose else self._coupling
-            spare = np.matmul(coupling, blocks,
-                              out=None if spare is None else spare.reshape(blocks.shape))
+            spare = (self._coupling.T if transpose else self._coupling) @ blocks
             spare *= self._weight
             out += spare
         return out.ravel()
@@ -439,34 +387,35 @@ class SupraOperator:
     def diagonal(self) -> np.ndarray:
         """The diagonal: each layer matrix's plus omega * A~[t, t] (inf past
         the float range)."""
+        diag = self._blocks.diagonal() + self._teleport * (1.0 / self.n_nodes)
+        diag = diag.reshape(self.n_layers, -1)
         with np.errstate(over="ignore"):
-            return np.concatenate([m.diagonal() + self._weight * c
-                                   for m, c in zip(self.layers, np.diag(self._coupling))])
+            diag += (self._weight * np.diag(self._coupling))[:, None]
+        return diag.ravel()
 
     def row_max(self) -> np.ndarray:
-        """Each row's largest entry (the operator is nonnegative)."""
-        coupling = self._weight * self._coupling  # omega * A~
-        rows = np.concatenate([np.maximum(m.row_max(), coupling[t].max(initial=0.0))
-                               for t, m in enumerate(self.layers)])
-        return np.maximum(rows, self.diagonal())
+        """Each row's largest entry, of explicit layers (the operator is
+        nonnegative)."""
+        coupling = (self._weight * self._coupling).max(axis=1, initial=0.0)  # omega * A~
+        rows = np.maximum(self._blocks.row_max().reshape(self.n_layers, -1), coupling[:, None])
+        return np.maximum(rows.ravel(), self.diagonal())
 
     def to_csr(self) -> sparse.csr_matrix:
         """The operator as one CSR matrix, where its layer matrices are their
-        ``sparse`` alone (no row factors and no uniform term: the Eigenvector
-        kind)."""
-        if self._row_factors is not None or self._tele_coeffs is not None:
+        ``sparse`` alone: every kind but PageRank, the one with a uniform term."""
+        if self._teleport:
             raise TypeError("a PageRank layer matrix is not its CSR matrix alone")
         if not self._weight:
-            return self._block_diag
-        return self._block_diag + sparse.kron(self._weight * self._coupling,
-                                              sparse.identity(self.n_nodes), format="csr")
+            return self._blocks.sparse
+        return self._blocks.sparse + sparse.kron(self._weight * self._coupling,
+                                                 sparse.identity(self.n_nodes), format="csr")
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator (tests and small problems only)."""
         n, t = self.n_nodes, self.n_layers
-        dense = np.zeros((n * t, n * t))
-        for tt, mat in enumerate(self.layers):
-            dense[tt * n : (tt + 1) * n, tt * n : (tt + 1) * n] = mat.to_dense()
+        dense = self._blocks.to_dense()
+        if self._teleport:
+            dense += np.kron(np.eye(t), np.full((n, n), self._teleport * (1.0 / n)))
         if self._weight:
             dense += self._weight * np.kron(self._coupling, np.eye(n))
         return dense

@@ -28,7 +28,7 @@ from supracentrality import (
     stride_permutation,
     tableau_from_vector,
 )
-from supracentrality import engine
+from supracentrality import centrality, engine
 from supracentrality.interlayer import chain_teleport, chain_undirected
 
 from _oracles import (
@@ -297,7 +297,7 @@ def test_with_omega_matches_a_fresh_operator_and_shares_blocks():
     base = SupraOperator(_problem(net, inter, kind=PageRank()), 0.5)
     moved = base.with_omega(3.0)
     fresh = SupraOperator(_problem(net, inter, kind=PageRank()), 3.0)
-    assert moved._block_diag is base._block_diag
+    assert moved._blocks is base._blocks
     # the moved operator shares the problem, so reading its layer matrices builds none
     assert moved.problem is base.problem
     assert moved.problem.layer_matrices is base.layers
@@ -425,22 +425,54 @@ def test_arpack_restart_vectors_come_from_a_fixed_seed(monkeypatch):
 
 
 def test_scaled_pagerank_operator_keeps_its_block_diagonal():
-    # a scaled PageRank layer keeps its graph's CSR, so the coupled operator
-    # at 2**-k reads the same block diagonal; explicit layers get a new one
-    net, inter = random_instance(5, kind=PageRank(0.85))
-    op = SupraOperator(_problem(net, inter, PageRank(0.85)), 0.5)
-    x = np.random.default_rng(0).standard_normal(op.dim)
-    scaled = op.scaled(3)
-    assert scaled._block_diag is op._block_diag
-    assert np.array_equal(scaled.apply(x), op.apply(x) / 8)
-    explicit = SupraOperator(_problem(net, inter), 0.5)
-    block_diag, scaled = explicit._block_diag, explicit.scaled(3)._block_diag
-    assert scaled is not block_diag
-    # explicit layers: the data times 2**-3 over the parent's own index arrays
-    assert np.shares_memory(scaled.indices, block_diag.indices)
-    assert np.shares_memory(scaled.indptr, block_diag.indptr)
-    assert np.ldexp(block_diag.data, -3).tobytes() == scaled.data.tobytes()
-    assert scaled.has_sorted_indices
+    # a scaled PageRank operator keeps its graphs' CSR, so it reads the same
+    # block diagonal; explicit layers take its data times 2**-k over its index
+    # arrays.  Every kind scales exactly: products, largest entry and all
+    inter = chain_undirected(3)  # no diagonal, so no layer entry takes a coupling term
+    x = np.random.default_rng(0).standard_normal(12)
+    for kind in (Eigenvector(), Hub(), Authority(), PageRank(0.85)):
+        op = SupraOperator(_problem(SPARSE_LAYERS, inter, kind), 0.5)
+        assert op.max_abs_entry() == np.abs(op.to_dense()).max()
+        for k in (3, -5):
+            scaled = op.scaled(k)
+            assert scaled.apply(x).tobytes() == np.ldexp(op.apply(x), -k).tobytes()
+            assert (scaled.apply_transpose(x).tobytes()
+                    == np.ldexp(op.apply_transpose(x), -k).tobytes())
+            assert scaled.max_abs_entry() == math.ldexp(op.max_abs_entry(), -k)
+        block_diag, scaled = op._blocks.sparse, op.scaled(3)._blocks.sparse
+        if isinstance(kind, PageRank):
+            assert scaled is block_diag
+            continue
+        assert scaled is not block_diag
+        # the data times 2**-3 over the parent's own index arrays
+        assert np.shares_memory(scaled.indices, block_diag.indices)
+        assert np.shares_memory(scaled.indptr, block_diag.indptr)
+        assert np.ldexp(block_diag.data, -3).tobytes() == scaled.data.tobytes()
+        assert scaled.has_sorted_indices
+
+
+def test_scaled_explicit_operator_holds_one_copy_of_the_data():
+    # three 3,000-node layers of 30k entries of 1e-8 at omega 1e-8 run at k = -27;
+    # the scaled operator holds the block diagonal's scaled data and no scaled
+    # copy of each layer beside it (1.38 MiB for 0.69 MiB of data when it did)
+    rng = np.random.default_rng(3)
+    n, entries = 3000, 30_000
+    layers = []
+    for _ in range(3):
+        cells = rng.choice(n * n, size=entries, replace=False)
+        layers.append(LayerGraph.from_arrays(n, cells // n + 1, cells % n + 1,
+                                             np.full(entries, 1e-8)))
+    op = SupraOperator(_problem(MultiplexNetwork(n, tuple(layers)), chain_undirected(3)), 1e-8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scaled, k = engine.scale_operator(op)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert k == -27
+    assert held <= 1.1 * op._blocks.sparse.data.nbytes
+    assert scaled.max_abs_entry() == math.ldexp(op.max_abs_entry(), 27)
 
 
 def _same_csr(got, expected):
@@ -464,18 +496,18 @@ SPARSE_LAYERS = MultiplexNetwork(4, (
                          ids=["eigenvector", "hub", "authority", "pagerank"])
 def test_block_diagonal_is_scipys_bit_for_bit(kind):
     op = SupraOperator(_problem(SPARSE_LAYERS, chain_undirected(3), kind), 0.5)
-    _same_csr(op._block_diag, sparse.block_diag([m.sparse for m in op.layers], format="csr"))
+    _same_csr(op._blocks.sparse, sparse.block_diag([m.sparse for m in op.layers], format="csr"))
 
 
 def test_block_diagonal_sorts_and_sums_like_scipy():
     # blocks with no entries, and a block with unsorted and duplicate indices
     # and an explicit zero, which scipy's COO round trip sorts and sums
     mats = [sparse.csr_matrix((3, 3)), sparse.csr_matrix((2, 2))]
-    _same_csr(engine._block_diagonal(mats), sparse.block_diag(mats, format="csr"))
+    _same_csr(centrality._block_diagonal(mats), sparse.block_diag(mats, format="csr"))
     unsorted = sparse.csr_matrix((np.array([1.0, 2.0, 0.0, 3.0, 4.0]), np.array([2, 0, 1, 1, 1]),
                                   np.array([0, 3, 3, 5])), shape=(3, 3))
     mats = [mats[0], unsorted, sparse.csr_matrix(np.eye(2))]
-    _same_csr(engine._block_diagonal(mats), sparse.block_diag(mats, format="csr"))
+    _same_csr(centrality._block_diagonal(mats), sparse.block_diag(mats, format="csr"))
 
 
 def test_operator_build_peaks_within_one_and_three_quarter_block_diagonals(tmp_path):
@@ -492,7 +524,7 @@ def test_operator_build_peaks_within_one_and_three_quarter_block_diagonals(tmp_p
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    block_diag = op._block_diag
+    block_diag = op._blocks.sparse
     assert peak <= 1.75 * (block_diag.data.nbytes + block_diag.indices.nbytes
                            + block_diag.indptr.nbytes)
 
